@@ -113,6 +113,8 @@ def _check_comparable(ca: SimConfig, cb: SimConfig) -> None:
 
 
 def _cmd_compare(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigInvalid(f"alpha: must be in (0, 1), got {args.alpha}")
     ca = config_from_dict(_load_json(args.config_a))
     cb = config_from_dict(_load_json(args.config_b))
     _check_comparable(ca, cb)

@@ -61,13 +61,9 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
         if self.sample_indices is None:
-            if self.sample_times:
-                idx = [int(round(float(t) / self.dt)) for t in self.sample_times]
-            else:
-                idx = [0, self.n_steps]
-            object.__setattr__(
-                self, "sample_indices", np.unique(np.asarray(idx, dtype=np.int64))
-            )
+            idx = [int(round(float(t) / self.dt)) for t in self.sample_times] or [0, self.n_steps]
+            # sorted(set()) rather than np.unique, which imports numpy.ma
+            object.__setattr__(self, "sample_indices", np.array(sorted(set(idx)), dtype=np.int64))
 
     @property
     def n_steps(self) -> int:
@@ -156,25 +152,25 @@ def config_from_dict(raw: dict) -> SimConfig:
     if not isinstance(gap_floor, (int, float)) or isinstance(gap_floor, bool) or gap_floor <= 0:
         _fail("gap_floor", "must be a positive number")
 
+    # sample_times become times on the dt grid; SimConfig maps them to steps
     sample_arg = raw.get("sample_times")
     if sample_arg is None:
-        indices = np.array(sorted({0, n_steps}), dtype=np.int64)
+        grid = [0, n_steps]
     elif isinstance(sample_arg, int) and not isinstance(sample_arg, bool):
         if sample_arg < 1:
             _fail("sample_times", "stride must be a positive integer")
-        indices = np.unique(np.r_[np.arange(0, n_steps + 1, sample_arg), n_steps])
+        grid = [*range(0, n_steps + 1, sample_arg), n_steps]
     elif isinstance(sample_arg, (list, tuple)):
-        idx = []
+        grid = []
         for t in sample_arg:
             if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0 or t > t_final:
                 _fail("sample_times", f"time {t!r} outside [0, t_final]")
             j = round(float(t) / dt)
             if abs(j * dt - t) > 1e-9 * max(1.0, t_final):
                 _fail("sample_times", f"time {t!r} not on the dt grid")
-            idx.append(j)
-        if not idx:
+            grid.append(j)
+        if not grid:
             _fail("sample_times", "list must be nonempty")
-        indices = np.unique(np.asarray(idx, dtype=np.int64))
     else:
         _fail("sample_times", "must be a list of times or an integer stride")
 
@@ -217,9 +213,8 @@ def config_from_dict(raw: dict) -> SimConfig:
         n_paths=n_paths,
         seed=seed,
         scheme=scheme,
-        sample_times=tuple(float(j * dt) for j in indices),
+        sample_times=tuple(float(j * dt) for j in sorted(set(grid))),
         cutoff=cutoff,
         gap_floor=float(gap_floor),
         q0=q0,
-        sample_indices=indices,
     )

@@ -189,7 +189,13 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         alive = np.ones(c, dtype=bool)
         retry_gens: dict = {}
 
-        def halve(i: int, j: int, xi):
+        def stop(i: int, j: int, units: int, reason: str):
+            # the path stops after (_HALVING_UNITS - units) units of step j
+            stopped_at[lo + i] = (j + (_HALVING_UNITS - units) / _HALVING_UNITS) * h
+            reasons[lo + i] = reason
+            alive[i] = False
+
+        def halve(i: int, j: int, xi, reason: str):
             # a rejected substep is refined, not redrawn: the increment over
             # its first half is the conditional (bridge) draw
             # (xi + eta) / sqrt(2), so an adverse draw decays by 1/sqrt(2)
@@ -205,10 +211,7 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             xi = (xi + gen.standard_normal(nd)) / np.sqrt(2.0)
             while True:
                 if du == 0:
-                    stopped_at[lo + i] = (j + (_HALVING_UNITS - units) / _HALVING_UNITS) * h
-                    reasons[lo + i] = last_reason[0]
-                    alive[i] = False
-                    return
+                    return stop(i, j, units, reason)
                 st = int(kernel.attempt(state, idx, h * du / _HALVING_UNITS, xi[None, :])[0])
                 if st == OK:
                     units -= du
@@ -217,13 +220,10 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
                     xi = gen.standard_normal(nd)
                     du = min(2 * du, _HALVING_UNITS // 2, units)
                 elif st == FREEZE:
-                    stopped_at[lo + i] = (j + (_HALVING_UNITS - units) / _HALVING_UNITS) * h
-                    reasons[lo + i] = "cutoff-floor"
-                    alive[i] = False
-                    return
+                    return stop(i, j, units, "cutoff-floor")
                 else:
                     rejections[lo + i] += 1
-                    last_reason[0] = _reason(kernel, st)
+                    reason = _reason(kernel, st)
                     xi = (xi + gen.standard_normal(nd)) / np.sqrt(2.0)
                     du //= 2
 
@@ -233,16 +233,12 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             act = np.nonzero(alive)[0]
             if act.size:
                 status = kernel.attempt(state, act, h, noise[act, j])
-                frozen = act[status == FREEZE]
-                for i in frozen:
-                    stopped_at[lo + i] = j * h
-                    reasons[lo + i] = "cutoff-floor"
-                    alive[i] = False
+                for i in act[status == FREEZE]:
+                    stop(i, j, _HALVING_UNITS, "cutoff-floor")
                 failed_mask = (status == REJECT_CHAMBER) | (status == REJECT_DOMAIN)
                 for i, st in zip(act[failed_mask], status[failed_mask]):
                     rejections[lo + i] += 1
-                    last_reason = [_reason(kernel, int(st))]
-                    halve(int(i), j, noise[i, j])
+                    halve(int(i), j, noise[i, j], _reason(kernel, int(st)))
             if (j + 1) in sample_pos:
                 live = np.nonzero(alive)[0]
                 if live.size:

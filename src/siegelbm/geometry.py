@@ -82,12 +82,19 @@ class SpectralCoord:
         object.__setattr__(self, "sigma", sigma)
         if sigma.ndim != 1 or sigma.size == 0:
             raise ShapeMismatch("sigma must be a nonempty 1-d array")
-        if sigma[0] <= 0 or np.any(np.diff(sigma) <= 0):
+        if not in_chamber(sigma, 0.0):
             raise OutOfChamber("sigma must be strictly positive and ascending")
 
     @property
     def n(self) -> int:
         return self.sigma.size
+
+
+def in_chamber(sigma, floor: float, positive: bool = True):
+    """Rows of sigma (..., n) whose gaps all exceed floor and, if positive,
+    whose first coordinate does too: the open chamber shrunk by floor."""
+    ok = np.all(np.diff(sigma, axis=-1) > floor, axis=-1)
+    return ok & (sigma[..., 0] > floor) if positive else ok
 
 
 def _right_divide(a, b):
@@ -132,7 +139,7 @@ def cross_ratio(z: np.ndarray, z1: np.ndarray) -> np.ndarray:
 def lambda_to_sigma(lam: np.ndarray) -> np.ndarray:
     """sigma_k = 2 artanh(sqrt(lambda_k)) with 0 < lambda_1 < ... < lambda_n < 1."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0) or np.any(np.diff(lam) <= 0):
+    if not np.all(in_chamber(lam, 0.0)):
         raise OutOfChamber("lambda must be strictly positive and ascending")
     if lam[-1] >= 1.0:
         raise OutOfChamber("lambda must stay below one")
@@ -142,7 +149,7 @@ def lambda_to_sigma(lam: np.ndarray) -> np.ndarray:
 def sigma_to_lambda(sigma: np.ndarray) -> np.ndarray:
     """lambda_k = tanh^2(sigma_k / 2)."""
     sigma = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-    if np.any(sigma <= 0) or np.any(np.diff(sigma) <= 0):
+    if not np.all(in_chamber(sigma, 0.0)):
         raise OutOfChamber("sigma must be strictly positive and ascending")
     return np.tanh(0.5 * sigma) ** 2
 
@@ -156,13 +163,17 @@ def spectral_coordinates(z: SiegelPoint) -> SpectralCoord:
     OutOfChamber when some lambda reaches one.
     """
     r = cayley_to_disk(z).r if isinstance(z, SiegelPoint) else disk_point(z).r
-    lam = hermitian_eigenvalues(r @ r.conj())
-    lam = np.clip(lam, 0.0, None)
+    return SpectralCoord(sigma=_disk_sigma(r))
+
+
+def _disk_sigma(r: np.ndarray) -> np.ndarray:
+    """sigma = 2 artanh(sqrt(lambda)) from the spectrum lambda of R conj(R)."""
+    lam = np.clip(hermitian_eigenvalues(r @ r.conj()), 0.0, None)
     if lam[-1] >= 1.0 - _DOMAIN_TOL:
         raise OutOfChamber("spectrum reaches the disk boundary")
     if lam[0] < _LAMBDA_GAP_TOL or np.any(np.diff(lam) < _LAMBDA_GAP_TOL):
         raise DegenerateSpectrum("lambda spectrum is degenerate")
-    return SpectralCoord(sigma=2.0 * np.arctanh(np.sqrt(lam)))
+    return lambda_to_sigma(lam)
 
 
 def disk_point(r: np.ndarray) -> DiskPoint:

@@ -120,52 +120,37 @@ def _fix_cluster(a, q, mu, lo, hi):
     mu[lo:hi] = mu_c
 
 
-def _takagi_single(a: np.ndarray):
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), complex), np.zeros(0)
-    w, vecs = np.linalg.eigh(a.conj().T @ a)
-    mu = np.sqrt(np.clip(w, 0.0, None))
-    qt = vecs.conj()
-    # phase correction: the diagonal of qt^dagger a conj(qt) is mu * e^{i phi}
-    d = np.einsum("rj,rs,sj->j", qt.conj(), a, qt.conj())
-    phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
-    q = qt * phase
-    scale = 1.0 + float(mu[-1])
-    gaps = np.diff(mu)
-    j = 0
-    while j < n:
-        k = j
-        while k + 1 < n and gaps[k] < _CLUSTER_GAP * scale:
-            k += 1
-        if k > j:
-            _fix_cluster(a, q, mu, j, k + 1)
-        j = k + 1
-    return _canonical_column_signs(q), mu
-
-
 def _takagi_batch(a: np.ndarray):
     """Takagi factorization of a stack (..., n, n) of complex symmetric
     matrices.  No symmetry validation; callers guarantee the input.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
+    if n == 0:
+        return np.zeros(a.shape, complex), np.zeros(a.shape[:-1])
     w, vecs = np.linalg.eigh(np.swapaxes(a.conj(), -1, -2) @ a)
     mu = np.sqrt(np.clip(w, 0.0, None))
     qt = vecs.conj()
+    # phase correction: the diagonal of qt^dagger a conj(qt) is mu * e^{i phi}
     d = np.einsum("...rj,...rs,...sj->...j", qt.conj(), a, qt.conj())
     phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
     q = qt * phase[..., None, :]
     scale = 1.0 + mu[..., -1]
-    clustered = np.any(np.diff(mu, axis=-1) < _CLUSTER_GAP * scale[..., None], axis=-1)
+    near = np.diff(mu, axis=-1) < _CLUSTER_GAP * scale[..., None]
+    clustered = np.any(near, axis=-1).reshape(-1)
     if np.any(clustered):
-        flat_a = a.reshape(-1, n, n)
-        flat_q = q.reshape(-1, n, n)
-        flat_mu = mu.reshape(-1, n)
-        for i in np.nonzero(clustered.reshape(-1))[0]:
-            qi, mi = _takagi_single(flat_a[i])
-            flat_q[i] = qi
-            flat_mu[i] = mi
+        # re-solve each run of near-equal singular values in place
+        near = near.reshape(-1, n - 1)
+        flat_a, flat_q, flat_mu = a.reshape(-1, n, n), q.reshape(-1, n, n), mu.reshape(-1, n)
+        for i in np.nonzero(clustered)[0]:
+            j = 0
+            while j < n:
+                k = j
+                while k + 1 < n and near[i, k]:
+                    k += 1
+                if k > j:
+                    _fix_cluster(flat_a[i], flat_q[i], flat_mu[i], j, k + 1)
+                j = k + 1
     return _canonical_column_signs(q), mu
 
 
@@ -186,7 +171,7 @@ def takagi_decompose(a: np.ndarray, tol: float = 1e-10) -> TakagiFactors:
     if _norm(a - a.T) > tol * max(1.0, _norm(a)):
         raise NotSymmetric("matrix is not complex symmetric within tolerance")
     try:
-        q, mu = _takagi_single(a)
+        q, mu = _takagi_batch(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceFailure(str(exc)) from exc
     return TakagiFactors(q=q, mu=mu)

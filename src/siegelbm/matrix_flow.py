@@ -21,16 +21,17 @@ order, and the final n draws drive the radial directions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ensemble as ens
 from .config import SimConfig
 from .entropy import _gradient_raw, entropy_gradient
-from .errors import ChamberExit, DegenerateSpectrum, DomainExit, OutOfChamber
-from .geometry import SpectralCoord
+from .errors import ChamberExit, DomainExit, OutOfChamber
+from .geometry import SpectralCoord, _disk_sigma, in_chamber
 from .linalg import _takagi_batch, unitary_algebra_basis, unitary_exp
+from .particle_flow import _noise_coef
 
 _DOMAIN_EDGE = 1e-12
 
@@ -43,12 +44,11 @@ class MatrixFlowState:
     sigma_cache: np.ndarray
     q_cache: np.ndarray
     t: float = 0.0
-    cutoff_active: bool = False
 
 
 def init_matrix_state(sigma0, q0=None, t: float = 0.0) -> MatrixFlowState:
     sigma0 = np.asarray(getattr(sigma0, "sigma", sigma0), dtype=float)
-    if np.any(sigma0 <= 0) or np.any(np.diff(sigma0) <= 0):
+    if not in_chamber(sigma0, 0.0):
         raise OutOfChamber("sigma0 must be strictly positive and ascending")
     n = sigma0.size
     q = np.eye(n, dtype=complex) if q0 is None else np.asarray(q0, dtype=complex)
@@ -75,9 +75,8 @@ def _noise_matrix(sig: np.ndarray, xi: np.ndarray, beta: float) -> np.ndarray:
     so that sum_alpha c_alpha V_alpha xi_alpha = Q G Q^T."""
     c, n = sig.shape
     ch2 = 1.0 + np.cosh(sig)
-    radial = 0.0 if np.isinf(beta) else np.sqrt(2.0 / beta)
     g = np.zeros((c, n, n), dtype=complex)
-    diag = (radial * xi[:, n * n :] + 1j * xi[:, :n]) / ch2
+    diag = (_noise_coef(beta) * xi[:, n * n :] + 1j * xi[:, :n]) / ch2
     g[:, np.arange(n), np.arange(n)] = diag
     ks, ls = _pair_indices(n)
     if ks.size:
@@ -94,25 +93,36 @@ def _congruence(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("pab,pbc,pdc->pad", q, g, q)
 
 
+def _refactor(r: np.ndarray):
+    """Takagi frame of a stack of disk points, whether each stays clear of
+    the disk edge, and its sigma = 2 artanh(mu)."""
+    q, mu = _takagi_batch(r)
+    return q, mu[:, -1] < 1.0 - _DOMAIN_EDGE, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
+
+
+def _stack(st: MatrixFlowState, c: int) -> dict:
+    """Kernel state holding c copies of st."""
+    return {
+        "r": np.tile(st.r, (c, 1, 1)),
+        "q": np.tile(st.q_cache, (c, 1, 1)),
+        "sigma": np.tile(st.sigma_cache, (c, 1)),
+    }
+
+
 class MatrixKernel:
     """Batched disk-coordinate stepping over stacked path states."""
 
-    def __init__(self, cfg: SimConfig):
-        self.sigma0 = cfg.sigma0
-        self.q0 = cfg.q0
-        self.beta = cfg.beta
-        self.floor = cfg.gap_floor
-        n = cfg.n
+    def __init__(self, sigma0, beta: float, gap_floor: float, q0=None):
+        self.sigma0 = np.asarray(sigma0, dtype=float)
+        self.q0 = q0
+        self.beta = beta
+        self.floor = gap_floor
+        n = self.sigma0.size
         self.noise_dim = n * n + n
         self.obs_dim = n
 
     def init(self, c: int) -> dict:
-        base = init_matrix_state(self.sigma0, self.q0)
-        return {
-            "r": np.tile(base.r, (c, 1, 1)),
-            "q": np.tile(base.q_cache, (c, 1, 1)),
-            "sigma": np.tile(base.sigma_cache, (c, 1)),
-        }
+        return _stack(init_matrix_state(self.sigma0, self.q0), c)
 
     def observe(self, state: dict) -> np.ndarray:
         return state["sigma"]
@@ -125,9 +135,7 @@ class MatrixKernel:
 
         g = _noise_matrix(sig, xi, self.beta)
         incr_pred = _congruence(q, g)
-        q_star, mu_star = _takagi_batch(r + sq * incr_pred)
-        dom_ok = mu_star[:, -1] < 1.0 - _DOMAIN_EDGE
-        sig_star = 2.0 * np.arctanh(np.clip(mu_star, 0.0, 1.0 - 1e-13))
+        q_star, dom_ok, sig_star = _refactor(r + sq * incr_pred)
 
         # keep the predictor frame on the same sign sheet as the base frame
         dots = np.einsum("paj,paj->pj", q.conj(), q_star)
@@ -140,15 +148,11 @@ class MatrixKernel:
 
         r_new = r + incr
         r_new = 0.5 * (r_new + np.swapaxes(r_new, -1, -2))
-        q_new, mu_new = _takagi_batch(r_new)
-        dom_ok = dom_ok & (mu_new[:, -1] < 1.0 - _DOMAIN_EDGE)
-        sig_new = 2.0 * np.arctanh(np.clip(mu_new, 0.0, 1.0 - 1e-13))
-        ch_ok = sig_new[:, 0] > self.floor
-        if sig_new.shape[1] > 1:
-            ch_ok = ch_ok & np.all(np.diff(sig_new, axis=-1) > self.floor, axis=-1)
+        q_new, dom_new, sig_new = _refactor(r_new)
+        dom_ok = dom_ok & dom_new
 
         status = np.full(len(idx), ens.OK, dtype=np.int64)
-        status[~ch_ok] = ens.REJECT_CHAMBER
+        status[~in_chamber(sig_new, self.floor)] = ens.REJECT_CHAMBER
         status[~dom_ok] = ens.REJECT_DOMAIN
         ok = status == ens.OK
         acc = idx[ok]
@@ -171,14 +175,8 @@ def step_matrix_flow(
     xi = np.asarray(gaussians, dtype=float)
     if xi.shape != (n * n + n,):
         raise ValueError(f"expected {n * n + n} gaussians")
-    kernel = MatrixKernel.__new__(MatrixKernel)
-    kernel.beta = float(beta)
-    kernel.floor = gap_floor
-    arrs = {
-        "r": state.r[None].copy(),
-        "q": state.q_cache[None].copy(),
-        "sigma": state.sigma_cache[None].copy(),
-    }
+    kernel = MatrixKernel(state.sigma_cache, beta, gap_floor, state.q_cache)
+    arrs = _stack(state, 1)
     status = int(kernel.attempt(arrs, np.array([0]), h, xi[None, :])[0])
     if status == ens.REJECT_DOMAIN:
         raise DomainExit("step left the disk domain")
@@ -189,7 +187,6 @@ def step_matrix_flow(
         sigma_cache=arrs["sigma"][0],
         q_cache=arrs["q"][0],
         t=state.t + h,
-        cutoff_active=state.cutoff_active,
     )
 
 
@@ -197,23 +194,18 @@ def extract_sigma(state) -> SpectralCoord:
     """Radial coordinates of a state (or raw disk matrix) from the
     Hermitian spectrum of R conj(R); cross-checked against the cached
     sigma when one is present (1e-8)."""
-    r = state.r if isinstance(state, MatrixFlowState) else np.asarray(state, complex)
-    lam = np.clip(np.linalg.eigvalsh(r @ r.conj()), 0.0, None)
-    if lam[-1] >= 1.0 - 1e-14:
-        raise OutOfChamber("spectrum reaches the disk boundary")
-    if lam[0] < 1e-10 or np.any(np.diff(lam) < 1e-10):
-        raise DegenerateSpectrum("lambda spectrum is degenerate")
-    sigma = 2.0 * np.arctanh(np.sqrt(lam))
-    if isinstance(state, MatrixFlowState):
-        if np.max(np.abs(sigma - state.sigma_cache)) > 1e-8:
-            raise ValueError("cached sigma inconsistent with spectrum")
+    cached = isinstance(state, MatrixFlowState)
+    sigma = _disk_sigma(state.r if cached else np.asarray(state, complex))
+    if cached and np.max(np.abs(sigma - state.sigma_cache)) > 1e-8:
+        raise ValueError("cached sigma inconsistent with spectrum")
     return SpectralCoord(sigma=sigma)
 
 
 def simulate_matrix_paths(cfg: SimConfig, threads: int = 1) -> ens.PathEnsemble:
     if cfg.scheme != "matrix":
         raise ValueError(f"not a matrix-scheme config: {cfg.scheme}")
-    return ens.run_ensemble(cfg, MatrixKernel(cfg), threads=threads)
+    kernel = MatrixKernel(cfg.sigma0, cfg.beta, cfg.gap_floor, cfg.q0)
+    return ens.run_ensemble(cfg, kernel, threads=threads)
 
 
 def step_takagi_chart(sigma, q, beta: float, h: float, gaussians):
@@ -236,8 +228,8 @@ def step_takagi_chart(sigma, q, beta: float, h: float, gaussians):
     xi = np.asarray(gaussians, dtype=float)
     if xi.shape != (n * n + n,):
         raise ValueError(f"expected {n * n + n} gaussians")
-    radial = 0.0 if np.isinf(beta) else np.sqrt(2.0 / beta)
-    sig_new = sigma + 0.5 * h * entropy_gradient(sigma) + radial * np.sqrt(h) * xi[n * n :]
+    noise = _noise_coef(beta) * np.sqrt(h) * xi[n * n :]
+    sig_new = sigma + 0.5 * h * entropy_gradient(sigma) + noise
     ks, ls = _pair_indices(n)
     rates = np.concatenate(
         [

@@ -19,6 +19,7 @@ from . import ensemble as ens
 from .entropy import _gradient_raw, cutoff_eta, entropy_gradient
 from .errors import ChamberExit, OriginHit, OutOfChamber
 from .config import SimConfig
+from .geometry import in_chamber
 
 
 def siegel_drift(sigma) -> np.ndarray:
@@ -26,47 +27,65 @@ def siegel_drift(sigma) -> np.ndarray:
     return 0.5 * entropy_gradient(sigma)
 
 
-def dyson_drift(lam) -> np.ndarray:
-    """Componentwise sum_{l != k} 1 / (lambda_k - lambda_l)."""
-    lam = np.asarray(getattr(lam, "sigma", lam), dtype=float)
+def _dyson_raw(lam: np.ndarray) -> np.ndarray:
+    """Dyson drift without error checking; coincident pairs contribute zero."""
     n = lam.shape[-1]
-    if n == 1:
-        return np.zeros_like(lam)
     diff = lam[..., :, None] - lam[..., None, :]
     mask = ~np.eye(n, dtype=bool)
-    if np.any(diff[..., mask] == 0):
-        raise OutOfChamber("coincident coordinates")
     inv = np.where(mask, 1.0 / np.where(diff != 0, diff, np.inf), 0.0)
     return np.sum(inv, axis=-1)
 
 
+def dyson_drift(lam) -> np.ndarray:
+    """Componentwise sum_{l != k} 1 / (lambda_k - lambda_l)."""
+    lam = np.asarray(getattr(lam, "sigma", lam), dtype=float)
+    if np.any(np.diff(np.sort(lam, axis=-1), axis=-1) == 0):
+        raise OutOfChamber("coincident coordinates")
+    return _dyson_raw(lam)
+
+
 def _noise_coef(beta: float) -> float:
+    """Rate sqrt(2/beta) of the radial noise; zero in the beta = inf limit."""
     return 0.0 if np.isinf(beta) else float(np.sqrt(2.0 / beta))
 
 
-def _ordered(prop: np.ndarray, floor: float) -> np.ndarray:
-    ok = prop[..., 0] > floor
-    if prop.shape[-1] > 1:
-        ok = ok & np.all(np.diff(prop, axis=-1) > floor, axis=-1)
-    return ok
+class _RadialKernel:
+    """Kernel protocol shared by the particle-type schemes: the state holds
+    one row of coordinates per path and is observed as is.  Subclasses
+    propose a move in attempt() and settle it with _accept()."""
 
-
-class ParticleKernel:
-    """Euler-Maruyama step of the radial flow, optional entropy cutoff."""
-
-    def __init__(self, cfg: SimConfig):
-        self.sigma0 = cfg.sigma0
-        self.beta = cfg.beta
-        self.cutoff = cfg.cutoff
-        self.floor = cfg.gap_floor
-        self.noise_dim = cfg.n
-        self.obs_dim = cfg.n
+    def __init__(self, sigma0, beta: float, gap_floor: float):
+        self.sigma0 = np.asarray(sigma0, dtype=float)
+        self.noise_coef = _noise_coef(beta)
+        self.floor = gap_floor
+        self.noise_dim = self.obs_dim = self.sigma0.size
 
     def init(self, c: int) -> np.ndarray:
         return np.tile(self.sigma0, (c, 1))
 
     def observe(self, state: np.ndarray) -> np.ndarray:
         return state
+
+    def _chamber_ok(self, prop: np.ndarray, positive: bool = True) -> np.ndarray:
+        return in_chamber(prop, self.floor, positive) & np.all(np.isfinite(prop), axis=-1)
+
+    @staticmethod
+    def _accept(state, idx, prop, ok, frozen=None) -> np.ndarray:
+        """Store the proposals marked ok; the rest are chamber rejections
+        unless frozen."""
+        status = np.where(ok, ens.OK, ens.REJECT_CHAMBER)
+        if frozen is not None:
+            status[frozen] = ens.FREEZE
+        state[idx[ok]] = prop[ok]
+        return status
+
+
+class ParticleKernel(_RadialKernel):
+    """Euler-Maruyama step of the radial flow, optional entropy cutoff."""
+
+    def __init__(self, sigma0, beta: float, gap_floor: float, cutoff=None):
+        super().__init__(sigma0, beta, gap_floor)
+        self.cutoff = cutoff
 
     def attempt(self, state, idx, h, xi):
         sig = state[idx]
@@ -75,89 +94,46 @@ class ParticleKernel:
         else:
             eta = np.ones(len(idx))
         drift = 0.5 * _gradient_raw(sig)
-        prop = sig + eta[:, None] * (drift * h + _noise_coef(self.beta) * np.sqrt(h) * xi)
+        prop = sig + eta[:, None] * (drift * h + self.noise_coef * np.sqrt(h) * xi)
         frozen = eta == 0.0
-        ok = _ordered(prop, self.floor) & np.all(np.isfinite(prop), axis=-1) & ~frozen
-        status = np.where(ok, ens.OK, ens.REJECT_CHAMBER)
-        status[frozen] = ens.FREEZE
-        state[idx[ok]] = prop[ok]
-        return status
+        return self._accept(state, idx, prop, self._chamber_ok(prop) & ~frozen, frozen)
 
 
-class MeanCurvatureKernel:
+class MeanCurvatureKernel(_RadialKernel):
     """Classical RK4 on sigma' = (1/2) grad S; no noise."""
 
-    def __init__(self, cfg: SimConfig):
-        self.sigma0 = cfg.sigma0
-        self.floor = cfg.gap_floor
+    def __init__(self, sigma0, beta: float, gap_floor: float):
+        super().__init__(sigma0, beta, gap_floor)
         self.noise_dim = 0
-        self.obs_dim = cfg.n
-
-    def init(self, c: int) -> np.ndarray:
-        return np.tile(self.sigma0, (c, 1))
-
-    def observe(self, state: np.ndarray) -> np.ndarray:
-        return state
 
     def attempt(self, state, idx, h, xi):
-        sig = state[idx]
-        prop = _rk4_step(sig, h)
-        ok = _ordered(prop, self.floor) & np.all(np.isfinite(prop), axis=-1)
-        status = np.where(ok, ens.OK, ens.REJECT_CHAMBER)
-        state[idx[ok]] = prop[ok]
-        return status
+        prop = _rk4_step(state[idx], h)
+        return self._accept(state, idx, prop, self._chamber_ok(prop))
 
 
-class DysonKernel:
+class DysonKernel(_RadialKernel):
     """Euler-Maruyama for the flat squared-radial analogue on the real line."""
-
-    def __init__(self, cfg: SimConfig):
-        self.lam0 = cfg.sigma0
-        self.beta = cfg.beta
-        self.floor = cfg.gap_floor
-        self.noise_dim = cfg.n
-        self.obs_dim = cfg.n
-
-    def init(self, c: int) -> np.ndarray:
-        return np.tile(self.lam0, (c, 1))
-
-    def observe(self, state: np.ndarray) -> np.ndarray:
-        return state
 
     def attempt(self, state, idx, h, xi):
         lam = state[idx]
-        n = lam.shape[-1]
-        diff = lam[:, :, None] - lam[:, None, :]
-        mask = ~np.eye(n, dtype=bool)
-        inv = np.where(mask, 1.0 / np.where(diff != 0, diff, np.inf), 0.0)
-        drift = np.sum(inv, axis=-1)
-        prop = lam + drift * h + _noise_coef(self.beta) * np.sqrt(h) * xi
-        ok = prop[:, 0] > -np.inf
-        if n > 1:
-            ok = np.all(np.diff(prop, axis=-1) > self.floor, axis=-1)
-        ok = ok & np.all(np.isfinite(prop), axis=-1)
-        status = np.where(ok, ens.OK, ens.REJECT_CHAMBER)
-        state[idx[ok]] = prop[ok]
-        return status
+        prop = lam + _dyson_raw(lam) * h + self.noise_coef * np.sqrt(h) * xi
+        return self._accept(state, idx, prop, self._chamber_ok(prop, positive=False))
 
 
-class SpherePointKernel:
+class SpherePointKernel(_RadialKernel):
     """Ambient point-cloud step: tangential noise at unit rate, radial noise
-    scaled by sqrt(2/beta).  Euler-Maruyama; no drift term."""
+    scaled by sqrt(2/beta).  Euler-Maruyama; no drift term.  sigma0 holds
+    the initial radius."""
 
     reject_reasons = {ens.REJECT_CHAMBER: "origin-hit"}
 
-    def __init__(self, cfg: SimConfig):
-        self.r0 = float(cfg.sigma0[0])
-        self.n = cfg.n
-        self.beta = cfg.beta
-        self.floor = cfg.gap_floor
-        self.noise_dim = cfg.n
-        self.obs_dim = 1
+    def __init__(self, sigma0, beta: float, gap_floor: float, n: int):
+        super().__init__(sigma0, beta, gap_floor)
+        self.noise_dim, self.obs_dim = n, 1
 
     def init(self, c: int) -> np.ndarray:
-        z = np.zeros((c, self.n))
-        z[:, 0] = self.r0
+        z = np.zeros((c, self.noise_dim))
+        z[:, 0] = self.sigma0[0]
         return z
 
     def observe(self, state: np.ndarray) -> np.ndarray:
@@ -169,39 +145,23 @@ class SpherePointKernel:
         zh = z / r
         db = np.sqrt(h) * xi
         rad = np.sum(zh * db, axis=-1, keepdims=True)
-        prop = z + db - zh * rad + _noise_coef(self.beta) * zh * rad
-        ok = np.linalg.norm(prop, axis=-1) > self.floor
-        status = np.where(ok, ens.OK, ens.REJECT_CHAMBER)
-        state[idx[ok]] = prop[ok]
-        return status
+        prop = z + db - zh * rad + self.noise_coef * zh * rad
+        return self._accept(state, idx, prop, np.linalg.norm(prop, axis=-1) > self.floor)
 
 
-class SphereRadiusKernel:
+class SphereRadiusKernel(_RadialKernel):
     """Scalar radius equation dr = (n-1)/(2r) dt + sqrt(2/beta) dB."""
 
     reject_reasons = {ens.REJECT_CHAMBER: "origin-hit"}
 
-    def __init__(self, cfg: SimConfig):
-        self.r0 = float(cfg.sigma0[0])
-        self.n = cfg.n
-        self.beta = cfg.beta
-        self.floor = cfg.gap_floor
-        self.noise_dim = 1
-        self.obs_dim = 1
-
-    def init(self, c: int) -> np.ndarray:
-        return np.full((c, 1), self.r0)
-
-    def observe(self, state: np.ndarray) -> np.ndarray:
-        return state
+    def __init__(self, sigma0, beta: float, gap_floor: float, n: int):
+        super().__init__(sigma0, beta, gap_floor)
+        self.n = n
 
     def attempt(self, state, idx, h, xi):
         r = state[idx]
-        prop = r + (self.n - 1) / (2.0 * r) * h + _noise_coef(self.beta) * np.sqrt(h) * xi
-        ok = prop[:, 0] > self.floor
-        status = np.where(ok, ens.OK, ens.REJECT_CHAMBER)
-        state[idx[ok]] = prop[ok]
-        return status
+        prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi
+        return self._accept(state, idx, prop, in_chamber(prop, self.floor))
 
 
 def _rk4_step(sig: np.ndarray, h: float) -> np.ndarray:
@@ -244,12 +204,8 @@ def step_particles(sigma, beta: float, h: float, gaussians, cutoff=None, gap_flo
     xi = np.asarray(gaussians, dtype=float)
     if xi.shape != sigma.shape:
         raise ValueError("gaussians must match sigma in shape")
-    state = sigma[None, :].copy()
-    kernel = ParticleKernel.__new__(ParticleKernel)
-    kernel.beta = float(beta)
-    kernel.cutoff = cutoff
-    kernel.floor = gap_floor
-    kernel.noise_dim = kernel.obs_dim = sigma.size
+    kernel = ParticleKernel(sigma, beta, gap_floor, cutoff)
+    state = kernel.init(1)
     status = kernel.attempt(state, np.array([0]), h, xi[None, :])
     if status[0] == ens.REJECT_CHAMBER:
         raise ChamberExit("step left the ordered chamber")
@@ -257,11 +213,11 @@ def step_particles(sigma, beta: float, h: float, gaussians, cutoff=None, gap_flo
 
 
 _KERNELS = {
-    "particle": ParticleKernel,
-    "mean-curvature": MeanCurvatureKernel,
-    "dyson": DysonKernel,
-    "sphere-point": SpherePointKernel,
-    "sphere-radius": SphereRadiusKernel,
+    "particle": lambda c: ParticleKernel(c.sigma0, c.beta, c.gap_floor, c.cutoff),
+    "mean-curvature": lambda c: MeanCurvatureKernel(c.sigma0, c.beta, c.gap_floor),
+    "dyson": lambda c: DysonKernel(c.sigma0, c.beta, c.gap_floor),
+    "sphere-point": lambda c: SpherePointKernel(c.sigma0, c.beta, c.gap_floor, c.n),
+    "sphere-radius": lambda c: SphereRadiusKernel(c.sigma0, c.beta, c.gap_floor, c.n),
 }
 
 
@@ -269,9 +225,7 @@ def step_sphere_point(z, beta: float, h: float, gaussians, floor: float = 1e-6) 
     """One point-cloud step; raises OriginHit when the move reaches the origin."""
     z = np.asarray(z, dtype=float)
     state = z[None, :].copy()
-    kernel = SpherePointKernel.__new__(SpherePointKernel)
-    kernel.beta = float(beta)
-    kernel.floor = floor
+    kernel = SpherePointKernel([np.linalg.norm(z)], beta, floor, z.size)
     status = kernel.attempt(state, np.array([0]), h, np.asarray(gaussians, float)[None, :])
     if status[0] != ens.OK:
         raise OriginHit("step reached the origin")

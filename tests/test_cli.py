@@ -212,6 +212,27 @@ def test_compare_config_mismatch(tmp_path, capsys):
     assert "scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1", "1.5"])
+def test_compare_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+    base = {
+        "n": 1,
+        "beta": 2.0,
+        "sigma0": [1.2],
+        "t_final": 0.05,
+        "dt": 0.01,
+        "n_paths": 20,
+    }
+    ca = _write(tmp_path, "a.json", dict(base, scheme="matrix", seed=1))
+    cb = _write(tmp_path, "b.json", dict(base, scheme="particle", seed=2))
+    out = tmp_path / "cmp"
+    rc = main(
+        ["compare", "--config-a", ca, "--config-b", cb, "--alpha", alpha, "--out", str(out)]
+    )
+    assert rc == 1
+    assert "config error: alpha:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("trajectories.jsonl"))
+
+
 def test_check_identities_cli(tmp_path, capsys):
     rc = main(["check-identities", "--n-max", "2", "--out", str(tmp_path / "idn")])
     assert rc == 0

@@ -112,7 +112,13 @@ def test_takagi_batch_matches_single():
     rng = np.random.default_rng(303)
     g = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
     a = g + np.swapaxes(g, -1, -2)
+    # two clustered rows among generic ones: a gap of 1e-7 and an exact repeat
+    u = np.linalg.qr(rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))[0]
+    a[2] = (u[0] * [0.2, 0.5, 0.5 + 1e-7]) @ u[0].T
+    a[5] = (u[1] * [0.3, 0.3, 0.9]) @ u[1].T
     q, mu = _takagi_batch(a)
+    np.testing.assert_allclose(mu[2], [0.2, 0.5, 0.5 + 1e-7], atol=1e-9)
+    np.testing.assert_allclose(mu[5], [0.3, 0.3, 0.9], atol=1e-9)
     for i in range(8):
         tf = takagi_decompose(a[i])
         np.testing.assert_allclose(mu[i], tf.mu, atol=1e-10)
