@@ -27,7 +27,7 @@ from .geometry import (
 from .linalg import unitary_exp
 from .matrix_flow import simulate_matrix_paths
 from .particle_flow import simulate_particle_paths
-from .stats import compare_ensembles, moment_report
+from .stats import compare_ensembles, moment_report, time_index
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,13 @@ def _write_artifacts(ens: PathEnsemble, outdir: Path) -> dict:
     return summary
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigInvalid(f"threads: must be a positive integer, got {threads}")
+
+
 def _cmd_simulate(args) -> int:
+    _check_threads(args.threads)
     cfg = config_from_dict(_load_json(args.config))
     ens = _run_scheme(cfg, args.threads)
     outdir = Path(args.out)
@@ -113,11 +119,13 @@ def _check_comparable(ca: SimConfig, cb: SimConfig) -> None:
 
 
 def _cmd_compare(args) -> int:
+    _check_threads(args.threads)
     if not 0.0 < args.alpha < 1.0:
         raise ConfigInvalid(f"alpha: must be in (0, 1), got {args.alpha}")
     ca = config_from_dict(_load_json(args.config_a))
     cb = config_from_dict(_load_json(args.config_b))
     _check_comparable(ca, cb)
+    time_index(ca.sample_times, args.t)  # fail on a --t off the grid before either run
     outdir = Path(args.out)
     ens_a = _run_scheme(ca, args.threads)
     ens_b = _run_scheme(cb, args.threads)

@@ -17,6 +17,8 @@ import numpy as np
 
 _CHUNK = 512
 _HALVING_UNITS = 1024  # step-halving floor is h / 2**10
+_WRITE_BLOCK = 64  # paths formatted per json.dumps call in write_jsonl
+_READ_BYTES = 1 << 18  # size hint for one batch of lines in read_jsonl
 
 SCHEME_IDS = {
     "matrix": 1,
@@ -100,9 +102,13 @@ def _meta_from_json(obj: dict) -> dict:
 
 def write_jsonl(ens: PathEnsemble, path: str):
     """One header line with metadata, then one record per path per sample
-    time in path-major order.  Records past a path's stopping time carry
-    an empty sigma list and stopped = true; byte content is a pure
-    function of the ensemble.
+    time in path-major order.  A record is stopped once t >= stopped_at,
+    and a record whose sample holds a NaN carries an empty sigma list;
+    byte content is a pure function of the ensemble.
+
+    Records are formatted and written in blocks of paths: one json.dumps
+    call formats every sample row of a block (the same float repr as a
+    per-record dumps), so memory is bounded by one block.
     """
     header = {
         "meta": _meta_to_json(ens.meta),
@@ -111,19 +117,29 @@ def write_jsonl(ens: PathEnsemble, path: str):
         "stop_reason": list(ens.stop_reason),
         "rejections": [int(r) for r in ens.rejections],
     }
+    dim = ens.samples.shape[2]
+    t_str = [json.dumps(float(t)) for t in ens.times]
+    # comparisons with a NaN stop time are False: a path that never stopped
+    flag = np.where(ens.times[None, :] >= ens.stopped_at[:, None], "true", "false")
+    empty = np.isnan(ens.samples).any(axis=2)
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for p in range(ens.n_paths):
-            stop_t = ens.stopped_at[p]
-            for j, t in enumerate(ens.times):
-                row = ens.samples[p, j]
-                stopped = bool(not np.isnan(stop_t) and t >= stop_t)
-                sigma = [] if np.any(np.isnan(row)) else [float(v) for v in row]
-                rec = {"path": p, "t": float(t), "sigma": sigma, "stopped": stopped}
-                fh.write(json.dumps(rec) + "\n")
+        for lo in range(0, ens.n_paths, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, ens.n_paths)
+            # rows holding a NaN are formatted too, then replaced by []
+            rows = json.dumps(ens.samples[lo:hi].reshape(-1, dim).tolist())[2:-2].split("], [")
+            blank = empty[lo:hi].ravel().tolist()
+            flags = flag[lo:hi].ravel().tolist()
+            keys = [(p, t) for p in range(lo, hi) for t in t_str]
+            fh.write("".join(
+                f'{{"path": {p}, "t": {t}, "sigma": [{"" if e else r}], "stopped": {f}}}\n'
+                for (p, t), r, e, f in zip(keys, rows, blank, flags)
+            ))
 
 
 def read_jsonl(path: str) -> PathEnsemble:
+    """Inverse of write_jsonl.  Lines are parsed in bounded batches, one
+    json.loads call per batch, so memory does not grow with the file."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         meta = _meta_from_json(header["meta"])
@@ -137,10 +153,12 @@ def read_jsonl(path: str) -> PathEnsemble:
         dim = int(meta["dim"])
         samples = np.full((n_paths, times.size, dim), np.nan)
         t_index = {float(t): j for j, t in enumerate(times)}
-        for line in fh:
-            rec = json.loads(line)
-            if rec["sigma"]:
-                samples[rec["path"], t_index[rec["t"]]] = rec["sigma"]
+        while lines := fh.readlines(_READ_BYTES):
+            recs = [r for r in json.loads("[" + ",".join(lines) + "]") if r["sigma"]]
+            if recs:
+                samples[
+                    [r["path"] for r in recs], [t_index[r["t"]] for r in recs]
+                ] = [r["sigma"] for r in recs]
     return PathEnsemble(
         meta=meta,
         times=times,

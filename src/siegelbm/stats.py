@@ -126,6 +126,17 @@ def _stop_counts(ensemble: PathEnsemble) -> dict:
     return counts
 
 
+def time_index(times, t: float | None = None) -> int:
+    """Index of sample time t in times (default: the final one), matched to
+    a relative 1e-9; ShapeMismatch if t is not on the grid."""
+    if t is None:
+        return len(times) - 1
+    hits = np.nonzero(np.abs(np.asarray(times) - t) <= 1e-9 * max(1.0, abs(t)))[0]
+    if hits.size == 0:
+        raise ShapeMismatch(f"t={t} is not on the sample grid")
+    return int(hits[0])
+
+
 def compare_ensembles(
     a: PathEnsemble, b: PathEnsemble, alpha: float = 0.01, t: float | None = None
 ) -> dict:
@@ -145,17 +156,11 @@ def compare_ensembles(
     beta_a, beta_b = a.meta.get("beta"), b.meta.get("beta")
     if not (beta_a == beta_b or (np.isinf(beta_a) and np.isinf(beta_b))):
         raise ShapeMismatch("ensembles run at different beta")
-    if t is None:
-        j = a.times.size - 1
-    else:
-        hits = np.nonzero(np.abs(a.times - t) <= 1e-9 * max(1.0, abs(t)))[0]
-        if hits.size == 0:
-            raise ShapeMismatch(f"t={t} is not on the sample grid")
-        j = int(hits[0])
+    j = time_index(a.times, t)
     xa = a.samples[a.alive_mask(j), j, :]
     xb = b.samples[b.alive_mask(j), j, :]
     if xa.shape[0] == 0 or xb.shape[0] == 0:
-        raise EmptySample("no surviving paths at the final sample time")
+        raise EmptySample(f"no surviving paths at sample time t={float(a.times[j])}")
     level = alpha / (dim + 1)
     tests = []
     for k in range(dim):

@@ -212,8 +212,7 @@ def test_compare_config_mismatch(tmp_path, capsys):
     assert "scheme" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha", ["0", "-1", "1.5"])
-def test_compare_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+def _small_compare_pair(tmp_path):
     base = {
         "n": 1,
         "beta": 2.0,
@@ -224,12 +223,34 @@ def test_compare_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
     }
     ca = _write(tmp_path, "a.json", dict(base, scheme="matrix", seed=1))
     cb = _write(tmp_path, "b.json", dict(base, scheme="particle", seed=2))
-    out = tmp_path / "cmp"
-    rc = main(
-        ["compare", "--config-a", ca, "--config-b", cb, "--alpha", alpha, "--out", str(out)]
-    )
+    return ["compare", "--config-a", ca, "--config-b", cb, "--out", str(tmp_path / "cmp")]
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "1.5"])
+def test_compare_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+    rc = main(_small_compare_pair(tmp_path) + ["--alpha", alpha])
     assert rc == 1
     assert "config error: alpha:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("trajectories.jsonl"))
+
+
+def test_compare_rejects_t_off_grid_before_running(tmp_path, capsys):
+    rc = main(_small_compare_pair(tmp_path) + ["--t", "0.033"])
+    assert rc == 1
+    assert "config error: t=0.033 is not on the sample grid" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("trajectories.jsonl"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_rejects_threads_below_one(tmp_path, capsys, command, threads):
+    if command == "simulate":
+        argv = ["simulate", "--config", _write(tmp_path, "cfg.json", _MEAN_CURV),
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = _small_compare_pair(tmp_path)
+    assert main(argv + ["--threads", threads]) == 1
+    assert "config error: threads:" in capsys.readouterr().err
     assert not list(tmp_path.rglob("trajectories.jsonl"))
 
 

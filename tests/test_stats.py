@@ -140,6 +140,16 @@ def test_compare_skips_stopped_paths():
     assert rep["n_a"] == 400 and rep["n_b"] == 300
 
 
+def test_compare_names_the_empty_sample_time():
+    rng = np.random.default_rng(11)
+    base = np.abs(rng.standard_normal((50, 3, 1))) + 0.5
+    wrecked = base.copy()
+    wrecked[:, 1:, :] = np.nan
+    b = _ensemble(wrecked, stopped_at=np.full(50, 0.25), reasons=["chamber-exit"] * 50)
+    with pytest.raises(EmptySample, match=r"no surviving paths at sample time t=0\.5$"):
+        compare_ensembles(_ensemble(base), b, t=0.5)
+
+
 def test_compare_shape_mismatches():
     rng = np.random.default_rng(9)
     a = _ensemble(np.abs(rng.standard_normal((50, 2, 1))))
