@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SimConfig, config_from_dict
-from .ensemble import PathEnsemble, _meta_to_json, write_jsonl
+from .ensemble import PathEnsemble, _meta_to_json, check_threads, write_jsonl
 from .entropy import entropy, entropy_gradient, entropy_laplacian
 from .errors import ConfigInvalid, ShapeMismatch, SiegelError
 from .geometry import (
@@ -32,6 +32,10 @@ from .stats import compare_ensembles, moment_report, time_index
 __version__ = "0.1.0"
 
 _HIST_BINS = 32
+_THREADS_HELP = (
+    "worker threads for the matrix scheme's chunks of 512 paths (default 1);"
+    " particle-type schemes always run inline"
+)
 
 
 def _load_json(path) -> dict:
@@ -77,13 +81,8 @@ def _write_artifacts(ens: PathEnsemble, outdir: Path) -> dict:
     return summary
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ConfigInvalid(f"threads: must be a positive integer, got {threads}")
-
-
 def _cmd_simulate(args) -> int:
-    _check_threads(args.threads)
+    check_threads(args.threads)
     cfg = config_from_dict(_load_json(args.config))
     ens = _run_scheme(cfg, args.threads)
     outdir = Path(args.out)
@@ -119,7 +118,7 @@ def _check_comparable(ca: SimConfig, cb: SimConfig) -> None:
 
 
 def _cmd_compare(args) -> int:
-    _check_threads(args.threads)
+    check_threads(args.threads)
     if not 0.0 < args.alpha < 1.0:
         raise ConfigInvalid(f"alpha: must be in (0, 1), got {args.alpha}")
     ca = config_from_dict(_load_json(args.config_a))
@@ -270,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one configuration")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default="out")
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     p_cmp = sub.add_parser("compare", help="law comparison of two configurations")
     p_cmp.add_argument("--config-a", required=True)
@@ -278,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--t", type=float, default=None, help="sample time (default: final)")
     p_cmp.add_argument("--alpha", type=float, default=0.01)
     p_cmp.add_argument("--out", default="compare-out")
-    p_cmp.add_argument("--threads", type=int, default=1)
+    p_cmp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     p_chk = sub.add_parser("check-identities", help="randomized identity residuals")
     p_chk.add_argument("--n-max", type=int, default=3)

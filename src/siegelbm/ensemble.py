@@ -5,7 +5,9 @@ Every path owns a counter-based generator keyed by (master seed, scheme,
 purpose, path index), so results are independent of chunking and thread
 count, and different schemes run from the same master seed stay
 decorrelated.  Retries during step halving draw from a separate purpose
-stream so the primary per-step blocks stay aligned.
+stream so the primary per-step blocks stay aligned.  The primary draws are
+streamed in time blocks (drawing a stream in blocks gives the same numbers
+as drawing it at once), so noise memory does not grow with the step count.
 """
 from __future__ import annotations
 
@@ -15,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigInvalid
+
 _CHUNK = 512
+_NOISE_BYTES = 1 << 22  # bound on one chunk's primary noise buffer
 _HALVING_UNITS = 1024  # step-halving floor is h / 2**10
 _WRITE_BLOCK = 64  # paths formatted per json.dumps call in write_jsonl
 _READ_BYTES = 1 << 18  # size hint for one batch of lines in read_jsonl
@@ -41,6 +46,12 @@ def _reason(kernel, st: int) -> str:
     names = getattr(kernel, "reject_reasons", None) or {}
     default = "chamber-exit" if st == REJECT_CHAMBER else "domain-exit"
     return names.get(st, default)
+
+
+def check_threads(threads: int) -> None:
+    """Refuse a worker count below one."""
+    if threads < 1:
+        raise ConfigInvalid(f"threads: must be a positive integer, got {threads}")
 
 
 def path_generator(seed: int, scheme: str, path_index: int, retry: bool = False):
@@ -179,7 +190,12 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     rejections.  A path at the floor is stopped at its current time.  A FREEZE
     status (cutoff reached zero) also stops the path; its state simply
     never moves again.
+
+    Chunks of paths run on `threads` workers only when the kernel declares
+    `releases_gil`; a kernel whose step holds the interpreter lock gains
+    nothing from threads and runs its chunks inline.
     """
+    check_threads(threads)
     n_paths = cfg.n_paths
     steps = cfg.n_steps
     h = cfg.dt
@@ -195,15 +211,11 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         c = hi - lo
         state = kernel.init(c)
         nd = kernel.noise_dim
-        if nd > 0:
-            noise = np.stack(
-                [
-                    path_generator(cfg.seed, cfg.scheme, p).standard_normal((steps, nd))
-                    for p in range(lo, hi)
-                ]
-            )
-        else:
-            noise = np.zeros((c, steps, 0))
+        # the primary draws of steps [j0, j0 + block) live in one reused
+        # buffer, refilled from each path's persistent stream
+        block = max(1, min(steps, _NOISE_BYTES // (8 * c * max(nd, 1))))
+        noise = np.empty((c, block, nd))
+        gens = [path_generator(cfg.seed, cfg.scheme, p) for p in range(lo, hi)] if nd else None
         alive = np.ones(c, dtype=bool)
         retry_gens: dict = {}
 
@@ -249,21 +261,25 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             samples[lo:hi, sample_pos[0]] = kernel.observe(state)
         for j in range(steps):
             act = np.nonzero(alive)[0]
+            jb = j % block
+            if jb == 0 and gens:
+                for i in act:  # a stopped path needs no more draws
+                    gens[i].standard_normal(out=noise[i, : min(block, steps - j)])
             if act.size:
-                status = kernel.attempt(state, act, h, noise[act, j])
+                status = kernel.attempt(state, act, h, noise[act, jb])
                 for i in act[status == FREEZE]:
                     stop(i, j, _HALVING_UNITS, "cutoff-floor")
                 failed_mask = (status == REJECT_CHAMBER) | (status == REJECT_DOMAIN)
                 for i, st in zip(act[failed_mask], status[failed_mask]):
                     rejections[lo + i] += 1
-                    halve(int(i), j, noise[i, j], _reason(kernel, int(st)))
+                    halve(int(i), j, noise[i, jb], _reason(kernel, int(st)))
             if (j + 1) in sample_pos:
                 live = np.nonzero(alive)[0]
                 if live.size:
                     samples[lo + live, sample_pos[j + 1]] = kernel.observe(state)[live]
 
     chunks = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if threads > 1 and len(chunks) > 1:
+    if threads > 1 and len(chunks) > 1 and kernel.releases_gil:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda c: do_chunk(*c), chunks))
     else:

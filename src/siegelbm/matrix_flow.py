@@ -112,6 +112,8 @@ def _stack(st: MatrixFlowState, c: int) -> dict:
 class MatrixKernel:
     """Batched disk-coordinate stepping over stacked path states."""
 
+    releases_gil = True  # the step's time is in LAPACK eigh and BLAS matmul
+
     def __init__(self, sigma0, beta: float, gap_floor: float, q0=None):
         self.sigma0 = np.asarray(sigma0, dtype=float)
         self.q0 = q0

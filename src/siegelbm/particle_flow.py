@@ -54,6 +54,8 @@ class _RadialKernel:
     one row of coordinates per path and is observed as is.  Subclasses
     propose a move in attempt() and settle it with _accept()."""
 
+    releases_gil = False  # small numpy calls per step: the interpreter lock bounds it
+
     def __init__(self, sigma0, beta: float, gap_floor: float):
         self.sigma0 = np.asarray(sigma0, dtype=float)
         self.noise_coef = _noise_coef(beta)
