@@ -112,8 +112,7 @@ def _check_comparable(ca: SimConfig, cb: SimConfig) -> None:
         ("gap_floor", ca.gap_floor, cb.gap_floor),
     ]
     for name, va, vb in pairs:
-        same = va == vb or (name == "beta" and np.isinf(va) and np.isinf(vb))
-        if not same:
+        if va != vb:
             raise ConfigInvalid(f"{name}: configs must match (got {va} vs {vb})")
 
 
@@ -176,6 +175,8 @@ def check_identities(n_max: int, seed: int = 2024) -> dict:
     """
     if not (1 <= n_max <= 8):
         raise ConfigInvalid("n_max: must be between 1 and 8")
+    if seed < 0:
+        raise ConfigInvalid(f"seed: must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     checks = []
 

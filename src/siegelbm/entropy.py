@@ -22,22 +22,23 @@ def _as_sigma(sigma) -> np.ndarray:
     return sigma
 
 
-def _offdiag_mask(n: int) -> np.ndarray:
-    return ~np.eye(n, dtype=bool)
+def _pair_diff(x: np.ndarray, diag: float) -> np.ndarray:
+    """x_k - x_l for every ordered pair (k, l) of the last axis, with diag on
+    the diagonal: +inf where the caller sums reciprocals (1/inf = 0), 1.0
+    where it sums logs (log 1 = 0).  Coincident entries leave exact zeros,
+    which turn into nonfinite sums."""
+    d = x[..., :, None] - x[..., None, :]
+    i = np.arange(x.shape[-1])
+    d[..., i, i] = diag
+    return d
 
 
 def _entropy_raw(sigma: np.ndarray) -> np.ndarray:
     """S(sigma) without error checking; -inf on collisions, nan off-domain."""
-    n = sigma.shape[-1]
-    c = np.cosh(sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.sum(np.log(np.sinh(sigma)), axis=-1)
-        if n > 1:
-            diff = np.abs(c[..., :, None] - c[..., None, :])
-            logd = np.where(_offdiag_mask(n), np.log(np.where(diff > 0, diff, 1.0)), 0.0)
-            logd = np.where(_offdiag_mask(n) & (diff == 0), -np.inf, logd)
-            val = val + 0.5 * np.sum(logd, axis=(-2, -1))
-    return val
+        logd = np.log(np.abs(_pair_diff(np.cosh(sigma), 1.0)))
+        return val + 0.5 * np.sum(logd, axis=(-2, -1))
 
 
 def _validate(sigma: np.ndarray, value: np.ndarray):
@@ -55,18 +56,21 @@ def entropy(sigma) -> float | np.ndarray:
     return float(val) if sigma.ndim == 1 else val
 
 
+def _dyson_raw(lam: np.ndarray) -> np.ndarray:
+    """Dyson drift sum_{l != k} 1 / (lambda_k - lambda_l) without error
+    checking; nonfinite entries on collisions."""
+    with np.errstate(divide="ignore"):
+        return np.sum(1.0 / _pair_diff(lam, np.inf), axis=-1)
+
+
 def _gradient_raw(sigma: np.ndarray) -> np.ndarray:
-    """grad S without error checking; nan entries on collisions."""
-    n = sigma.shape[-1]
-    c, s = np.cosh(sigma), np.sinh(sigma)
+    """grad S = coth(sigma) + sinh(sigma) * D(cosh(sigma)), with D the Dyson
+    drift, without error checking; nonfinite entries on collisions."""
     with np.errstate(divide="ignore", invalid="ignore"):
         g = 1.0 / np.tanh(sigma)
-        if n > 1:
-            diff = c[..., :, None] - c[..., None, :]
-            inv = np.where(_offdiag_mask(n), 1.0 / np.where(diff != 0, diff, np.inf), 0.0)
-            bad = _offdiag_mask(n) & (diff == 0)
-            inv = np.where(bad, np.nan, inv)
-            g = g + s * np.sum(inv, axis=-1)
+        # a lone coordinate has no pairs, and sinh * 0 is nan once sinh overflows
+        if sigma.shape[-1] > 1:
+            g = g + np.sinh(sigma) * _dyson_raw(np.cosh(sigma))
     return g
 
 
@@ -87,16 +91,13 @@ def entropy_laplacian(sigma) -> float | np.ndarray:
     with d_kl = cosh(sigma_k) - cosh(sigma_l).
     """
     sigma = _as_sigma(sigma)
-    n = sigma.shape[-1]
     c, s = np.cosh(sigma), np.sinh(sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.sum(-1.0 / s**2, axis=-1)
-        if n > 1:
-            diff = c[..., :, None] - c[..., None, :]
-            safe = np.where(diff != 0, diff, np.inf)
-            term = c[..., :, None] / safe - (s**2)[..., :, None] / safe**2
-            term = np.where(_offdiag_mask(n), term, 0.0)
-            term = np.where(_offdiag_mask(n) & (diff == 0), np.nan, term)
+        # a lone coordinate has no pairs, and s^2 / inf^2 is nan once s^2 overflows
+        if sigma.shape[-1] > 1:
+            d = _pair_diff(c, np.inf)
+            term = c[..., :, None] / d - (s**2)[..., :, None] / d**2
             val = val + np.sum(term, axis=(-2, -1))
     _validate(sigma, val)
     return float(val) if sigma.ndim == 1 else val

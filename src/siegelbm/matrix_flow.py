@@ -57,15 +57,6 @@ def init_matrix_state(sigma0, q0=None, t: float = 0.0) -> MatrixFlowState:
     return MatrixFlowState(r=r, sigma_cache=sigma0, q_cache=q, t=t)
 
 
-def _pair_indices(n: int):
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    if pairs:
-        ks, ls = map(np.array, zip(*pairs))
-    else:
-        ks = ls = np.zeros(0, dtype=int)
-    return ks, ls
-
-
 def _noise_matrix(sig: np.ndarray, xi: np.ndarray, beta: float) -> np.ndarray:
     """Assembled per-step noise in the Q-frame: complex symmetric G with
 
@@ -78,14 +69,13 @@ def _noise_matrix(sig: np.ndarray, xi: np.ndarray, beta: float) -> np.ndarray:
     g = np.zeros((c, n, n), dtype=complex)
     diag = (_noise_coef(beta) * xi[:, n * n :] + 1j * xi[:, :n]) / ch2
     g[:, np.arange(n), np.arange(n)] = diag
-    ks, ls = _pair_indices(n)
-    if ks.size:
-        p = ks.size
-        xi1 = xi[:, n : n + p]
-        xi2 = xi[:, n + p : n + 2 * p]
-        off = (xi2 + 1j * xi1) / (np.sqrt(2.0) * np.sqrt(ch2[:, ks] * ch2[:, ls]))
-        g[:, ks, ls] = off
-        g[:, ls, ks] = off
+    ks, ls = np.triu_indices(n, 1)
+    p = ks.size
+    xi1 = xi[:, n : n + p]
+    xi2 = xi[:, n + p : n + 2 * p]
+    off = (xi2 + 1j * xi1) / (np.sqrt(2.0) * np.sqrt(ch2[:, ks] * ch2[:, ls]))
+    g[:, ks, ls] = off
+    g[:, ls, ks] = off
     return g
 
 
@@ -232,7 +222,7 @@ def step_takagi_chart(sigma, q, beta: float, h: float, gaussians):
         raise ValueError(f"expected {n * n + n} gaussians")
     noise = _noise_coef(beta) * np.sqrt(h) * xi[n * n :]
     sig_new = sigma + 0.5 * h * entropy_gradient(sigma) + noise
-    ks, ls = _pair_indices(n)
+    ks, ls = np.triu_indices(n, 1)
     rates = np.concatenate(
         [
             1.0 / (2.0 * np.sinh(sigma)),

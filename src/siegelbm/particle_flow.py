@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ensemble as ens
-from .entropy import _gradient_raw, cutoff_eta, entropy_gradient
+from .entropy import _dyson_raw, _gradient_raw, cutoff_eta, entropy_gradient
 from .errors import ChamberExit, OriginHit, OutOfChamber
 from .config import SimConfig
 from .geometry import in_chamber
@@ -25,15 +25,6 @@ from .geometry import in_chamber
 def siegel_drift(sigma) -> np.ndarray:
     """Drift of the radial flow: half the entropy gradient."""
     return 0.5 * entropy_gradient(sigma)
-
-
-def _dyson_raw(lam: np.ndarray) -> np.ndarray:
-    """Dyson drift without error checking; coincident pairs contribute zero."""
-    n = lam.shape[-1]
-    diff = lam[..., :, None] - lam[..., None, :]
-    mask = ~np.eye(n, dtype=bool)
-    inv = np.where(mask, 1.0 / np.where(diff != 0, diff, np.inf), 0.0)
-    return np.sum(inv, axis=-1)
 
 
 def dyson_drift(lam) -> np.ndarray:

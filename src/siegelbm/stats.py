@@ -153,8 +153,7 @@ def compare_ensembles(
         raise ShapeMismatch("ensembles have different dimension")
     if a.times.shape != b.times.shape or not np.allclose(a.times, b.times):
         raise ShapeMismatch("ensembles sampled on different time grids")
-    beta_a, beta_b = a.meta.get("beta"), b.meta.get("beta")
-    if not (beta_a == beta_b or (np.isinf(beta_a) and np.isinf(beta_b))):
+    if a.meta.get("beta") != b.meta.get("beta"):
         raise ShapeMismatch("ensembles run at different beta")
     j = time_index(a.times, t)
     xa = a.samples[a.alive_mask(j), j, :]

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from siegelbm import config_from_dict, ensembles_equal, read_jsonl, simulate_particle_paths
-from siegelbm.cli import __version__, check_identities, main
+from siegelbm import ConfigInvalid, config_from_dict, ensembles_equal, read_jsonl, simulate_particle_paths
+from siegelbm.cli import __version__, _check_comparable, check_identities, main
 
 
 def _write(tmp_path, name, payload):
@@ -266,6 +266,22 @@ def test_check_identities_cli(tmp_path, capsys):
 def test_check_identities_rejects_large_n(capsys):
     assert main(["check-identities", "--n-max", "9"]) == 1
     assert "n_max" in capsys.readouterr().err
+
+
+def test_check_identities_rejects_negative_seed(capsys):
+    assert main(["check-identities", "--seed", "-1"]) == 1
+    assert "config error: seed:" in capsys.readouterr().err
+
+
+def test_compare_accepts_infinite_beta_on_both_sides():
+    base = dict(_MEAN_CURV, n_paths=4)
+    del base["scheme"]
+    ca = config_from_dict(dict(base, scheme="matrix"))
+    cb = config_from_dict(dict(base, scheme="particle"))
+    assert ca.beta == cb.beta == np.inf
+    _check_comparable(ca, cb)
+    with pytest.raises(ConfigInvalid, match="beta"):
+        _check_comparable(ca, config_from_dict(dict(base, scheme="particle", beta=2.0)))
 
 
 def test_check_identities_function():
