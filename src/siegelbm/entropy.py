@@ -45,7 +45,10 @@ def _validate(sigma: np.ndarray, value: np.ndarray):
     if np.any(sigma <= 0):
         raise OutOfChamber("sigma entries must be strictly positive")
     if not np.all(np.isfinite(value)):
-        raise DegenerateSpectrum("coincident sigma entries")
+        with np.errstate(over="ignore"):
+            big = not np.all(np.isfinite(np.sinh(sigma) ** 2))
+        msg = "cosh/sinh overflow at large sigma" if big else "coincident sigma entries"
+        raise DegenerateSpectrum(msg)
 
 
 def entropy(sigma) -> float | np.ndarray:

@@ -20,7 +20,8 @@ from .errors import (
     ShapeMismatch,
     SingularShift,
 )
-from .linalg import TakagiFactors, _norm, _takagi_batch, hermitian_eigenvalues
+from .linalg import TakagiFactors, _canonical_column_signs, _norm, _takagi_batch
+from .linalg import hermitian_eigenvalues
 
 _SYM_TOL = 1e-10
 _LAMBDA_GAP_TOL = 1e-10
@@ -222,25 +223,13 @@ def frame_at(tf: TakagiFactors, sigma) -> FrameBasis:
         raise ShapeMismatch("tf and sigma disagree on dimension")
     if np.max(np.abs(tf.mu - np.tanh(0.5 * sigma))) > 1e-8:
         raise ValueError("tf.mu inconsistent with tanh(sigma/2)")
-    q = tf.q
-    ch = np.cosh(0.5 * sigma)
-    cols = [q[:, k] for k in range(n)]
-    l_vecs = np.empty((n, n, n), complex)
-    for k in range(n):
-        l_vecs[k] = np.outer(cols[k], cols[k]) / (2.0 * ch[k] ** 2)
-    u_vecs = np.empty((n * n, n, n), complex)
-    for k in range(n):
-        u_vecs[k] = 1j * l_vecs[k]
-    pos = n
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    for k, l in pairs:
-        m = (np.outer(cols[k], cols[l]) + np.outer(cols[l], cols[k])) / np.sqrt(2)
-        u_vecs[pos] = 1j * m / (2.0 * ch[k] * ch[l])
-        pos += 1
-    for k, l in pairs:
-        m = (np.outer(cols[k], cols[l]) + np.outer(cols[l], cols[k])) / np.sqrt(2)
-        u_vecs[pos] = m / (2.0 * ch[k] * ch[l])
-        pos += 1
+    # the columns of q S, S = diag((1 + cosh sigma)^-1/2) = diag(1 / (sqrt(2) cosh(sigma/2)))
+    qs = tf.q / (np.sqrt(2.0) * np.cosh(0.5 * sigma))
+    ks, ls = np.triu_indices(n, 1)
+    l_vecs = np.einsum("ak,bk->kab", qs, qs)
+    pair = np.einsum("ap,bp->pab", qs[:, ks], qs[:, ls])
+    sym = (pair + np.swapaxes(pair, -1, -2)) / np.sqrt(2)
+    u_vecs = np.concatenate([1j * l_vecs, 1j * sym, sym])
     return FrameBasis(l_vectors=l_vecs, u_vectors=u_vecs, sigma=sigma, base=tf)
 
 
@@ -250,7 +239,7 @@ def frame_gram(r, fb: FrameBasis) -> np.ndarray:
     eye = np.eye(rm.shape[0])
     ainv = np.linalg.inv(eye - rm @ rm.conj())
     frame = np.concatenate([fb.l_vectors, fb.u_vectors], axis=0)
-    t = np.einsum("ab,ibc,cd->iad", ainv, frame, ainv.conj())
+    t = ainv @ frame @ ainv.conj()
     return 4.0 * np.einsum("iab,jba->ij", t, frame.conj()).real
 
 
@@ -258,7 +247,7 @@ def takagi_of_disk(r) -> TakagiFactors:
     """Takagi factors of a disk point (batched internally elsewhere)."""
     rm = np.asarray(getattr(r, "r", r), complex)
     q, mu = _takagi_batch(rm)
-    return TakagiFactors(q=q, mu=mu)
+    return TakagiFactors(q=_canonical_column_signs(q), mu=mu)
 
 
 def normal_drift(sigma) -> np.ndarray:

@@ -122,7 +122,8 @@ def _fix_cluster(a, q, mu, lo, hi):
 
 def _takagi_batch(a: np.ndarray):
     """Takagi factorization of a stack (..., n, n) of complex symmetric
-    matrices.  No symmetry validation; callers guarantee the input.
+    matrices.  No symmetry validation; callers guarantee the input.  Callers
+    that keep or return q fix its column signs (_canonical_column_signs).
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
@@ -130,28 +131,22 @@ def _takagi_batch(a: np.ndarray):
         return np.zeros(a.shape, complex), np.zeros(a.shape[:-1])
     w, vecs = np.linalg.eigh(np.swapaxes(a.conj(), -1, -2) @ a)
     mu = np.sqrt(np.clip(w, 0.0, None))
-    qt = vecs.conj()
-    # phase correction: the diagonal of qt^dagger a conj(qt) is mu * e^{i phi}
-    d = np.einsum("...rj,...rs,...sj->...j", qt.conj(), a, qt.conj())
+    # phase correction: with qt = conj(vecs), the diagonal of
+    # qt^dagger a conj(qt) = vecs^T a vecs is mu * e^{i phi}
+    d = np.einsum("...rj,...rj->...j", vecs, a @ vecs)
     phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
-    q = qt * phase[..., None, :]
-    scale = 1.0 + mu[..., -1]
-    near = np.diff(mu, axis=-1) < _CLUSTER_GAP * scale[..., None]
-    clustered = np.any(near, axis=-1).reshape(-1)
-    if np.any(clustered):
-        # re-solve each run of near-equal singular values in place
-        near = near.reshape(-1, n - 1)
-        flat_a, flat_q, flat_mu = a.reshape(-1, n, n), q.reshape(-1, n, n), mu.reshape(-1, n)
-        for i in np.nonzero(clustered)[0]:
-            j = 0
-            while j < n:
-                k = j
-                while k + 1 < n and near[i, k]:
-                    k += 1
-                if k > j:
-                    _fix_cluster(flat_a[i], flat_q[i], flat_mu[i], j, k + 1)
-                j = k + 1
-    return _canonical_column_signs(q), mu
+    q = vecs.conj() * phase[..., None, :]
+    # re-solve each run of near-equal singular values in place
+    flat_a, flat_q, flat_mu = a.reshape(-1, n, n), q.reshape(-1, n, n), mu.reshape(-1, n)
+    near = np.diff(flat_mu, axis=-1) < _CLUSTER_GAP * (1.0 + flat_mu[:, -1:])
+    for i in np.nonzero(np.any(near, axis=-1))[0]:
+        lo = 0
+        for k in range(n):
+            if k == n - 1 or not near[i, k]:
+                if k > lo:
+                    _fix_cluster(flat_a[i], flat_q[i], flat_mu[i], lo, k + 1)
+                lo = k + 1
+    return q, mu
 
 
 def takagi_decompose(a: np.ndarray, tol: float = 1e-10) -> TakagiFactors:
@@ -174,7 +169,7 @@ def takagi_decompose(a: np.ndarray, tol: float = 1e-10) -> TakagiFactors:
         q, mu = _takagi_batch(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceFailure(str(exc)) from exc
-    return TakagiFactors(q=q, mu=mu)
+    return TakagiFactors(q=_canonical_column_signs(q), mu=mu)
 
 
 def unitary_exp(x: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -4,16 +4,19 @@ One step from R = Q diag(tanh(sigma/2)) Q^T:
 
   (i)  Stratonovich predictor-corrector (Heun) for all noise fields: the
        n^2 orbit directions at unit rate and the n radial directions at
-       rate sqrt(2/beta).  In the Q-frame the assembled noise is a complex
-       symmetric matrix G, so each increment is Q G Q^T and stays
-       symmetric by construction.
+       rate sqrt(2/beta).  In the Q-frame the assembled noise is the complex
+       symmetric G = S X S, S = diag((1 + cosh sigma)^-1/2), with X built
+       once per step from the draws alone, so each increment is the
+       congruence (Q S) X (Q S)^T and stays symmetric by construction.
   (ii) The radial correction produced by the orbit directions, an explicit
        Euler term h * sum_k d_k(sigma) L_k evaluated at the base point,
        with d the normal drift (half the entropy gradient).
 
-After the move the state is re-symmetrized and re-factorized; steps whose
-factorization leaves the disk (some singular value reaching one) or the
-ordered chamber (sigma gap at or below the floor) are rejected.
+Each contraction (congruence, drift lift, Takagi phase) is a batched
+matmul, one code path for every n.  After the move the state is
+re-symmetrized and re-factorized; steps whose factorization leaves the
+disk (some singular value reaching one) or the ordered chamber (sigma gap
+at or below the floor) are rejected.
 
 Gaussian layout per step (n^2 + n draws): first the n diagonal orbit
 directions, then the two off-diagonal families in lexicographic (k, l)
@@ -30,7 +33,7 @@ from .config import SimConfig
 from .entropy import _gradient_raw, entropy_gradient
 from .errors import ChamberExit, DomainExit, OutOfChamber
 from .geometry import SpectralCoord, _disk_sigma, in_chamber
-from .linalg import _takagi_batch, unitary_algebra_basis, unitary_exp
+from .linalg import _canonical_column_signs, _takagi_batch, unitary_algebra_basis, unitary_exp
 from .particle_flow import _noise_coef
 
 _DOMAIN_EDGE = 1e-12
@@ -57,37 +60,45 @@ def init_matrix_state(sigma0, q0=None, t: float = 0.0) -> MatrixFlowState:
     return MatrixFlowState(r=r, sigma_cache=sigma0, q_cache=q, t=t)
 
 
-def _noise_matrix(sig: np.ndarray, xi: np.ndarray, beta: float) -> np.ndarray:
-    """Assembled per-step noise in the Q-frame: complex symmetric G with
+def _noise_matrix(xi: np.ndarray, n: int, beta: float) -> np.ndarray:
+    """The sigma-free factor X of the per-step noise G = S X S in the
+    Q-frame, S = diag((1 + cosh sigma)^-1/2): complex symmetric with
 
-        G_kk = (sqrt(2/beta) xi_L_k + i xi_U_k) / (1 + cosh sigma_k)
-        G_kl = (xi_2 + i xi_1) / (sqrt(2) sqrt((1+cosh sigma_k)(1+cosh sigma_l)))
+        X_kk = sqrt(2/beta) xi_L_k + i xi_U_k
+        X_kl = (xi_2 + i xi_1) / sqrt(2)
 
-    so that sum_alpha c_alpha V_alpha xi_alpha = Q G Q^T."""
-    c, n = sig.shape
-    ch2 = 1.0 + np.cosh(sig)
-    g = np.zeros((c, n, n), dtype=complex)
-    diag = (_noise_coef(beta) * xi[:, n * n :] + 1j * xi[:, :n]) / ch2
-    g[:, np.arange(n), np.arange(n)] = diag
+    so that sum_alpha c_alpha V_alpha xi_alpha = Q G Q^T = (Q S) X (Q S)^T."""
+    x = np.empty((xi.shape[0], n, n), dtype=complex)
+    x[:, np.arange(n), np.arange(n)] = _noise_coef(beta) * xi[:, n * n :] + 1j * xi[:, :n]
     ks, ls = np.triu_indices(n, 1)
     p = ks.size
-    xi1 = xi[:, n : n + p]
-    xi2 = xi[:, n + p : n + 2 * p]
-    off = (xi2 + 1j * xi1) / (np.sqrt(2.0) * np.sqrt(ch2[:, ks] * ch2[:, ls]))
-    g[:, ks, ls] = off
-    g[:, ls, ks] = off
-    return g
+    off = (xi[:, n + p : n + 2 * p] + 1j * xi[:, n : n + p]) / np.sqrt(2.0)
+    x[:, ks, ls] = off
+    x[:, ls, ks] = off
+    return x
 
 
 def _congruence(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.einsum("pab,pbc,pdc->pad", q, g, q)
+    return (q @ g) @ np.swapaxes(q, -1, -2)
+
+
+def _lift(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """q diag(d) q^T for stacks q (c, n, n) and d (c, n)."""
+    return (q * d[:, None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def _refactor(r: np.ndarray):
-    """Takagi frame of a stack of disk points, whether each stays clear of
-    the disk edge, and its sigma = 2 artanh(mu)."""
+    """Takagi frame of a stack of disk points (column signs not fixed),
+    whether each stays clear of the disk edge, and its sigma = 2 artanh(mu)."""
     q, mu = _takagi_batch(r)
     return q, mu[:, -1] < 1.0 - _DOMAIN_EDGE, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
+
+
+def _align_signs(q: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """q with each column's sign chosen so its overlap with the same column
+    of ref has nonnegative real part; the input signs of q do not matter."""
+    dots = np.einsum("paj,paj->pj", ref.conj(), q)
+    return q * np.where(dots.real < 0, -1.0, 1.0)[:, None, :]
 
 
 def _stack(st: MatrixFlowState, c: int) -> dict:
@@ -125,18 +136,15 @@ class MatrixKernel:
         sig = state["sigma"][idx]
         sq = np.sqrt(h)
 
-        g = _noise_matrix(sig, xi, self.beta)
-        incr_pred = _congruence(q, g)
+        x = _noise_matrix(xi, sig.shape[1], self.beta)
+        qs = q / np.sqrt(1.0 + np.cosh(sig))[:, None, :]
+        incr_pred = _congruence(qs, x)
         q_star, dom_ok, sig_star = _refactor(r + sq * incr_pred)
-
         # keep the predictor frame on the same sign sheet as the base frame
-        dots = np.einsum("paj,paj->pj", q.conj(), q_star)
-        q_star = q_star * np.where(dots.real < 0, -1.0, 1.0)[:, None, :]
-
-        g_star = _noise_matrix(sig_star, xi, self.beta)
-        incr = 0.5 * sq * (incr_pred + _congruence(q_star, g_star))
-        drift = 0.5 * _gradient_raw(sig) / (1.0 + np.cosh(sig))
-        incr = incr + h * np.einsum("pab,pb,pcb->pac", q, drift, q)
+        qs_star = _align_signs(q_star, q) / np.sqrt(1.0 + np.cosh(sig_star))[:, None, :]
+        incr = 0.5 * sq * (incr_pred + _congruence(qs_star, x))
+        # drift h Q diag(d) Q^T with d = grad S / (2 (1 + cosh sigma)), lifted by the frame Q S
+        incr = incr + h * _lift(qs, 0.5 * _gradient_raw(sig))
 
         r_new = r + incr
         r_new = 0.5 * (r_new + np.swapaxes(r_new, -1, -2))
@@ -149,7 +157,7 @@ class MatrixKernel:
         ok = status == ens.OK
         acc = idx[ok]
         state["r"][acc] = r_new[ok]
-        state["q"][acc] = q_new[ok]
+        state["q"][acc] = _canonical_column_signs(q_new[ok])
         state["sigma"][acc] = sig_new[ok]
         return status
 

@@ -1,5 +1,9 @@
 """End-to-end tests of the command line driver."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +265,16 @@ def test_check_identities_cli(tmp_path, capsys):
     rep = json.loads((tmp_path / "idn" / "identities.json").read_text())
     assert rep["all_pass"]
     assert rep["c_n"] == [1, 5]
+
+
+def test_package_runs_as_module_without_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "siegelbm", "check-identities", "--n-max", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "all identities hold" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_check_identities_rejects_large_n(capsys):

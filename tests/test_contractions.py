@@ -1,0 +1,199 @@
+"""The matrix step's contractions as batched matmul, against the three-operand
+einsum forms they replace, and the predictor frame's sign alignment.
+
+The reference functions below are the earlier formulations, kept verbatim:
+the per-sigma noise assembly G, the congruence Q G Q^T, the drift lift
+Q diag(d) Q^T and the Takagi phase diagonal, each a three-operand einsum.
+"""
+import numpy as np
+import pytest
+
+from siegelbm import ensemble as ens
+from siegelbm.entropy import _gradient_raw
+from siegelbm.geometry import in_chamber
+from siegelbm.linalg import _canonical_column_signs, _fix_cluster, _takagi_batch
+from siegelbm.matrix_flow import (
+    MatrixKernel,
+    _align_signs,
+    _congruence,
+    _lift,
+    _noise_matrix,
+    _refactor,
+)
+from siegelbm.particle_flow import _noise_coef
+
+_NS = range(1, 9)
+_C = 64  # stack depth
+
+
+def _ref_noise_matrix(sig, xi, beta):
+    c, n = sig.shape
+    ch2 = 1.0 + np.cosh(sig)
+    g = np.zeros((c, n, n), dtype=complex)
+    diag = (_noise_coef(beta) * xi[:, n * n :] + 1j * xi[:, :n]) / ch2
+    g[:, np.arange(n), np.arange(n)] = diag
+    ks, ls = np.triu_indices(n, 1)
+    p = ks.size
+    xi1 = xi[:, n : n + p]
+    xi2 = xi[:, n + p : n + 2 * p]
+    off = (xi2 + 1j * xi1) / (np.sqrt(2.0) * np.sqrt(ch2[:, ks] * ch2[:, ls]))
+    g[:, ks, ls] = off
+    g[:, ls, ks] = off
+    return g
+
+
+def _ref_congruence(q, g):
+    return np.einsum("pab,pbc,pdc->pad", q, g, q)
+
+
+def _ref_lift(q, d):
+    return np.einsum("pab,pb,pcb->pac", q, d, q)
+
+
+def _ref_phase_diagonal(a, vecs):
+    qt = vecs.conj()
+    return np.einsum("...rj,...rs,...sj->...j", qt.conj(), a, qt.conj())
+
+
+def _ref_takagi_batch(a):
+    """_takagi_batch with the three-operand phase diagonal, signs canonical."""
+    w, vecs = np.linalg.eigh(np.swapaxes(a.conj(), -1, -2) @ a)
+    mu = np.sqrt(np.clip(w, 0.0, None))
+    d = _ref_phase_diagonal(a, vecs)
+    phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
+    q = vecs.conj() * phase[..., None, :]
+    n = a.shape[-1]
+    for i in range(a.shape[0]):
+        near = np.diff(mu[i]) < 1e-6 * (1.0 + mu[i, -1])
+        j = 0
+        while j < n:
+            k = j
+            while k + 1 < n and near[k]:
+                k += 1
+            if k > j:
+                _fix_cluster(a[i], q[i], mu[i], j, k + 1)
+            j = k + 1
+    return _canonical_column_signs(q), mu
+
+
+def _ref_attempt(kernel, state, idx, h, xi):
+    """MatrixKernel.attempt as it was built from the reference forms."""
+    r, q, sig = state["r"][idx], state["q"][idx], state["sigma"][idx]
+    sq = np.sqrt(h)
+
+    def refactor(m):
+        qq, mu = _ref_takagi_batch(m)
+        return qq, mu[:, -1] < 1.0 - 1e-12, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
+
+    incr_pred = _ref_congruence(q, _ref_noise_matrix(sig, xi, kernel.beta))
+    q_star, dom_ok, sig_star = refactor(r + sq * incr_pred)
+    dots = np.einsum("paj,paj->pj", q.conj(), q_star)
+    q_star = q_star * np.where(dots.real < 0, -1.0, 1.0)[:, None, :]
+    g_star = _ref_noise_matrix(sig_star, xi, kernel.beta)
+    incr = 0.5 * sq * (incr_pred + _ref_congruence(q_star, g_star))
+    drift = 0.5 * _gradient_raw(sig) / (1.0 + np.cosh(sig))
+    r_new = r + incr + h * _ref_lift(q, drift)
+    r_new = 0.5 * (r_new + np.swapaxes(r_new, -1, -2))
+    q_new, dom_new, sig_new = refactor(r_new)
+    status = np.full(len(idx), ens.OK, dtype=np.int64)
+    status[~in_chamber(sig_new, kernel.floor)] = ens.REJECT_CHAMBER
+    status[~(dom_ok & dom_new)] = ens.REJECT_DOMAIN
+    return status, r_new, q_new, sig_new
+
+
+def _unitary(rng, c, n):
+    z = rng.standard_normal((c, n, n)) + 1j * rng.standard_normal((c, n, n))
+    return np.linalg.qr(z)[0]
+
+
+def _sigma(rng, c, n):
+    return np.cumsum(rng.uniform(0.2, 0.8, (c, n)), axis=-1)
+
+
+def _close(actual, desired):
+    # rtol 1e-12 entrywise, with an absolute floor at the stack's scale for
+    # entries that cancel to near zero
+    np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * np.max(np.abs(desired)))
+
+
+@pytest.mark.parametrize("n", _NS)
+def test_congruence_matches_three_operand_einsum(n):
+    rng = np.random.default_rng(600 + n)
+    q = rng.standard_normal((_C, n, n)) + 1j * rng.standard_normal((_C, n, n))
+    g = rng.standard_normal((_C, n, n)) + 1j * rng.standard_normal((_C, n, n))
+    g = g + np.swapaxes(g, -1, -2)
+    _close(_congruence(q, g), _ref_congruence(q, g))
+
+
+@pytest.mark.parametrize("n", _NS)
+@pytest.mark.parametrize("beta", [1.0, 2.0, np.inf])
+def test_noise_increment_is_scaled_frame_congruence(n, beta):
+    # Q G Q^T with G assembled per sigma equals (Q S) X (Q S)^T with the
+    # sigma-free X built once
+    rng = np.random.default_rng(610 + n)
+    q, sig = _unitary(rng, _C, n), _sigma(rng, _C, n)
+    xi = rng.standard_normal((_C, n * n + n))
+    qs = q / np.sqrt(1.0 + np.cosh(sig))[:, None, :]
+    _close(_congruence(qs, _noise_matrix(xi, n, beta)),
+           _ref_congruence(q, _ref_noise_matrix(sig, xi, beta)))
+
+
+@pytest.mark.parametrize("n", _NS)
+def test_drift_lift_matches_three_operand_einsum(n):
+    rng = np.random.default_rng(620 + n)
+    q, sig = _unitary(rng, _C, n), _sigma(rng, _C, n)
+    grad = _gradient_raw(sig)
+    _close(_lift(q, grad), _ref_lift(q, grad))
+    # the kernel lifts half the gradient with the scaled frame Q S
+    qs = q / np.sqrt(1.0 + np.cosh(sig))[:, None, :]
+    _close(_lift(qs, 0.5 * grad), _ref_lift(q, 0.5 * grad / (1.0 + np.cosh(sig))))
+
+
+@pytest.mark.parametrize("n", _NS)
+def test_takagi_phase_diagonal_matches_three_operand_einsum(n):
+    rng = np.random.default_rng(630 + n)
+    a = rng.standard_normal((_C, n, n)) + 1j * rng.standard_normal((_C, n, n))
+    a = a + np.swapaxes(a, -1, -2)
+    vecs = np.linalg.eigh(np.swapaxes(a.conj(), -1, -2) @ a)[1]
+    _close(np.einsum("...rj,...rj->...j", vecs, a @ vecs), _ref_phase_diagonal(a, vecs))
+    q, mu = _takagi_batch(a)
+    q_ref, mu_ref = _ref_takagi_batch(a.copy())
+    np.testing.assert_array_equal(mu, mu_ref)
+    _close(_canonical_column_signs(q), q_ref)
+
+
+@pytest.mark.parametrize("n", _NS)
+def test_kernel_step_matches_three_operand_formulation(n):
+    rng = np.random.default_rng(640 + n)
+    sigma0 = np.linspace(0.5, 0.5 * n, n)
+    kernel = MatrixKernel(sigma0, 2.0, 1e-6)
+    state = kernel.init(_C)
+    idx = np.arange(_C)
+    for _ in range(3):
+        xi = rng.standard_normal((_C, n * n + n))
+        before = {key: val.copy() for key, val in state.items()}
+        status, r_ref, q_ref, sig_ref = _ref_attempt(kernel, before, idx, 1e-3, xi)
+        np.testing.assert_array_equal(kernel.attempt(state, idx, 1e-3, xi), status)
+        assert np.all(status == ens.OK)
+        _close(state["r"], r_ref)
+        _close(state["sigma"], sig_ref)
+        _close(state["q"], q_ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_raw_predictor_frame_aligns_like_canonical_frame(n):
+    # aligning the predictor frame to the base frame overrides the canonical
+    # column signs, so the predictor skips that pass
+    rng = np.random.default_rng(650 + n)
+    q = _unitary(rng, _C, n)
+    mu = np.tanh(0.5 * _sigma(rng, _C, n))
+    mu[3, 1] = mu[3, 0] + 1e-7  # a clustered row
+    r = (q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)
+    dr = 1e-3 * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape))
+    dr[3] *= 1e-6  # small enough to leave row 3 clustered
+    raw, _, sig = _refactor(r + dr + np.swapaxes(dr, -1, -2))
+    assert np.diff(sig[3])[0] < 1e-5
+    np.testing.assert_array_equal(_align_signs(raw, q), _align_signs(_canonical_column_signs(raw), q))
+    # the predictor frame lies on the base frame's sign sheet
+    dots = np.einsum("paj,paj->pj", q.conj(), _align_signs(raw, q))
+    assert np.all(dots.real >= 0)

@@ -106,9 +106,14 @@ def test_matrix_chunks_reach_the_pool(monkeypatch):
         simulate_matrix_paths(cfg, threads=2)
 
 
-@pytest.mark.parametrize("scheme", ["particle", "matrix"])
-def test_chunking_does_not_change_paths(monkeypatch, scheme):
-    cfg = _config(scheme, 2, (1.0, 2.0), 40, seed=9)
+# matrix n=8 is where the step's contractions run as BLAS matmuls
+@pytest.mark.parametrize(
+    "scheme, sigma0",
+    [("particle", (1.0, 2.0)), ("matrix", (1.0, 2.0)), ("matrix", tuple(0.4 * np.arange(1, 9)))],
+    ids=["particle", "matrix", "matrix-n8"],
+)
+def test_chunking_does_not_change_paths(monkeypatch, scheme, sigma0):
+    cfg = _config(scheme, len(sigma0), sigma0, 40, seed=9)
     reference = _simulate(cfg, threads=4)
     monkeypatch.setattr(ensemble, "_CHUNK", 7)
     assert ensembles_equal(_simulate(cfg, threads=4), reference)

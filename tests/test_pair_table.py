@@ -187,3 +187,15 @@ def test_two_coordinates_overflowing_stay_refused():
             entropy_gradient([1.0, 800.0])
         with pytest.raises(DegenerateSpectrum):
             entropy_laplacian([1.0, 400.0])
+
+
+def test_overflow_and_collision_have_their_own_messages():
+    with np.errstate(over="ignore"):
+        with pytest.raises(DegenerateSpectrum, match="overflow"):
+            entropy_gradient([1.0, 800.0])
+        with pytest.raises(DegenerateSpectrum, match="overflow"):
+            entropy_laplacian([1.0, 400.0])
+    with pytest.raises(DegenerateSpectrum, match="coincident sigma entries"):
+        entropy_gradient([1.0, 1.0])
+    with pytest.raises(DegenerateSpectrum, match="coincident sigma entries"):
+        entropy_laplacian([1.0, 1.0])
