@@ -11,7 +11,7 @@ Validation reports the first failing field by name.  Schemes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,18 +56,21 @@ class SimConfig:
     cutoff: tuple | None = None  # resolved (k, K) or None
     gap_floor: float = 1e-6
     q0: np.ndarray | None = None
-    sample_indices: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
-        if self.sample_indices is None:
-            idx = [int(round(float(t) / self.dt)) for t in self.sample_times] or [0, self.n_steps]
-            # sorted(set()) rather than np.unique, which imports numpy.ma
-            object.__setattr__(self, "sample_indices", np.array(sorted(set(idx)), dtype=np.int64))
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
+
+    @property
+    def sample_indices(self) -> np.ndarray:
+        """Ascending step indices of sample_times on the dt grid; the two
+        ends 0 and n_steps when no sample times are given."""
+        idx = [int(round(float(t) / self.dt)) for t in self.sample_times] or [0, self.n_steps]
+        # sorted(set()) rather than np.unique, which imports numpy.ma
+        return np.array(sorted(set(idx)), dtype=np.int64)
 
     def to_meta(self) -> dict:
         return {

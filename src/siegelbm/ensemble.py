@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ChamberExit, ConfigInvalid, DomainExit, OriginHit
 
 _CHUNK = 512
 _NOISE_BYTES = 1 << 22  # bound on one chunk's primary noise buffer
@@ -39,19 +39,41 @@ SCHEME_IDS = {
 OK = 0
 REJECT_CHAMBER = 1
 REJECT_DOMAIN = 2
-FREEZE = 3
+FREEZE = 3  # the entropy cutoff reached zero: the path stops where it is
+REJECT_ORIGIN = 4
 
-
-def _reason(kernel, st: int) -> str:
-    names = getattr(kernel, "reject_reasons", None) or {}
-    default = "chamber-exit" if st == REJECT_CHAMBER else "domain-exit"
-    return names.get(st, default)
+# each rejection status: the stop reason of a path that cannot get past it,
+# and the error a single-state step raises on it
+REJECTIONS = {
+    REJECT_CHAMBER: ("chamber-exit", ChamberExit, "step left the ordered chamber"),
+    REJECT_DOMAIN: ("domain-exit", DomainExit, "step left the disk domain"),
+    REJECT_ORIGIN: ("origin-hit", OriginHit, "step reached the origin"),
+}
 
 
 def check_threads(threads: int) -> None:
     """Refuse a worker count below one."""
     if threads < 1:
         raise ConfigInvalid(f"threads: must be a positive integer, got {threads}")
+
+
+def check_gaussians(gaussians, dim: int) -> np.ndarray:
+    """The draws of one single-state step as a float vector; ValueError
+    unless there are exactly dim of them."""
+    xi = np.asarray(gaussians, dtype=float)
+    if xi.shape != (dim,):
+        raise ValueError(f"expected {dim} gaussians, got shape {xi.shape}")
+    return xi
+
+
+def step_once(kernel, state, h: float, xi) -> None:
+    """Attempt one step of size h for the single path held in state, in
+    place, and raise the error its rejection names; a frozen path stays."""
+    xi = check_gaussians(xi, kernel.noise_dim)
+    st = int(kernel.attempt(state, np.array([0]), h, xi[None, :])[0])
+    if st in REJECTIONS:
+        _, error, message = REJECTIONS[st]
+        raise error(message)
 
 
 def path_generator(seed: int, scheme: str, path_index: int, retry: bool = False):
@@ -183,13 +205,13 @@ def read_jsonl(path: str) -> PathEnsemble:
 def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     """Integrate an ensemble of paths with per-interval reject-and-halve.
 
-    Each global step attempts the full interval h.  A rejected path retries
-    a refinement of the same draw over successively halved substeps; an
-    accepted substep takes fresh draws and lets the substep size grow back,
-    so the h / 2**10 floor is only reached through ten consecutive
-    rejections.  A path at the floor is stopped at its current time.  A FREEZE
-    status (cutoff reached zero) also stops the path; its state simply
-    never moves again.
+    Each global step attempts the full interval h; settle() takes every
+    path whose status is not OK.  A rejected path retries a refinement of
+    the same draw over successively halved substeps; an accepted substep
+    takes fresh draws and lets the substep size grow back, so the h / 2**10
+    floor is only reached through ten consecutive rejections.  A path at
+    the floor stops at its current time, named by its last rejection.  A
+    FREEZE status (cutoff reached zero) stops the path where it is.
 
     Chunks of paths run on `threads` workers only when the kernel declares
     `releases_gil`; a kernel whose step holds the interpreter lock gains
@@ -219,30 +241,18 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         alive = np.ones(c, dtype=bool)
         retry_gens: dict = {}
 
-        def stop(i: int, j: int, units: int, reason: str):
-            # the path stops after (_HALVING_UNITS - units) units of step j
-            stopped_at[lo + i] = (j + (_HALVING_UNITS - units) / _HALVING_UNITS) * h
-            reasons[lo + i] = reason
-            alive[i] = False
-
-        def halve(i: int, j: int, xi, reason: str):
-            # a rejected substep is refined, not redrawn: the increment over
-            # its first half is the conditional (bridge) draw
-            # (xi + eta) / sqrt(2), so an adverse draw decays by 1/sqrt(2)
-            # per level instead of being forgotten.  Accepted substeps take
-            # fresh draws from the path's retry stream and the substep size
-            # grows back, so only a run of ten straight rejections (a path
-            # cornered at the boundary at every scale) reaches the floor.
-            gen = retry_gens.get(i)
-            if gen is None:
-                gen = retry_gens[i] = path_generator(cfg.seed, cfg.scheme, lo + i, retry=True)
-            units, du = _HALVING_UNITS, _HALVING_UNITS // 2
+        def settle(i: int, j: int, st: int, xi):
+            # status st of path i's full step j with draw xi.  A rejected
+            # substep is refined, not redrawn: the increment over its first
+            # half is the conditional (bridge) draw (xi + eta) / sqrt(2), so
+            # an adverse draw decays by 1/sqrt(2) per level instead of being
+            # forgotten.  Accepted substeps take fresh draws from the path's
+            # retry stream and the substep size grows back, so only a run of
+            # ten straight rejections (a path cornered at the boundary at
+            # every scale) reaches the floor.
+            units, du = _HALVING_UNITS, _HALVING_UNITS
             idx = np.array([i])
-            xi = (xi + gen.standard_normal(nd)) / np.sqrt(2.0)
             while True:
-                if du == 0:
-                    return stop(i, j, units, reason)
-                st = int(kernel.attempt(state, idx, h * du / _HALVING_UNITS, xi[None, :])[0])
                 if st == OK:
                     units -= du
                     if units == 0:
@@ -250,12 +260,22 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
                     xi = gen.standard_normal(nd)
                     du = min(2 * du, _HALVING_UNITS // 2, units)
                 elif st == FREEZE:
-                    return stop(i, j, units, "cutoff-floor")
+                    reason = "cutoff-floor"
+                    break
                 else:
                     rejections[lo + i] += 1
-                    reason = _reason(kernel, st)
+                    reason = REJECTIONS[st][0]
+                    if i not in retry_gens:
+                        retry_gens[i] = path_generator(cfg.seed, cfg.scheme, lo + i, retry=True)
+                    gen = retry_gens[i]
                     xi = (xi + gen.standard_normal(nd)) / np.sqrt(2.0)
                     du //= 2
+                    if du == 0:
+                        break
+                st = int(kernel.attempt(state, idx, h * du / _HALVING_UNITS, xi[None, :])[0])
+            stopped_at[lo + i] = (j + (_HALVING_UNITS - units) / _HALVING_UNITS) * h
+            reasons[lo + i] = reason
+            alive[i] = False
 
         if 0 in sample_pos:
             samples[lo:hi, sample_pos[0]] = kernel.observe(state)
@@ -267,12 +287,8 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
                     gens[i].standard_normal(out=noise[i, : min(block, steps - j)])
             if act.size:
                 status = kernel.attempt(state, act, h, noise[act, jb])
-                for i in act[status == FREEZE]:
-                    stop(i, j, _HALVING_UNITS, "cutoff-floor")
-                failed_mask = (status == REJECT_CHAMBER) | (status == REJECT_DOMAIN)
-                for i, st in zip(act[failed_mask], status[failed_mask]):
-                    rejections[lo + i] += 1
-                    halve(int(i), j, noise[i, jb], _reason(kernel, int(st)))
+                for i in np.nonzero(status != OK)[0]:
+                    settle(int(act[i]), j, int(status[i]), noise[act[i], jb])
             if (j + 1) in sample_pos:
                 live = np.nonzero(alive)[0]
                 if live.size:

@@ -20,8 +20,7 @@ from .errors import (
     ShapeMismatch,
     SingularShift,
 )
-from .linalg import TakagiFactors, _canonical_column_signs, _norm, _takagi_batch
-from .linalg import hermitian_eigenvalues
+from .linalg import TakagiFactors, _norm, hermitian_eigenvalues, takagi_decompose
 
 _SYM_TOL = 1e-10
 _LAMBDA_GAP_TOL = 1e-10
@@ -181,10 +180,13 @@ def disk_point(r: np.ndarray) -> DiskPoint:
     return r if isinstance(r, DiskPoint) else DiskPoint(r=np.asarray(r, complex))
 
 
-def disk_metric(r, a: np.ndarray, b: np.ndarray) -> float:
+def disk_metric(r, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Riemannian inner product of tangents a, b at the disk point r:
 
         g(a, b) = 4 Re Tr[(I - R conj(R))^-1 a (I - conj(R) R)^-1 conj(b)].
+
+    a and b may be stacks (..., n, n) that broadcast against each other;
+    float for a single pair, array for stacks.
     """
     rm = np.asarray(getattr(r, "r", r), complex)
     a = np.asarray(a, complex)
@@ -192,8 +194,8 @@ def disk_metric(r, a: np.ndarray, b: np.ndarray) -> float:
     eye = np.eye(rm.shape[0])
     ainv = np.linalg.inv(eye - rm @ rm.conj())
     # (I - conj(R) R)^-1 = conj((I - R conj(R))^-1)
-    val = np.trace(ainv @ a @ ainv.conj() @ b.conj())
-    return float(4.0 * val.real)
+    val = 4.0 * np.einsum("...ab,...ba->...", ainv @ a @ ainv.conj(), b.conj()).real
+    return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -235,19 +237,13 @@ def frame_at(tf: TakagiFactors, sigma) -> FrameBasis:
 
 def frame_gram(r, fb: FrameBasis) -> np.ndarray:
     """Gram matrix of the full frame (L then U vectors) under disk_metric."""
-    rm = np.asarray(getattr(r, "r", r), complex)
-    eye = np.eye(rm.shape[0])
-    ainv = np.linalg.inv(eye - rm @ rm.conj())
     frame = np.concatenate([fb.l_vectors, fb.u_vectors], axis=0)
-    t = ainv @ frame @ ainv.conj()
-    return 4.0 * np.einsum("iab,jba->ij", t, frame.conj()).real
+    return disk_metric(r, frame[:, None], frame[None, :])
 
 
 def takagi_of_disk(r) -> TakagiFactors:
-    """Takagi factors of a disk point (batched internally elsewhere)."""
-    rm = np.asarray(getattr(r, "r", r), complex)
-    q, mu = _takagi_batch(rm)
-    return TakagiFactors(q=_canonical_column_signs(q), mu=mu)
+    """Takagi factors of a disk point; NotSymmetric unless r is symmetric."""
+    return takagi_decompose(np.asarray(getattr(r, "r", r), complex))
 
 
 def normal_drift(sigma) -> np.ndarray:

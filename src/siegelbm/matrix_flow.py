@@ -31,7 +31,7 @@ import numpy as np
 from . import ensemble as ens
 from .config import SimConfig
 from .entropy import _gradient_raw, entropy_gradient
-from .errors import ChamberExit, DomainExit, OutOfChamber
+from .errors import OutOfChamber
 from .geometry import SpectralCoord, _disk_sigma, in_chamber
 from .linalg import _canonical_column_signs, _takagi_batch, unitary_algebra_basis, unitary_exp
 from .particle_flow import _noise_coef
@@ -167,21 +167,14 @@ def step_matrix_flow(
 ) -> MatrixFlowState:
     """One predictor-corrector step for a single state.
 
-    gaussians must hold n^2 + n draws in the documented layout.  Raises
-    ChamberExit when the re-factorized sigma violates ordering or the gap
-    floor, DomainExit when a singular value reaches the disk boundary.
+    gaussians must hold n^2 + n draws in the documented layout (ValueError
+    otherwise).  Raises ChamberExit when the re-factorized sigma violates
+    ordering or the gap floor, DomainExit when a singular value reaches the
+    disk boundary.
     """
-    n = state.sigma_cache.size
-    xi = np.asarray(gaussians, dtype=float)
-    if xi.shape != (n * n + n,):
-        raise ValueError(f"expected {n * n + n} gaussians")
     kernel = MatrixKernel(state.sigma_cache, beta, gap_floor, state.q_cache)
     arrs = _stack(state, 1)
-    status = int(kernel.attempt(arrs, np.array([0]), h, xi[None, :])[0])
-    if status == ens.REJECT_DOMAIN:
-        raise DomainExit("step left the disk domain")
-    if status == ens.REJECT_CHAMBER:
-        raise ChamberExit("step left the ordered chamber")
+    ens.step_once(kernel, arrs, h, gaussians)
     return MatrixFlowState(
         r=arrs["r"][0],
         sigma_cache=arrs["sigma"][0],
@@ -225,9 +218,7 @@ def step_takagi_chart(sigma, q, beta: float, h: float, gaussians):
     sigma = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
     q = np.asarray(q, dtype=complex)
     n = sigma.size
-    xi = np.asarray(gaussians, dtype=float)
-    if xi.shape != (n * n + n,):
-        raise ValueError(f"expected {n * n + n} gaussians")
+    xi = ens.check_gaussians(gaussians, n * n + n)
     noise = _noise_coef(beta) * np.sqrt(h) * xi[n * n :]
     sig_new = sigma + 0.5 * h * entropy_gradient(sigma) + noise
     ks, ls = np.triu_indices(n, 1)

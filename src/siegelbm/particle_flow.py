@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ensemble as ens
 from .entropy import _dyson_raw, _gradient_raw, cutoff_eta, entropy_gradient
-from .errors import ChamberExit, OriginHit, OutOfChamber
+from .errors import OutOfChamber
 from .config import SimConfig
 from .geometry import in_chamber
 
@@ -63,10 +63,10 @@ class _RadialKernel:
         return in_chamber(prop, self.floor, positive) & np.all(np.isfinite(prop), axis=-1)
 
     @staticmethod
-    def _accept(state, idx, prop, ok, frozen=None) -> np.ndarray:
-        """Store the proposals marked ok; the rest are chamber rejections
+    def _accept(state, idx, prop, ok, frozen=None, reject=ens.REJECT_CHAMBER) -> np.ndarray:
+        """Store the proposals marked ok; the rest get the status reject
         unless frozen."""
-        status = np.where(ok, ens.OK, ens.REJECT_CHAMBER)
+        status = np.where(ok, ens.OK, reject)
         if frozen is not None:
             status[frozen] = ens.FREEZE
         state[idx[ok]] = prop[ok]
@@ -118,8 +118,6 @@ class SpherePointKernel(_RadialKernel):
     scaled by sqrt(2/beta).  Euler-Maruyama; no drift term.  sigma0 holds
     the initial radius."""
 
-    reject_reasons = {ens.REJECT_CHAMBER: "origin-hit"}
-
     def __init__(self, sigma0, beta: float, gap_floor: float, n: int):
         super().__init__(sigma0, beta, gap_floor)
         self.noise_dim, self.obs_dim = n, 1
@@ -139,13 +137,12 @@ class SpherePointKernel(_RadialKernel):
         db = np.sqrt(h) * xi
         rad = np.sum(zh * db, axis=-1, keepdims=True)
         prop = z + db - zh * rad + self.noise_coef * zh * rad
-        return self._accept(state, idx, prop, np.linalg.norm(prop, axis=-1) > self.floor)
+        ok = np.linalg.norm(prop, axis=-1) > self.floor
+        return self._accept(state, idx, prop, ok, reject=ens.REJECT_ORIGIN)
 
 
 class SphereRadiusKernel(_RadialKernel):
     """Scalar radius equation dr = (n-1)/(2r) dt + sqrt(2/beta) dB."""
-
-    reject_reasons = {ens.REJECT_CHAMBER: "origin-hit"}
 
     def __init__(self, sigma0, beta: float, gap_floor: float, n: int):
         super().__init__(sigma0, beta, gap_floor)
@@ -154,7 +151,8 @@ class SphereRadiusKernel(_RadialKernel):
     def attempt(self, state, idx, h, xi):
         r = state[idx]
         prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi
-        return self._accept(state, idx, prop, in_chamber(prop, self.floor))
+        ok = in_chamber(prop, self.floor)
+        return self._accept(state, idx, prop, ok, reject=ens.REJECT_ORIGIN)
 
 
 def _rk4_step(sig: np.ndarray, h: float) -> np.ndarray:
@@ -191,17 +189,13 @@ def step_particles(sigma, beta: float, h: float, gaussians, cutoff=None, gap_flo
 
     Returns the new sigma; with an active cutoff that has reached zero the
     state is returned unchanged (frozen).  Raises ChamberExit when the
-    proposed step violates ordering or the gap floor.
+    proposed step violates ordering or the gap floor, ValueError unless
+    gaussians holds one draw per coordinate.
     """
     sigma = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-    xi = np.asarray(gaussians, dtype=float)
-    if xi.shape != sigma.shape:
-        raise ValueError("gaussians must match sigma in shape")
     kernel = ParticleKernel(sigma, beta, gap_floor, cutoff)
     state = kernel.init(1)
-    status = kernel.attempt(state, np.array([0]), h, xi[None, :])
-    if status[0] == ens.REJECT_CHAMBER:
-        raise ChamberExit("step left the ordered chamber")
+    ens.step_once(kernel, state, h, gaussians)
     return state[0]
 
 
@@ -215,13 +209,12 @@ _KERNELS = {
 
 
 def step_sphere_point(z, beta: float, h: float, gaussians, floor: float = 1e-6) -> np.ndarray:
-    """One point-cloud step; raises OriginHit when the move reaches the origin."""
+    """One point-cloud step; raises OriginHit when the move reaches the
+    origin, ValueError unless gaussians holds one draw per coordinate of z."""
     z = np.asarray(z, dtype=float)
     state = z[None, :].copy()
     kernel = SpherePointKernel([np.linalg.norm(z)], beta, floor, z.size)
-    status = kernel.attempt(state, np.array([0]), h, np.asarray(gaussians, float)[None, :])
-    if status[0] != ens.OK:
-        raise OriginHit("step reached the origin")
+    ens.step_once(kernel, state, h, gaussians)
     return state[0]
 
 

@@ -1,5 +1,8 @@
 """The ensemble driver's scheduling: streamed noise blocks, which kernels
-reach the thread pool, chunk independence, and the worker-count check."""
+reach the thread pool, chunk independence, and the worker-count check;
+the sample grid it records and the stop reasons it names."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,3 +120,58 @@ def test_chunking_does_not_change_paths(monkeypatch, scheme, sigma0):
     reference = _simulate(cfg, threads=4)
     monkeypatch.setattr(ensemble, "_CHUNK", 7)
     assert ensembles_equal(_simulate(cfg, threads=4), reference)
+
+
+# One small case per stop reason, seed 11, beta 2, dt 1e-3 unless stated.
+# Counts depend on the floating-point library, so only the reason and the
+# stop-time grid are checked, never how many paths stop.
+_STOP_CASES = {
+    # eta already vanishes at sigma0, so every path freezes at t = 0
+    "cutoff-floor": dict(scheme="particle", n=2, sigma0=(0.05, 0.1), t_final=0.05,
+                         n_paths=20, cutoff=(2.0, 2.0)),
+    # at beta = 0.1 the kicks are large enough to jump past the cutoff's
+    # support mid-run, some of them inside a refinement
+    "cutoff-floor-refined": dict(scheme="particle", n=2, beta=0.1, sigma0=(0.5, 1.0),
+                                 t_final=0.1, n_paths=50, cutoff=(2.0, 2.0)),
+    "chamber-exit": dict(scheme="particle", n=3, sigma0=(0.01, 0.02, 0.03), t_final=0.05,
+                         n_paths=100),
+    "origin-hit": dict(scheme="sphere-radius", n=1, sigma0=(0.05,), t_final=0.5, n_paths=20),
+    # sigma_n near the disk chart's ceiling of about 28.3
+    "domain-exit": dict(scheme="matrix", n=2, sigma0=(20.0, 28.2), t_final=0.05, n_paths=40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STOP_CASES))
+def test_simulation_records_stop_reason(case):
+    kwargs = {"beta": 2.0, **_STOP_CASES[case]}
+    cfg = SimConfig(dt=1e-3, seed=11, **kwargs)
+    ens = _simulate(cfg)
+    reason = case.removesuffix("-refined")
+    stopped = ~np.isnan(ens.stopped_at)
+    assert stopped.any()
+    assert {ens.stop_reason[p] for p in np.nonzero(stopped)[0]} == {reason}
+    assert all(ens.stop_reason[p] is None for p in np.nonzero(~stopped)[0])
+    units = ens.stopped_at[stopped] / (cfg.dt / ensemble._HALVING_UNITS)
+    np.testing.assert_allclose(units, np.round(units), rtol=0, atol=1e-6)
+    if case == "cutoff-floor":
+        assert np.all(ens.stopped_at[stopped] == 0.0)
+    else:
+        assert np.all((ens.stopped_at[stopped] > 0) & (ens.stopped_at[stopped] <= cfg.t_final))
+    if case == "cutoff-floor-refined":
+        # a freeze met by a substep of the refinement ladder, not at a full step
+        assert np.any(np.round(units) % ensemble._HALVING_UNITS != 0)
+
+
+def test_sample_grid_follows_replaced_fields():
+    cfg = SimConfig(n=1, beta=2.0, sigma0=[1.0], t_final=0.01, dt=1e-3, n_paths=2, seed=1,
+                    scheme="particle")
+    cases = [
+        (replace(cfg, t_final=0.02), [0, 20], [0.0, 0.02]),
+        (replace(cfg, dt=5e-4), [0, 20], [0.0, 0.01]),
+        (replace(cfg, sample_times=(0.0, 0.005)), [0, 5], [0.0, 0.005]),
+    ]
+    for new, indices, times in cases:
+        np.testing.assert_array_equal(new.sample_indices, indices)
+        np.testing.assert_allclose(simulate_particle_paths(new).times, times, rtol=0, atol=1e-15)
+    with pytest.raises(TypeError):
+        replace(cfg, sample_indices=np.array([0, 3]))

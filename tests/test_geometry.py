@@ -5,6 +5,7 @@ import pytest
 from siegelbm import (
     DegenerateSpectrum,
     DiskPoint,
+    NotSymmetric,
     OutOfChamber,
     SiegelPoint,
     SingularShift,
@@ -176,6 +177,27 @@ def test_frame_gram_identity():
             fb = frame_at(tf, sig)
             gram = frame_gram(r, fb)
             np.testing.assert_allclose(gram, np.eye(n + n * n), atol=1e-10)
+
+
+def test_disk_metric_takes_stacked_tangents():
+    rng = np.random.default_rng(41)
+    r = _random_disk_point(rng, 3)
+    a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    b = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    gram = disk_metric(r, a[:, None], b[None, :])
+    assert gram.shape == (4, 5)
+    for i in range(4):
+        for j in range(5):
+            one = disk_metric(r, a[i], b[j])
+            assert isinstance(one, float)
+            assert abs(gram[i, j] - one) <= 1e-12 * max(1.0, abs(one))
+
+
+def test_takagi_of_disk_refuses_non_symmetric():
+    rng = np.random.default_rng(43)
+    m = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    with pytest.raises(NotSymmetric):
+        takagi_of_disk(m)
 
 
 def test_takagi_of_disk_consistency():
