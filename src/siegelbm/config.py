@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import cutoff_eta
 from .errors import ConfigInvalid
+from .geometry import _DOMAIN_EDGE
 from .linalg import matrix_from_json
 
 SCHEMES = ("matrix", "particle", "mean-curvature", "dyson", "sphere-point", "sphere-radius")
@@ -36,6 +38,8 @@ _KNOWN_KEYS = {
 }
 
 _DEFAULT_CUTOFF = (50.0, 50.0)
+# The matrix scheme's disk chart holds sigma below 2 artanh(1 - _DOMAIN_EDGE).
+_MATRIX_SIGMA_CEILING = 2.0 * float(np.arctanh(1.0 - _DOMAIN_EDGE))
 
 
 def _fail(fieldname: str, msg: str):
@@ -59,6 +63,16 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
+        # sample times become the ascending distinct times of the dt grid
+        idx = set()
+        for t in self.sample_times:
+            j = round(float(t) / self.dt)
+            if t < 0 or j > self.n_steps:
+                _fail("sample_times", f"time {t!r} outside [0, t_final]")
+            if abs(j * self.dt - t) > 1e-9 * max(1.0, self.t_final):
+                _fail("sample_times", f"time {t!r} not on the dt grid")
+            idx.add(j)
+        object.__setattr__(self, "sample_times", tuple(float(j * self.dt) for j in sorted(idx)))
 
     @property
     def n_steps(self) -> int:
@@ -68,9 +82,8 @@ class SimConfig:
     def sample_indices(self) -> np.ndarray:
         """Ascending step indices of sample_times on the dt grid; the two
         ends 0 and n_steps when no sample times are given."""
-        idx = [int(round(float(t) / self.dt)) for t in self.sample_times] or [0, self.n_steps]
-        # sorted(set()) rather than np.unique, which imports numpy.ma
-        return np.array(sorted(set(idx)), dtype=np.int64)
+        idx = [round(t / self.dt) for t in self.sample_times] or [0, self.n_steps]
+        return np.array(idx, dtype=np.int64)
 
     def to_meta(self) -> dict:
         return {
@@ -105,6 +118,8 @@ def _validate_sigma0(scheme: str, n: int, raw) -> np.ndarray:
         _fail("sigma0", "entries must be strictly ascending")
     if scheme != "dyson" and arr[0] <= 0:
         _fail("sigma0", "entries must be strictly positive")
+    if scheme == "matrix" and arr[-1] >= _MATRIX_SIGMA_CEILING:
+        _fail("sigma0", f"the matrix scheme's disk chart holds sigma below {_MATRIX_SIGMA_CEILING:.2f}")
     return arr
 
 
@@ -155,25 +170,21 @@ def config_from_dict(raw: dict) -> SimConfig:
     if not isinstance(gap_floor, (int, float)) or isinstance(gap_floor, bool) or gap_floor <= 0:
         _fail("gap_floor", "must be a positive number")
 
-    # sample_times become times on the dt grid; SimConfig maps them to steps
+    # SimConfig checks that the times lie on the dt grid within [0, t_final]
     sample_arg = raw.get("sample_times")
     if sample_arg is None:
-        grid = [0, n_steps]
+        sample_times = (0.0, n_steps * dt)
     elif isinstance(sample_arg, int) and not isinstance(sample_arg, bool):
         if sample_arg < 1:
             _fail("sample_times", "stride must be a positive integer")
-        grid = [*range(0, n_steps + 1, sample_arg), n_steps]
+        sample_times = tuple(j * dt for j in (*range(0, n_steps + 1, sample_arg), n_steps))
     elif isinstance(sample_arg, (list, tuple)):
-        grid = []
         for t in sample_arg:
-            if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0 or t > t_final:
+            if not isinstance(t, (int, float)) or isinstance(t, bool):
                 _fail("sample_times", f"time {t!r} outside [0, t_final]")
-            j = round(float(t) / dt)
-            if abs(j * dt - t) > 1e-9 * max(1.0, t_final):
-                _fail("sample_times", f"time {t!r} not on the dt grid")
-            grid.append(j)
-        if not grid:
+        if not sample_arg:
             _fail("sample_times", "list must be nonempty")
+        sample_times = tuple(sample_arg)
     else:
         _fail("sample_times", "must be a list of times or an integer stride")
 
@@ -192,6 +203,8 @@ def config_from_dict(raw: dict) -> SimConfig:
         _fail("cutoff", 'must be null, false, or {"k": ..., "K": ...}')
     if cutoff is not None and scheme != "particle":
         _fail("cutoff", "only the particle scheme supports the entropy cutoff")
+    if cutoff is not None and cutoff_eta(sigma0, *cutoff) == 0:
+        _fail("cutoff", "eta is 0 at sigma0, outside the cutoff's support, so no path would move")
 
     q0_raw = raw.get("q0")
     q0 = None
@@ -216,7 +229,7 @@ def config_from_dict(raw: dict) -> SimConfig:
         n_paths=n_paths,
         seed=seed,
         scheme=scheme,
-        sample_times=tuple(float(j * dt) for j in sorted(set(grid))),
+        sample_times=sample_times,
         cutoff=cutoff,
         gap_floor=float(gap_floor),
         q0=q0,

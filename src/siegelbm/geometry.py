@@ -25,6 +25,9 @@ from .linalg import TakagiFactors, _norm, hermitian_eigenvalues, takagi_decompos
 _SYM_TOL = 1e-10
 _LAMBDA_GAP_TOL = 1e-10
 _DOMAIN_TOL = 1e-14
+# The matrix scheme's disk chart keeps every singular value mu below
+# 1 - _DOMAIN_EDGE, which caps sigma at 2 artanh(1 - _DOMAIN_EDGE) ~ 28.32.
+_DOMAIN_EDGE = 1e-12
 
 
 def _check_square_symmetric(m, name: str):

@@ -12,11 +12,27 @@ One step from R = Q diag(tanh(sigma/2)) Q^T:
        Euler term h * sum_k d_k(sigma) L_k evaluated at the base point,
        with d the normal drift (half the entropy gradient).
 
-Each contraction (congruence, drift lift, Takagi phase) is a batched
-matmul, one code path for every n.  After the move the state is
-re-symmetrized and re-factorized; steps whose factorization leaves the
-disk (some singular value reaching one) or the ordered chamber (sigma gap
-at or below the floor) are rejected.
+The corrector needs the predicted point's frame Q* and sigma* only to first
+order, so they come from a first-order Takagi perturbation of the base frame
+rather than a second factorization (_predict).  With mu = tanh(sigma/2) and
+the predictor's move dR = sqrt(h) (Q S) X (Q S)^T written in the frame,
+E = Q^H dR conj(Q) = sqrt(h) S X S (complex symmetric):
+
+  mu*_k = mu_k + Re E_kk
+  Q*    = Q (diag(e^{i theta}) + K),   theta_k = Im E_kk / (2 mu_k),
+          K_kl = Re E_kl / (mu_l - mu_k) + i Im E_kl / (mu_l + mu_k)  (k != l)
+
+Q* lies on the base frame's sign sheet by construction.  A row whose largest
+off-diagonal |K_kl| reaches _FIRST_ORDER_MAX (a near-collision, where first
+order breaks down) falls back to the full factorization of R + dR, its
+columns' signs aligned to the base frame.
+
+Each contraction (congruence, drift lift, predictor rotation, Takagi phase)
+is a batched matmul, one code path for every n.  After the move the state is
+re-symmetrized and fully re-factorized; steps whose predicted or corrected
+point leaves the disk (some singular value reaching one) or whose corrected
+point leaves the ordered chamber (sigma gap at or below the floor) are
+rejected.
 
 Gaussian layout per step (n^2 + n draws): first the n diagonal orbit
 directions, then the two off-diagonal families in lexicographic (k, l)
@@ -32,11 +48,13 @@ from . import ensemble as ens
 from .config import SimConfig
 from .entropy import _gradient_raw, entropy_gradient
 from .errors import OutOfChamber
-from .geometry import SpectralCoord, _disk_sigma, in_chamber
+from .geometry import _DOMAIN_EDGE, SpectralCoord, _disk_sigma, in_chamber
 from .linalg import _canonical_column_signs, _takagi_batch, unitary_algebra_basis, unitary_exp
 from .particle_flow import _noise_coef
 
-_DOMAIN_EDGE = 1e-12
+# Largest off-diagonal predictor rotation |K_kl| taken from first order; rows
+# at or past it are factorized exactly (see _predict).
+_FIRST_ORDER_MAX = 0.25
 
 
 @dataclass
@@ -87,11 +105,17 @@ def _lift(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (q * d[:, None, :]) @ np.swapaxes(q, -1, -2)
 
 
+def _chart(mu: np.ndarray):
+    """Whether each row of singular values stays clear of the disk edge, and
+    sigma = 2 artanh(mu)."""
+    return mu[:, -1] < 1.0 - _DOMAIN_EDGE, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
+
+
 def _refactor(r: np.ndarray):
     """Takagi frame of a stack of disk points (column signs not fixed),
     whether each stays clear of the disk edge, and its sigma = 2 artanh(mu)."""
     q, mu = _takagi_batch(r)
-    return q, mu[:, -1] < 1.0 - _DOMAIN_EDGE, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
+    return (q, *_chart(mu))
 
 
 def _align_signs(q: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -99,6 +123,35 @@ def _align_signs(q: np.ndarray, ref: np.ndarray) -> np.ndarray:
     of ref has nonnegative real part; the input signs of q do not matter."""
     dots = np.einsum("paj,paj->pj", ref.conj(), q)
     return q * np.where(dots.real < 0, -1.0, 1.0)[:, None, :]
+
+
+def _predict(q: np.ndarray, sig: np.ndarray, e: np.ndarray, moved: np.ndarray):
+    """Frame, disk-edge flag and sigma of the stack of disk points
+    moved = q (diag(tanh(sig/2)) + e) q^T, e complex symmetric, from the
+    first-order Takagi perturbation in the module docstring.  Rows whose
+    off-diagonal rotation reaches _FIRST_ORDER_MAX are factorized exactly
+    instead, with column signs aligned to q; every returned frame is on q's
+    sign sheet."""
+    n = sig.shape[1]
+    diag = np.arange(n)
+    off = ~np.eye(n, dtype=bool)
+    mu = np.tanh(0.5 * sig)
+    ed = e[:, diag, diag]
+    lo = mu[:, None, :] - mu[:, :, None]  # mu_l - mu_k at [k, l]
+    hi = mu[:, None, :] + mu[:, :, None]
+    # |K_kl| < _FIRST_ORDER_MAX, multiplied out so that equal mu fail it
+    # instead of dividing by zero
+    small = (e.real * hi) ** 2 + (e.imag * lo) ** 2 < (_FIRST_ORDER_MAX * lo * hi) ** 2
+    first = np.all(small | ~off, axis=(-1, -2))
+    u = e.real / np.where(small & off, lo, 1.0) + 1j * (e.imag / hi)
+    u[:, diag, diag] = np.exp(0.5j * ed.imag / mu)
+    q_star = q @ u
+    dom_ok, sig_star = _chart(mu + ed.real)
+    far = np.nonzero(~first)[0]
+    if far.size:
+        q_far, dom_ok[far], sig_star[far] = _refactor(moved[far])
+        q_star[far] = _align_signs(q_far, q[far])
+    return q_star, dom_ok, sig_star
 
 
 def _stack(st: MatrixFlowState, c: int) -> dict:
@@ -137,11 +190,13 @@ class MatrixKernel:
         sq = np.sqrt(h)
 
         x = _noise_matrix(xi, sig.shape[1], self.beta)
-        qs = q / np.sqrt(1.0 + np.cosh(sig))[:, None, :]
+        s = 1.0 / np.sqrt(1.0 + np.cosh(sig))
+        qs = q * s[:, None, :]
         incr_pred = _congruence(qs, x)
-        q_star, dom_ok, sig_star = _refactor(r + sq * incr_pred)
-        # keep the predictor frame on the same sign sheet as the base frame
-        qs_star = _align_signs(q_star, q) / np.sqrt(1.0 + np.cosh(sig_star))[:, None, :]
+        # in the frame the predictor's move Q^H incr_pred conj(Q) is S X S
+        e = sq * (s[:, :, None] * x * s[:, None, :])
+        q_star, dom_ok, sig_star = _predict(q, sig, e, r + sq * incr_pred)
+        qs_star = q_star / np.sqrt(1.0 + np.cosh(sig_star))[:, None, :]
         incr = 0.5 * sq * (incr_pred + _congruence(qs_star, x))
         # drift h Q diag(d) Q^T with d = grad S / (2 (1 + cosh sigma)), lifted by the frame Q S
         incr = incr + h * _lift(qs, 0.5 * _gradient_raw(sig))

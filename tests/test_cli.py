@@ -108,6 +108,11 @@ def test_simulate_threads_byte_identical(tmp_path):
         ({"dt": 0.007}, "dt"),
         ({"bogus": 1}, "bogus"),
         ({"cutoff": {"k": 1.0, "K": 1.0}, "scheme": "matrix"}, "cutoff"),
+        # above the matrix scheme's disk chart ceiling 2 artanh(1 - 1e-12) ~ 28.32
+        ({"scheme": "matrix", "sigma0": [20.0, 28.5]}, "sigma0"),
+        # outside the cutoff's support: S(sigma0) = -10.9 is below -2k = -4
+        ({"sigma0": [0.05, 0.1], "cutoff": {"k": 2.0, "K": 2.0}}, "cutoff"),
+        ({"sample_times": [0.0, 0.0504]}, "sample_times"),
     ],
 )
 def test_simulate_config_errors(tmp_path, capsys, patch, fieldname):

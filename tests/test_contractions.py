@@ -4,6 +4,8 @@ einsum forms they replace, and the predictor frame's sign alignment.
 The reference functions below are the earlier formulations, kept verbatim:
 the per-sigma noise assembly G, the congruence Q G Q^T, the drift lift
 Q diag(d) Q^T and the Takagi phase diagonal, each a three-operand einsum.
+The first-order predictor is written out per row and per entry in
+_ref_predict.
 """
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from siegelbm.entropy import _gradient_raw
 from siegelbm.geometry import in_chamber
 from siegelbm.linalg import _canonical_column_signs, _fix_cluster, _takagi_batch
 from siegelbm.matrix_flow import (
+    _FIRST_ORDER_MAX,
     MatrixKernel,
     _align_signs,
     _congruence,
@@ -76,25 +79,57 @@ def _ref_takagi_batch(a):
     return _canonical_column_signs(q), mu
 
 
+def _ref_refactor(m):
+    qq, mu = _ref_takagi_batch(m)
+    return qq, mu[:, -1] < 1.0 - 1e-12, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
+
+
+def _ref_predict(r, q, sig, dr):
+    """The first-order Takagi predictor, one row and one entry at a time:
+    mu* = mu + Re E_kk, Q* = Q (diag(e^{i theta}) + K) with E = Q^H dR conj(Q);
+    rows with an off-diagonal |K_kl| at or past the threshold are factorized
+    exactly and sign-aligned to Q."""
+    c, n = sig.shape
+    q_star = np.empty_like(q)
+    sig_star = np.empty_like(sig)
+    dom_ok = np.empty(c, dtype=bool)
+    for p in range(c):
+        mu = np.tanh(sig[p] / 2.0)
+        e = np.einsum("ak,ab,bl->kl", q[p].conj(), dr[p], q[p].conj())
+        u = np.zeros((n, n), dtype=complex)
+        exact = False
+        for k in range(n):
+            u[k, k] = np.exp(1j * e[k, k].imag / (2.0 * mu[k]))
+            for l in range(n):
+                if l != k:
+                    u[k, l] = e[k, l].real / (mu[l] - mu[k]) + 1j * e[k, l].imag / (mu[l] + mu[k])
+                    exact |= abs(u[k, l]) >= _FIRST_ORDER_MAX
+        if exact:
+            qq, ok, ss = _ref_refactor((r[p] + dr[p])[None])
+            dots = np.einsum("aj,aj->j", q[p].conj(), qq[0])
+            q_star[p] = qq[0] * np.where(dots.real < 0, -1.0, 1.0)
+            dom_ok[p], sig_star[p] = ok[0], ss[0]
+        else:
+            mu_star = mu + e.diagonal().real
+            q_star[p] = q[p] @ u
+            dom_ok[p] = mu_star[-1] < 1.0 - 1e-12
+            sig_star[p] = 2.0 * np.arctanh(np.clip(mu_star, 0.0, 1.0 - 1e-13))
+    return q_star, dom_ok, sig_star
+
+
 def _ref_attempt(kernel, state, idx, h, xi):
     """MatrixKernel.attempt as it was built from the reference forms."""
     r, q, sig = state["r"][idx], state["q"][idx], state["sigma"][idx]
     sq = np.sqrt(h)
 
-    def refactor(m):
-        qq, mu = _ref_takagi_batch(m)
-        return qq, mu[:, -1] < 1.0 - 1e-12, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
-
     incr_pred = _ref_congruence(q, _ref_noise_matrix(sig, xi, kernel.beta))
-    q_star, dom_ok, sig_star = refactor(r + sq * incr_pred)
-    dots = np.einsum("paj,paj->pj", q.conj(), q_star)
-    q_star = q_star * np.where(dots.real < 0, -1.0, 1.0)[:, None, :]
+    q_star, dom_ok, sig_star = _ref_predict(r, q, sig, sq * incr_pred)
     g_star = _ref_noise_matrix(sig_star, xi, kernel.beta)
     incr = 0.5 * sq * (incr_pred + _ref_congruence(q_star, g_star))
     drift = 0.5 * _gradient_raw(sig) / (1.0 + np.cosh(sig))
     r_new = r + incr + h * _ref_lift(q, drift)
     r_new = 0.5 * (r_new + np.swapaxes(r_new, -1, -2))
-    q_new, dom_new, sig_new = refactor(r_new)
+    q_new, dom_new, sig_new = _ref_refactor(r_new)
     status = np.full(len(idx), ens.OK, dtype=np.int64)
     status[~in_chamber(sig_new, kernel.floor)] = ens.REJECT_CHAMBER
     status[~(dom_ok & dom_new)] = ens.REJECT_DOMAIN

@@ -126,9 +126,10 @@ def test_chunking_does_not_change_paths(monkeypatch, scheme, sigma0):
 # Counts depend on the floating-point library, so only the reason and the
 # stop-time grid are checked, never how many paths stop.
 _STOP_CASES = {
-    # eta already vanishes at sigma0, so every path freezes at t = 0
-    "cutoff-floor": dict(scheme="particle", n=2, sigma0=(0.05, 0.1), t_final=0.05,
-                         n_paths=20, cutoff=(2.0, 2.0)),
+    # eta is positive at sigma0 (S = -0.51 against a floor of -2k = -0.6), so
+    # paths freeze once a step carries them out of the cutoff's support
+    "cutoff-floor": dict(scheme="particle", n=2, sigma0=(0.6, 1.2), t_final=0.05,
+                         n_paths=20, cutoff=(0.3, 2.0)),
     # at beta = 0.1 the kicks are large enough to jump past the cutoff's
     # support mid-run, some of them inside a refinement
     "cutoff-floor-refined": dict(scheme="particle", n=2, beta=0.1, sigma0=(0.5, 1.0),
@@ -153,13 +154,26 @@ def test_simulation_records_stop_reason(case):
     assert all(ens.stop_reason[p] is None for p in np.nonzero(~stopped)[0])
     units = ens.stopped_at[stopped] / (cfg.dt / ensemble._HALVING_UNITS)
     np.testing.assert_allclose(units, np.round(units), rtol=0, atol=1e-6)
-    if case == "cutoff-floor":
-        assert np.all(ens.stopped_at[stopped] == 0.0)
-    else:
-        assert np.all((ens.stopped_at[stopped] > 0) & (ens.stopped_at[stopped] <= cfg.t_final))
+    assert np.all((ens.stopped_at[stopped] > 0) & (ens.stopped_at[stopped] <= cfg.t_final))
     if case == "cutoff-floor-refined":
         # a freeze met by a substep of the refinement ladder, not at a full step
         assert np.any(np.round(units) % ensemble._HALVING_UNITS != 0)
+
+
+def test_sample_times_are_checked_on_construction():
+    # a time past t_final or off the dt grid is refused however the config
+    # is built, directly or through dataclasses.replace
+    kwargs = dict(n=1, beta=2.0, sigma0=[1.0], t_final=0.01, dt=1e-3, n_paths=2, seed=1,
+                  scheme="particle")
+    for times, msg in (((0.0, 0.02), "outside"), ((0.0, 0.0104), "dt grid"), ((-0.001,), "outside")):
+        with pytest.raises(ConfigInvalid, match=f"sample_times: .*{msg}"):
+            SimConfig(**kwargs, sample_times=times)
+    cfg = SimConfig(**kwargs, sample_times=(0.0, 0.005, 0.01))
+    with pytest.raises(ConfigInvalid, match="sample_times: .*outside"):
+        replace(cfg, t_final=0.005)
+    with pytest.raises(ConfigInvalid, match="sample_times: .*dt grid"):
+        replace(cfg, dt=2e-3)
+    assert cfg.sample_times == (0.0, 0.005, 0.01)
 
 
 def test_sample_grid_follows_replaced_fields():
