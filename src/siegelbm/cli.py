@@ -19,12 +19,13 @@ from .errors import ConfigInvalid, ShapeMismatch, SiegelError
 from .geometry import (
     cayley_to_disk,
     cross_ratio,
+    disk_metric,
     frame_at,
     frame_gram,
     normal_drift,
     takagi_of_disk,
 )
-from .linalg import unitary_exp
+from .linalg import unitary_algebra_basis, unitary_exp
 from .matrix_flow import simulate_matrix_paths
 from .particle_flow import simulate_particle_paths
 from .stats import compare_ensembles, moment_report, time_index
@@ -170,8 +171,11 @@ def check_identities(n_max: int, seed: int = 2024) -> dict:
 
     For each n up to n_max: the Laplacian identity
     lap S + |grad S|^2 = n(n+1)(2n+1)/6, gradient vs central differences,
-    the drift route agreement, frame Gram orthonormality, and the
-    cross-ratio factorization with spectrum in [0, 1).
+    the drift route agreement, frame Gram orthonormality, the cross-ratio
+    factorization with spectrum in [0, 1), and the orbit volume: for the
+    n^2 orbit tangents X r + r X^T at r = q diag(tanh(sigma/2)) q^T, X over
+    unitary_algebra_basis(n), the Gram determinant G under disk_metric
+    satisfies 1/2 log det G - S(sigma) = n(n+1)/2 log 2.
     """
     if not (1 <= n_max <= 8):
         raise ConfigInvalid("n_max: must be between 1 and 8")
@@ -238,6 +242,18 @@ def check_identities(n_max: int, seed: int = 2024) -> dict:
             worst_eig = max(worst_eig, float(max(-lam[0], lam[-1] - (1 - 1e-14), 0.0)))
         add("cross_ratio_factorization", n, 50, worst_cr, 1e-10)
         add("cross_ratio_spectrum_range", n, 50, worst_eig, 0.0)
+
+        vol_const = 0.5 * n * (n + 1) * np.log(2.0)
+        gens = np.stack(unitary_algebra_basis(n))
+        vol_err = []
+        for _ in range(10):
+            r = _random_disk_point(rng, n)
+            s = 2.0 * np.arctanh(takagi_of_disk(r).mu)
+            tangents = gens @ r + r @ np.swapaxes(gens, -1, -2)
+            sign, logdet = np.linalg.slogdet(disk_metric(r, tangents[:, None], tangents[None, :]))
+            err = abs(0.5 * logdet - entropy(s) - vol_const) / vol_const
+            vol_err.append(err if sign > 0 else np.inf)
+        add("orbit_volume", n, 10, np.max(vol_err), 1e-10)
 
     return {
         "seed": seed,

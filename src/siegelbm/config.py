@@ -63,6 +63,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
+        if self.n_steps < 1 or abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
+            _fail("dt", "t_final must be an integer multiple of dt")
         # sample times become the ascending distinct times of the dt grid
         idx = set()
         for t in self.sample_times:
@@ -155,9 +157,7 @@ def config_from_dict(raw: dict) -> SimConfig:
     dt = raw.get("dt")
     if not isinstance(dt, (int, float)) or isinstance(dt, bool) or dt <= 0 or dt > t_final:
         _fail("dt", "must be a positive number no larger than t_final")
-    n_steps = round(t_final / dt)
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
-        _fail("dt", "t_final must be an integer multiple of dt")
+    n_steps = round(t_final / dt)  # SimConfig checks that t_final is a multiple of dt
 
     n_paths = raw.get("n_paths")
     if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 1:

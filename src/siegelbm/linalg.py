@@ -23,6 +23,11 @@ from .errors import (
 # ~1e-10; below it the cluster is re-solved exactly (see _fix_cluster).
 _CLUSTER_GAP = 1e-6
 _ZERO_TOL = 1e-12
+# Largest inner dimension at which a stacked product is summed elementwise
+# over k instead of one BLAS call per matrix.  For 512 complex products: 94
+# against 402 ns per matrix at n = 2, 287 against 522 ns at n = 3, a tie at
+# n = 4 and 3,825 against 799 ns at n = 8.
+_ELEMENTWISE_MAX_N = 3
 
 
 def _norm(m) -> float:
@@ -68,6 +73,43 @@ def hermitian_eigenvalues(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 def is_positive_definite(h: np.ndarray, tol: float = 0.0) -> bool:
     """True iff the Hermitian matrix h has smallest eigenvalue > tol."""
     return bool(hermitian_eigenvalues(h)[0] > tol)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked matrix product a @ b; for an inner dimension up to
+    _ELEMENTWISE_MAX_N summed elementwise, sum_k a[..., :, k] b[..., k, :]."""
+    n = a.shape[-1]
+    if n > _ELEMENTWISE_MAX_N:
+        return a @ b
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, n):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
+
+
+def _eigh2(h: np.ndarray):
+    """Ascending eigenvalues and unit eigenvectors (as columns) of a stack
+    (..., 2, 2) of Hermitian matrices, in closed form; reads the diagonal and
+    the upper entry only.
+
+    For h = [[a, b], [conj(b), c]] with m = (a + c)/2, d = (a - c)/2 and
+    r = hypot(d, |b|): lambda = m -/+ r.  With t = atan2(|b|, d)/2 and
+    e^{i phi} = b/|b| (1 when b = 0) the eigenvectors are
+    (-sin t e^{i phi}, cos t) and (cos t e^{i phi}, sin t).
+    """
+    a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+    m, d = 0.5 * (a + c), 0.5 * (a - c)
+    babs = np.abs(b)
+    r = np.hypot(d, babs)
+    t = 0.5 * np.arctan2(babs, d)
+    cos, sin = np.cos(t), np.sin(t)
+    phase = np.divide(b, babs, out=np.ones_like(b), where=babs > 0)
+    v = np.empty(h.shape, dtype=complex)
+    v[..., 0, 0] = -sin * phase
+    v[..., 1, 0] = cos
+    v[..., 0, 1] = cos * phase
+    v[..., 1, 1] = sin
+    return np.stack([m - r, m + r], axis=-1), v
 
 
 def _canonical_column_signs(q: np.ndarray) -> np.ndarray:
@@ -124,16 +166,18 @@ def _takagi_batch(a: np.ndarray):
     """Takagi factorization of a stack (..., n, n) of complex symmetric
     matrices.  No symmetry validation; callers guarantee the input.  Callers
     that keep or return q fix its column signs (_canonical_column_signs).
+    At n = 2 the spectrum of a^dagger a comes from the closed form _eigh2,
+    otherwise from LAPACK.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
     if n == 0:
         return np.zeros(a.shape, complex), np.zeros(a.shape[:-1])
-    w, vecs = np.linalg.eigh(np.swapaxes(a.conj(), -1, -2) @ a)
+    w, vecs = (_eigh2 if n == 2 else np.linalg.eigh)(_matmul(np.swapaxes(a.conj(), -1, -2), a))
     mu = np.sqrt(np.clip(w, 0.0, None))
     # phase correction: with qt = conj(vecs), the diagonal of
     # qt^dagger a conj(qt) = vecs^T a vecs is mu * e^{i phi}
-    d = np.einsum("...rj,...rj->...j", vecs, a @ vecs)
+    d = np.einsum("...rj,...rj->...j", vecs, _matmul(a, vecs))
     phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
     q = vecs.conj() * phase[..., None, :]
     # re-solve each run of near-equal singular values in place

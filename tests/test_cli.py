@@ -313,5 +313,6 @@ def test_check_identities_function():
         "frame_gram",
         "cross_ratio_factorization",
         "cross_ratio_spectrum_range",
+        "orbit_volume",
     }
     assert rep["all_pass"]

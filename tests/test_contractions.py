@@ -13,7 +13,7 @@ import pytest
 from siegelbm import ensemble as ens
 from siegelbm.entropy import _gradient_raw
 from siegelbm.geometry import in_chamber
-from siegelbm.linalg import _canonical_column_signs, _fix_cluster, _takagi_batch
+from siegelbm.linalg import _ELEMENTWISE_MAX_N, _canonical_column_signs, _fix_cluster, _takagi_batch
 from siegelbm.matrix_flow import (
     _FIRST_ORDER_MAX,
     MatrixKernel,
@@ -193,7 +193,12 @@ def test_takagi_phase_diagonal_matches_three_operand_einsum(n):
     _close(np.einsum("...rj,...rj->...j", vecs, a @ vecs), _ref_phase_diagonal(a, vecs))
     q, mu = _takagi_batch(a)
     q_ref, mu_ref = _ref_takagi_batch(a.copy())
-    np.testing.assert_array_equal(mu, mu_ref)
+    if n > _ELEMENTWISE_MAX_N:
+        np.testing.assert_array_equal(mu, mu_ref)
+    else:
+        # at small n the products are summed elementwise, and at n = 2 the
+        # spectrum is closed-form, so mu differs from LAPACK's at roundoff
+        _close(mu, mu_ref)
     _close(_canonical_column_signs(q), q_ref)
 
 

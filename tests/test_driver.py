@@ -176,6 +176,23 @@ def test_sample_times_are_checked_on_construction():
     assert cfg.sample_times == (0.0, 0.005, 0.01)
 
 
+def test_t_final_off_the_dt_grid_is_refused_on_construction():
+    # 10.5 steps used to run 10 and record [0, 0.01] without a word
+    kwargs = dict(n=1, beta=2.0, sigma0=[1.0], dt=1e-3, n_paths=2, seed=1, scheme="particle")
+    for t_final in (0.0105, 4e-4):
+        with pytest.raises(ConfigInvalid, match="dt: t_final must be an integer multiple of dt"):
+            SimConfig(**kwargs, t_final=t_final)
+
+
+def test_t_final_off_the_dt_grid_is_refused_by_replace():
+    cfg = SimConfig(n=1, beta=2.0, sigma0=[1.0], t_final=0.01, dt=1e-3, n_paths=2, seed=1,
+                    scheme="particle")
+    with pytest.raises(ConfigInvalid, match="dt: t_final must be an integer multiple of dt"):
+        replace(cfg, t_final=0.0105)
+    with pytest.raises(ConfigInvalid, match="dt: t_final must be an integer multiple of dt"):
+        replace(cfg, dt=3e-3)
+
+
 def test_sample_grid_follows_replaced_fields():
     cfg = SimConfig(n=1, beta=2.0, sigma0=[1.0], t_final=0.01, dt=1e-3, n_paths=2, seed=1,
                     scheme="particle")

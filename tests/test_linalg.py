@@ -16,7 +16,7 @@ from siegelbm import (
     unitary_algebra_basis,
     unitary_exp,
 )
-from siegelbm.linalg import _takagi_batch
+from siegelbm.linalg import _eigh2, _matmul, _takagi_batch
 
 
 def _takagi_residual(a, tf):
@@ -124,6 +124,66 @@ def test_takagi_batch_matches_single():
         np.testing.assert_allclose(mu[i], tf.mu, atol=1e-10)
         recon = (q[i] * mu[i]) @ q[i].T
         assert np.linalg.norm(recon - a[i]) < 1e-10 * max(1.0, np.linalg.norm(a[i]))
+
+
+def _hermitian2(rng, c):
+    g = rng.standard_normal((c, 2, 2)) + 1j * rng.standard_normal((c, 2, 2))
+    return g + np.swapaxes(g.conj(), -1, -2)
+
+
+def _check_eigh2(h, w, v):
+    scale = 1e-14 * np.linalg.norm(h, axis=(-2, -1))[:, None]
+    assert np.all(np.abs(w - np.linalg.eigvalsh(h)) <= scale)
+    assert np.all(np.linalg.norm(h @ v - v * w[:, None, :], axis=-2) <= scale)
+    gram = np.swapaxes(v.conj(), -1, -2) @ v
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+
+
+def test_eigh2_matches_lapack_on_random_hermitian():
+    h = _hermitian2(np.random.default_rng(901), 1000)
+    with np.errstate(all="raise"):
+        w, v = _eigh2(h)
+    assert np.all(w[:, 0] <= w[:, 1])
+    _check_eigh2(h, w, v)
+
+
+def test_eigh2_edge_rows():
+    # b = 0 with a > c, a < c and a = c, and a tiny |b|
+    h = np.zeros((5, 2, 2), dtype=complex)
+    h[:, 0, 0] = [2.0, -1.0, 0.7, 0.0, 1.0]
+    h[:, 1, 1] = [-1.0, 2.0, 0.7, 0.0, 0.5]
+    h[4, 0, 1] = (0.6 + 0.8j) * 1e-300
+    h[4, 1, 0] = np.conj(h[4, 0, 1])
+    with np.errstate(all="raise"):
+        w, v = _eigh2(h)
+    np.testing.assert_array_equal(w[:4], [[-1.0, 2.0], [-1.0, 2.0], [0.7, 0.7], [0.0, 0.0]])
+    _check_eigh2(h, w, v)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matmul_matches_operator(n):
+    rng = np.random.default_rng(910 + n)
+    a = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    b = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    for x, y in ((a, b), (np.swapaxes(a, -1, -2), b), (a, np.swapaxes(b.conj(), -1, -2))):
+        ref = x @ y
+        np.testing.assert_allclose(_matmul(x, y), ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_takagi_batch_small_singular_value_at_n2():
+    # mu = (1e-6, 0.9): forming a^dagger a squares the condition number, so
+    # mu_1 carries a relative error near eps * 0.81 / 1e-12; the closed form
+    # must do no worse than LAPACK's eigh on the same products
+    rng = np.random.default_rng(920)
+    z = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    q = np.linalg.qr(z)[0]
+    mu = np.array([1e-6, 0.9])
+    a = (q * mu) @ np.swapaxes(q, -1, -2)
+    lapack = np.sqrt(np.clip(np.linalg.eigvalsh(np.swapaxes(a.conj(), -1, -2) @ a), 0.0, None))
+    _, got = _takagi_batch(a)
+    err = np.abs(got[:, 0] / mu[0] - 1.0)
+    assert np.max(err) <= np.max(np.abs(lapack[:, 0] / mu[0] - 1.0))
+    np.testing.assert_allclose(got[:, 1], 0.9, rtol=1e-14)
 
 
 def test_hermitian_eigenvalues_char_poly():
