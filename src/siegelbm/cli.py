@@ -141,6 +141,13 @@ def _cmd_compare(args) -> int:
             f"{test['name']}: D={test['statistic']:.5f}"
             f" threshold={test['threshold']:.5f} {verdict}"
         )
+    stops = report["stop_fraction"]
+    print(
+        f"stopped by t: a {report['stopped_a']}/{report['paths_a']}"
+        f" b {report['stopped_b']}/{report['paths_b']}:"
+        f" z={stops['statistic']:.3f} threshold={stops['threshold']:.3f}"
+        f" {'REJECT' if stops['reject'] else 'ok'}"
+    )
     if report["any_reject"]:
         print(f"laws differ at t={report['t']} (alpha={report['alpha']})")
         return 2

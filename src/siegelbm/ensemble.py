@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ChamberExit, ConfigInvalid, DomainExit, OriginHit
 
-_CHUNK = 512
+_CHUNK = 512  # paths per chunk for a kernel that releases the interpreter lock
+_INLINE_CHUNK = 1024  # paths per chunk for a kernel that holds it
 _NOISE_BYTES = 1 << 22  # bound on one chunk's primary noise buffer
 _HALVING_UNITS = 1024  # step-halving floor is h / 2**10
 _WRITE_BLOCK = 64  # paths formatted per json.dumps call in write_jsonl
@@ -213,9 +214,11 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     the floor stops at its current time, named by its last rejection.  A
     FREEZE status (cutoff reached zero) stops the path where it is.
 
-    Chunks of paths run on `threads` workers only when the kernel declares
-    `releases_gil`; a kernel whose step holds the interpreter lock gains
-    nothing from threads and runs its chunks inline.
+    A kernel that declares `releases_gil` takes chunks of _CHUNK paths,
+    run on `threads` workers when threads > 1 and inline otherwise.  A
+    kernel whose step holds the interpreter lock gains nothing from
+    threads: its chunks always run inline and hold _INLINE_CHUNK paths, so
+    each numpy call of a step covers more paths.
     """
     check_threads(threads)
     n_paths = cfg.n_paths
@@ -294,8 +297,10 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
                 if live.size:
                     samples[lo + live, sample_pos[j + 1]] = kernel.observe(state)[live]
 
-    chunks = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if threads > 1 and len(chunks) > 1 and kernel.releases_gil:
+    pooled = threads > 1 and kernel.releases_gil
+    size = _CHUNK if kernel.releases_gil else _INLINE_CHUNK
+    chunks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    if pooled and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda c: do_chunk(*c), chunks))
     else:

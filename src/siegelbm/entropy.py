@@ -10,6 +10,8 @@ assumed: Delta S + |grad S|^2 = n (n+1) (2n+1) / 6 at every chamber point.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DegenerateSpectrum, OutOfChamber
@@ -22,23 +24,64 @@ def _as_sigma(sigma) -> np.ndarray:
     return sigma
 
 
-def _pair_diff(x: np.ndarray, diag: float) -> np.ndarray:
-    """x_k - x_l for every ordered pair (k, l) of the last axis, with diag on
-    the diagonal: +inf where the caller sums reciprocals (1/inf = 0), 1.0
-    where it sums logs (log 1 = 0).  Coincident entries leave exact zeros,
-    which turn into nonfinite sums."""
-    d = x[..., :, None] - x[..., None, :]
-    i = np.arange(x.shape[-1])
-    d[..., i, i] = diag
+def _sum_lead(t: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, adding the terms in the order numpy's
+    pairwise sum adds one contiguous run of len(t) terms: one after another
+    below 8 terms, in 8 running lanes joined as a tree up to 128, and as two
+    halves cut at a multiple of 8 above.  A sum over coordinates held first
+    is then bit-identical to np.sum(..., axis=-1) over the same coordinates
+    held last, while each addition runs over all paths at once."""
+    n = t.shape[0]
+    if n < 8:
+        return np.add.reduce(t, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_lead(t[:half]) + _sum_lead(t[half:])
+    r = t[:8]
+    for i in range(8, n - n % 8, 8):
+        r = r + t[i : i + 8]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(n - n % 8, n):
+        res = res + t[i]
+    return res
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int):
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)  # shared by every caller
+    return pairs
+
+
+def _pair_diff(x: np.ndarray, f, odd: bool, diag: float) -> np.ndarray:
+    """f(x_k - x_l) for every ordered pair (k, l) of the leading axis of x,
+    as an (n, n, ...) table with the path axes innermost and diag on the
+    diagonal.  f runs once per unordered pair k < l, and the pair (l, k)
+    gets -f (odd) or f: x_l - x_k = -(x_k - x_l) exactly in IEEE
+    arithmetic, and so are 1/(-d) = -(1/d) and |-d| = |d|.  Coincident
+    entries leave exact zeros, which turn into nonfinite sums."""
+    k, l = _upper_pairs(x.shape[0])
+    v = f(x[k] - x[l])
+    d = np.full(x.shape[:1] + x.shape, diag)
+    d[k, l] = v
+    d[l, k] = -v if odd else v
     return d
+
+
+def _pair_sum(d: np.ndarray) -> np.ndarray:
+    """Sum of an (n, n, ...) pair table over both pair axes, in row-major
+    (k, l) order."""
+    return _sum_lead(d.reshape(-1, *d.shape[2:]))
 
 
 def _entropy_raw(sigma: np.ndarray) -> np.ndarray:
     """S(sigma) without error checking; -inf on collisions, nan off-domain."""
+    x = np.moveaxis(sigma, -1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.sum(np.log(np.sinh(sigma)), axis=-1)
-        logd = np.log(np.abs(_pair_diff(np.cosh(sigma), 1.0)))
-        return val + 0.5 * np.sum(logd, axis=(-2, -1))
+        val = _sum_lead(np.log(np.sinh(x)))
+        logd = _pair_diff(np.cosh(x), lambda d: np.log(np.abs(d)), False, 0.0)
+        return val + 0.5 * _pair_sum(logd)
 
 
 def _validate(sigma: np.ndarray, value: np.ndarray):
@@ -60,10 +103,13 @@ def entropy(sigma) -> float | np.ndarray:
 
 
 def _dyson_raw(lam: np.ndarray) -> np.ndarray:
-    """Dyson drift sum_{l != k} 1 / (lambda_k - lambda_l) without error
-    checking; nonfinite entries on collisions."""
+    """Dyson drift sum_{l != k} 1 / (lambda_k - lambda_l) over the last axis
+    without error checking; nonfinite entries on collisions.  The work runs
+    coordinate-first: a kernel that holds its state as (n, c) passes the
+    (c, n) view state.T and gets one back."""
     with np.errstate(divide="ignore"):
-        return np.sum(1.0 / _pair_diff(lam, np.inf), axis=-1)
+        inv = _pair_diff(np.moveaxis(lam, -1, 0), lambda d: 1.0 / d, True, 0.0)
+    return np.moveaxis(_sum_lead(inv.swapaxes(0, 1)), 0, -1)
 
 
 def _gradient_raw(sigma: np.ndarray) -> np.ndarray:
@@ -94,14 +140,14 @@ def entropy_laplacian(sigma) -> float | np.ndarray:
     with d_kl = cosh(sigma_k) - cosh(sigma_l).
     """
     sigma = _as_sigma(sigma)
-    c, s = np.cosh(sigma), np.sinh(sigma)
+    x = np.moveaxis(sigma, -1, 0)
+    c, s = np.cosh(x), np.sinh(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.sum(-1.0 / s**2, axis=-1)
+        val = _sum_lead(-1.0 / s**2)
         # a lone coordinate has no pairs, and s^2 / inf^2 is nan once s^2 overflows
-        if sigma.shape[-1] > 1:
-            d = _pair_diff(c, np.inf)
-            term = c[..., :, None] / d - (s**2)[..., :, None] / d**2
-            val = val + np.sum(term, axis=(-2, -1))
+        if x.shape[0] > 1:
+            d = _pair_diff(c, lambda d: d, True, np.inf)
+            val = val + _pair_sum(c[:, None] / d - (s**2)[:, None] / d**2)
     _validate(sigma, val)
     return float(val) if sigma.ndim == 1 else val
 
@@ -144,7 +190,7 @@ def cutoff_eta(sigma, k: float, big_k: float) -> float | np.ndarray:
         raise ValueError("cutoff scales must be positive")
     sigma = _as_sigma(sigma)
     s_val = _entropy_raw(sigma)
-    n_val = np.log(np.sum(np.cosh(sigma), axis=-1))
+    n_val = np.log(_sum_lead(np.cosh(np.moveaxis(sigma, -1, 0))))
     with np.errstate(invalid="ignore"):
         eta = np.asarray(bump(-s_val / k) * bump(n_val / big_k))
     eta = np.where(np.isfinite(eta), eta, 0.0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ensemble as ens
-from .entropy import _dyson_raw, _gradient_raw, cutoff_eta, entropy_gradient
+from .entropy import _dyson_raw, _gradient_raw, _sum_lead, cutoff_eta, entropy_gradient
 from .errors import OutOfChamber
 from .config import SimConfig
 from .geometry import in_chamber
@@ -42,8 +42,10 @@ def _noise_coef(beta: float) -> float:
 
 class _RadialKernel:
     """Kernel protocol shared by the particle-type schemes: the state holds
-    one row of coordinates per path and is observed as is.  Subclasses
-    propose a move in attempt() and settle it with _accept()."""
+    one column of coordinates per path, (n, c), so every operation of a step
+    is one contiguous loop over paths, and is observed transposed, one row
+    per path.  Subclasses propose a move in attempt() and settle it with
+    _accept()."""
 
     releases_gil = False  # small numpy calls per step: the interpreter lock bounds it
 
@@ -54,13 +56,13 @@ class _RadialKernel:
         self.noise_dim = self.obs_dim = self.sigma0.size
 
     def init(self, c: int) -> np.ndarray:
-        return np.tile(self.sigma0, (c, 1))
+        return np.tile(self.sigma0[:, None], (1, c))
 
     def observe(self, state: np.ndarray) -> np.ndarray:
-        return state
+        return state.T
 
     def _chamber_ok(self, prop: np.ndarray, positive: bool = True) -> np.ndarray:
-        return in_chamber(prop, self.floor, positive) & np.all(np.isfinite(prop), axis=-1)
+        return in_chamber(prop.T, self.floor, positive) & np.all(np.isfinite(prop), axis=0)
 
     @staticmethod
     def _accept(state, idx, prop, ok, frozen=None, reject=ens.REJECT_CHAMBER) -> np.ndarray:
@@ -69,7 +71,7 @@ class _RadialKernel:
         status = np.where(ok, ens.OK, reject)
         if frozen is not None:
             status[frozen] = ens.FREEZE
-        state[idx[ok]] = prop[ok]
+        state[:, idx[ok]] = prop.compress(ok, axis=1)
         return status
 
 
@@ -81,13 +83,13 @@ class ParticleKernel(_RadialKernel):
         self.cutoff = cutoff
 
     def attempt(self, state, idx, h, xi):
-        sig = state[idx]
-        if self.cutoff is not None:
-            eta = np.asarray(cutoff_eta(sig, *self.cutoff))
-        else:
-            eta = np.ones(len(idx))
-        drift = 0.5 * _gradient_raw(sig)
-        prop = sig + eta[:, None] * (drift * h + self.noise_coef * np.sqrt(h) * xi)
+        sig = state.take(idx, axis=1)
+        move = 0.5 * _gradient_raw(sig.T).T * h + self.noise_coef * np.sqrt(h) * xi.T
+        if self.cutoff is None:
+            prop = sig + move
+            return self._accept(state, idx, prop, self._chamber_ok(prop))
+        eta = np.asarray(cutoff_eta(sig.T, *self.cutoff))
+        prop = sig + eta * move
         frozen = eta == 0.0
         return self._accept(state, idx, prop, self._chamber_ok(prop) & ~frozen, frozen)
 
@@ -100,7 +102,7 @@ class MeanCurvatureKernel(_RadialKernel):
         self.noise_dim = 0
 
     def attempt(self, state, idx, h, xi):
-        prop = _rk4_step(state[idx], h)
+        prop = _rk4_step(state.take(idx, axis=1), h)
         return self._accept(state, idx, prop, self._chamber_ok(prop))
 
 
@@ -108,8 +110,8 @@ class DysonKernel(_RadialKernel):
     """Euler-Maruyama for the flat squared-radial analogue on the real line."""
 
     def attempt(self, state, idx, h, xi):
-        lam = state[idx]
-        prop = lam + _dyson_raw(lam) * h + self.noise_coef * np.sqrt(h) * xi
+        lam = state.take(idx, axis=1)
+        prop = lam + _dyson_raw(lam.T).T * h + self.noise_coef * np.sqrt(h) * xi.T
         return self._accept(state, idx, prop, self._chamber_ok(prop, positive=False))
 
 
@@ -123,21 +125,20 @@ class SpherePointKernel(_RadialKernel):
         self.noise_dim, self.obs_dim = n, 1
 
     def init(self, c: int) -> np.ndarray:
-        z = np.zeros((c, self.noise_dim))
-        z[:, 0] = self.sigma0[0]
+        z = np.zeros((self.noise_dim, c))
+        z[0] = self.sigma0[0]
         return z
 
     def observe(self, state: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(state, axis=-1, keepdims=True)
+        return _norm(state)[:, None]
 
     def attempt(self, state, idx, h, xi):
-        z = state[idx]
-        r = np.linalg.norm(z, axis=-1, keepdims=True)
-        zh = z / r
-        db = np.sqrt(h) * xi
-        rad = np.sum(zh * db, axis=-1, keepdims=True)
+        z = state.take(idx, axis=1)
+        zh = z / _norm(z)
+        db = np.sqrt(h) * xi.T
+        rad = _sum_lead(zh * db)
         prop = z + db - zh * rad + self.noise_coef * zh * rad
-        ok = np.linalg.norm(prop, axis=-1) > self.floor
+        ok = _norm(prop) > self.floor
         return self._accept(state, idx, prop, ok, reject=ens.REJECT_ORIGIN)
 
 
@@ -149,17 +150,24 @@ class SphereRadiusKernel(_RadialKernel):
         self.n = n
 
     def attempt(self, state, idx, h, xi):
-        r = state[idx]
-        prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi
-        ok = in_chamber(prop, self.floor)
+        r = state.take(idx, axis=1)
+        prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi.T
+        ok = in_chamber(prop.T, self.floor)
         return self._accept(state, idx, prop, ok, reject=ens.REJECT_ORIGIN)
 
 
+def _norm(z: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of z (n, c), summed as np.linalg.norm
+    sums a row."""
+    return np.sqrt(_sum_lead(z * z))
+
+
 def _rk4_step(sig: np.ndarray, h: float) -> np.ndarray:
-    k1 = 0.5 * _gradient_raw(sig)
-    k2 = 0.5 * _gradient_raw(sig + 0.5 * h * k1)
-    k3 = 0.5 * _gradient_raw(sig + 0.5 * h * k2)
-    k4 = 0.5 * _gradient_raw(sig + h * k3)
+    """One RK4 step of sigma' = (1/2) grad S for the columns of sig (n, c)."""
+    k1 = 0.5 * _gradient_raw(sig.T).T
+    k2 = 0.5 * _gradient_raw((sig + 0.5 * h * k1).T).T
+    k3 = 0.5 * _gradient_raw((sig + 0.5 * h * k2).T).T
+    k4 = 0.5 * _gradient_raw((sig + h * k3).T).T
     return sig + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -175,12 +183,12 @@ def integrate_mean_curvature(sigma0, t_final: float, h: float):
         raise ValueError("t_final must be an integer multiple of h")
     traj = np.empty((steps + 1, sigma0.size))
     traj[0] = sigma0
-    sig = sigma0[None, :].copy()
+    sig = sigma0[:, None].copy()
     for j in range(steps):
         sig = _rk4_step(sig, h)
         if not np.all(np.isfinite(sig)):
             raise OutOfChamber("flow left the chamber")
-        traj[j + 1] = sig[0]
+        traj[j + 1] = sig[:, 0]
     return np.arange(steps + 1) * h, traj
 
 
@@ -196,7 +204,7 @@ def step_particles(sigma, beta: float, h: float, gaussians, cutoff=None, gap_flo
     kernel = ParticleKernel(sigma, beta, gap_floor, cutoff)
     state = kernel.init(1)
     ens.step_once(kernel, state, h, gaussians)
-    return state[0]
+    return state[:, 0]
 
 
 _KERNELS = {
@@ -212,10 +220,10 @@ def step_sphere_point(z, beta: float, h: float, gaussians, floor: float = 1e-6) 
     """One point-cloud step; raises OriginHit when the move reaches the
     origin, ValueError unless gaussians holds one draw per coordinate of z."""
     z = np.asarray(z, dtype=float)
-    state = z[None, :].copy()
+    state = z[:, None].copy()
     kernel = SpherePointKernel([np.linalg.norm(z)], beta, floor, z.size)
     ens.step_once(kernel, state, h, gaussians)
-    return state[0]
+    return state[:, 0]
 
 
 def simulate_particle_paths(cfg: SimConfig, threads: int = 1) -> ens.PathEnsemble:

@@ -3,7 +3,12 @@
 The comparison harness checks whether two path ensembles (typically one
 integrated at matrix level and one at spectral level) agree in law: a
 Kolmogorov-Smirnov test per radial coordinate at the final common sample
-time, plus one on the summed cosh functional, Bonferroni-corrected.
+time, plus one on the summed cosh functional, Bonferroni-corrected so the
+KS family holds level alpha.  The KS tests see survivors only, so a
+two-proportion test on the share of stopped paths, at the KS per-test
+level, guards against one scheme losing paths that the other keeps.  When
+either side has stopped paths the whole family therefore holds level
+alpha * (dim + 2) / (dim + 1), not alpha.
 """
 from __future__ import annotations
 
@@ -61,6 +66,27 @@ def ks_two_sample(x, y, alpha: float = 0.01) -> KSResult:
         n_x=x.size,
         n_y=y.size,
     )
+
+
+def _stop_fraction_test(stopped_a: int, paths_a: int, stopped_b: int, paths_b: int, alpha: float) -> dict:
+    """Two-sided two-proportion z test of equal stop fractions at level
+    alpha, with the pooled fraction p in the standard error:
+    z = (p_a - p_b) / sqrt(p (1 - p) (1/paths_a + 1/paths_b)).  With p = 0 (neither
+    side stopped a path) or p = 1 the fractions are equal and z = 0."""
+    # imported here: statistics pulls in fractions and decimal, which would
+    # add to every command's start-up for the sake of compare alone
+    from statistics import NormalDist
+
+    pooled = (stopped_a + stopped_b) / (paths_a + paths_b)
+    var = pooled * (1.0 - pooled) * (1.0 / paths_a + 1.0 / paths_b)
+    z = (stopped_a / paths_a - stopped_b / paths_b) / np.sqrt(var) if var > 0 else 0.0
+    threshold = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    return {
+        "statistic": float(abs(z)),
+        "threshold": threshold,
+        "reject": bool(abs(z) > threshold),
+        "alpha": alpha,
+    }
 
 
 def _mean_se(values: np.ndarray):
@@ -145,8 +171,11 @@ def compare_ensembles(
     Requires equal dimension, beta, and sample times (ShapeMismatch
     otherwise).  At the requested sample time (default: the final one),
     runs one KS test per radial coordinate plus one on sum cosh(sigma),
-    each at level alpha/(dim + 1); any single rejection flags overall
-    disagreement.
+    each at level alpha/(dim + 1), on the paths still running at t.  The
+    share of paths stopped by t is tested at the same level
+    (_stop_fraction_test).  Any single rejection flags overall disagreement.
+    The Bonferroni bound covers the KS tests only: with stopped paths on
+    either side the family-wise level is alpha * (dim + 2) / (dim + 1).
     """
     dim = a.meta.get("dim")
     if dim != b.meta.get("dim"):
@@ -169,12 +198,20 @@ def compare_ensembles(
         np.sum(np.cosh(xa), axis=-1), np.sum(np.cosh(xb), axis=-1), alpha=level
     )
     tests.append({"name": "sum_cosh", **res.to_dict()})
+    n_a, n_b = int(xa.shape[0]), int(xb.shape[0])
+    stopped_a, stopped_b = a.n_paths - n_a, b.n_paths - n_b
+    stops = _stop_fraction_test(stopped_a, a.n_paths, stopped_b, b.n_paths, level)
     return {
         "t": float(a.times[j]),
         "alpha": alpha,
         "per_test_alpha": level,
-        "n_a": int(xa.shape[0]),
-        "n_b": int(xb.shape[0]),
+        "n_a": n_a,
+        "n_b": n_b,
+        "paths_a": a.n_paths,
+        "paths_b": b.n_paths,
+        "stopped_a": stopped_a,
+        "stopped_b": stopped_b,
         "tests": tests,
-        "any_reject": any(t["reject"] for t in tests),
+        "stop_fraction": stops,
+        "any_reject": any(t["reject"] for t in tests) or stops["reject"],
     }

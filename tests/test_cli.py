@@ -166,8 +166,11 @@ def test_compare_agreement(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "no distinguishable difference" in out
+    assert "stopped by t: a 0/300 b 0/300: z=0.000" in out
     rep = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
     assert not rep["any_reject"]
+    assert (rep["stopped_a"], rep["paths_a"], rep["stopped_b"], rep["paths_b"]) == (0, 300, 0, 300)
+    assert not rep["stop_fraction"]["reject"]
     assert {rep["scheme_a"], rep["scheme_b"]} == {"matrix", "particle"}
     assert (tmp_path / "cmp" / "a" / "summary.json").exists()
     assert (tmp_path / "cmp" / "b" / "summary.json").exists()

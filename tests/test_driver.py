@@ -14,6 +14,8 @@ from siegelbm import (
     simulate_particle_paths,
 )
 from siegelbm import ensemble
+from siegelbm.matrix_flow import MatrixKernel
+from siegelbm.particle_flow import ParticleKernel
 
 _STEPS = 60  # not a multiple of the 7-step block
 
@@ -95,7 +97,7 @@ def _no_pool(*args, **kwargs):
 def test_particle_chunks_stay_off_the_pool(monkeypatch):
     monkeypatch.setattr(ensemble, "ThreadPoolExecutor", _no_pool)
     cfg = SimConfig(scheme="particle", n=2, beta=2.0, sigma0=(1.0, 2.0), t_final=0.01,
-                    dt=1e-3, n_paths=ensemble._CHUNK + 88, seed=4)
+                    dt=1e-3, n_paths=ensemble._INLINE_CHUNK + 88, seed=4)
     ens = simulate_particle_paths(cfg, threads=4)
     assert ens.n_paths == cfg.n_paths
     assert not np.isnan(ens.samples[:, -1]).any()
@@ -118,8 +120,48 @@ def test_matrix_chunks_reach_the_pool(monkeypatch):
 def test_chunking_does_not_change_paths(monkeypatch, scheme, sigma0):
     cfg = _config(scheme, len(sigma0), sigma0, 40, seed=9)
     reference = _simulate(cfg, threads=4)
+    # the particle run is inline, the matrix runs are on the pool
     monkeypatch.setattr(ensemble, "_CHUNK", 7)
+    monkeypatch.setattr(ensemble, "_INLINE_CHUNK", 7)
     assert ensembles_equal(_simulate(cfg, threads=4), reference)
+
+
+class _CountInit:
+    """Wraps a kernel and records the path count of every init call."""
+
+    def __init__(self, kernel, calls):
+        self._kernel, self._calls = kernel, calls
+
+    def init(self, c):
+        self._calls.append(c)
+        return self._kernel.init(c)
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+
+# a kernel that holds the interpreter lock runs inline at any thread count
+# and takes up to _INLINE_CHUNK paths in one chunk
+@pytest.mark.parametrize("threads", [1, 4])
+def test_inline_run_takes_one_chunk(threads):
+    cfg = SimConfig(scheme="particle", n=2, beta=2.0, sigma0=(1.0, 2.0), t_final=0.002,
+                    dt=1e-3, n_paths=ensemble._INLINE_CHUNK, seed=4)
+    calls = []
+    kernel = _CountInit(ParticleKernel((1.0, 2.0), 2.0, 1e-6), calls)
+    ens = ensemble.run_ensemble(cfg, kernel, threads=threads)
+    assert calls == [ensemble._INLINE_CHUNK]
+    assert not np.isnan(ens.samples[:, -1]).any()
+
+
+# the matrix kernel keeps _CHUNK paths a chunk when its chunks run inline
+def test_inline_matrix_run_keeps_pool_chunks():
+    cfg = SimConfig(scheme="matrix", n=2, beta=2.0, sigma0=(1.0, 2.0), t_final=0.002,
+                    dt=1e-3, n_paths=2 * ensemble._CHUNK, seed=4)
+    calls = []
+    kernel = _CountInit(MatrixKernel((1.0, 2.0), 2.0, 1e-6), calls)
+    ens = ensemble.run_ensemble(cfg, kernel, threads=1)
+    assert calls == [ensemble._CHUNK, ensemble._CHUNK]
+    assert not np.isnan(ens.samples[:, -1]).any()
 
 
 # One small case per stop reason, seed 11, beta 2, dt 1e-3 unless stated.

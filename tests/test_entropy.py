@@ -12,6 +12,7 @@ from siegelbm import (
     entropy_laplacian,
     log_cosh_norm,
 )
+from siegelbm.entropy import _sum_lead
 
 
 def _chamber_points(rng, n, count):
@@ -141,3 +142,14 @@ def test_cutoff_eta_intermediate():
     k = -s_val / 1.5  # places -S/k = 1.5 mid-ramp
     val = cutoff_eta(sig, k, 50.0)
     assert 0.0 < val < 1.0
+
+
+# lengths on every side of numpy's pairwise rule: sequential below 8 terms,
+# 8 lanes up to 128, halves cut at a multiple of 8 beyond
+@pytest.mark.parametrize("paths", [(), (1,), (3, 5)])
+def test_sum_lead_adds_in_numpys_order(paths):
+    rng = np.random.default_rng(21)
+    for n in [*range(1, 41), 127, 128, 129, 136, 200, 300]:
+        a = rng.standard_normal((*paths, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (*paths, n))
+        lead = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+        assert np.asarray(_sum_lead(lead)).tobytes() == np.asarray(np.sum(a, axis=-1)).tobytes()

@@ -1,4 +1,6 @@
-"""The single-state step functions and the ensemble driver run one kernel."""
+"""The single-state step functions and the ensemble driver run one kernel,
+and the coordinate-major particle-type kernels step exactly as the
+row-major ones they replaced."""
 import numpy as np
 import pytest
 
@@ -14,8 +16,24 @@ from siegelbm import (
     step_particles,
     step_sphere_point,
 )
-from siegelbm import ensemble
-from siegelbm.ensemble import path_generator
+from siegelbm import bump, ensemble
+from siegelbm.ensemble import ensembles_equal, path_generator, run_ensemble
+from siegelbm.entropy import _dyson_raw, _entropy_raw, _gradient_raw
+from siegelbm.geometry import in_chamber
+from siegelbm.particle_flow import (
+    _KERNELS,
+    DysonKernel,
+    MeanCurvatureKernel,
+    ParticleKernel,
+    SpherePointKernel,
+    SphereRadiusKernel,
+)
+from test_pair_table import (
+    _chamber,
+    reference_dyson_raw,
+    reference_entropy_raw,
+    reference_gradient_raw,
+)
 
 _STEPS, _H, _PATHS = 20, 1e-3, 3
 
@@ -110,3 +128,228 @@ def test_each_rejection_has_one_reason_and_one_error(status, error, reason):
 def test_step_once_passes_accepted_and_frozen_steps(status):
     assert status not in ensemble.REJECTIONS
     ensemble.step_once(_FixedStatus(status), None, 1e-3, np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# Coordinate-major particle state against the row-major kernels it replaced.
+#
+# The five particle-type kernels hold their state as (n, c), one column per
+# path.  The classes below keep the earlier row-major attempt bodies, one row
+# per path, as references; they compute the drift with the mask formulas of
+# tests/test_pair_table.py and sum over a last axis, so they share no
+# summation code with the kernels under test.  Every trajectory must come out
+# bit for bit the same.
+
+
+def _reference_eta(sig, k, big_k):
+    """cutoff_eta on rows, from the mask-formula entropy and a last-axis sum."""
+    with np.errstate(invalid="ignore"):
+        eta = bump(-reference_entropy_raw(sig) / k) * bump(np.log(np.sum(np.cosh(sig), axis=-1)) / big_k)
+    return np.where(np.isfinite(eta), eta, 0.0)
+
+
+def _reference_rk4(sig, h):
+    k1 = 0.5 * reference_gradient_raw(sig)
+    k2 = 0.5 * reference_gradient_raw(sig + 0.5 * h * k1)
+    k3 = 0.5 * reference_gradient_raw(sig + 0.5 * h * k2)
+    k4 = 0.5 * reference_gradient_raw(sig + h * k3)
+    return sig + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class _RowMajor:
+    """The row-major state layout: one row of coordinates per path."""
+
+    def init(self, c):
+        return np.tile(self.sigma0, (c, 1))
+
+    def observe(self, state):
+        return state
+
+    def _chamber_ok(self, prop, positive=True):
+        return in_chamber(prop, self.floor, positive) & np.all(np.isfinite(prop), axis=-1)
+
+    @staticmethod
+    def _accept(state, idx, prop, ok, frozen=None, reject=ensemble.REJECT_CHAMBER):
+        status = np.where(ok, ensemble.OK, reject)
+        if frozen is not None:
+            status[frozen] = ensemble.FREEZE
+        state[idx[ok]] = prop[ok]
+        return status
+
+
+class _RowParticle(_RowMajor, ParticleKernel):
+    def attempt(self, state, idx, h, xi):
+        sig = state[idx]
+        if self.cutoff is not None:
+            eta = _reference_eta(sig, *self.cutoff)
+        else:
+            eta = np.ones(len(idx))
+        drift = 0.5 * reference_gradient_raw(sig)
+        prop = sig + eta[:, None] * (drift * h + self.noise_coef * np.sqrt(h) * xi)
+        frozen = eta == 0.0
+        return self._accept(state, idx, prop, self._chamber_ok(prop) & ~frozen, frozen)
+
+
+class _RowMeanCurvature(_RowMajor, MeanCurvatureKernel):
+    def attempt(self, state, idx, h, xi):
+        prop = _reference_rk4(state[idx], h)
+        return self._accept(state, idx, prop, self._chamber_ok(prop))
+
+
+class _RowDyson(_RowMajor, DysonKernel):
+    def attempt(self, state, idx, h, xi):
+        lam = state[idx]
+        prop = lam + reference_dyson_raw(lam) * h + self.noise_coef * np.sqrt(h) * xi
+        return self._accept(state, idx, prop, self._chamber_ok(prop, positive=False))
+
+
+class _RowSpherePoint(_RowMajor, SpherePointKernel):
+    def init(self, c):
+        z = np.zeros((c, self.noise_dim))
+        z[:, 0] = self.sigma0[0]
+        return z
+
+    def observe(self, state):
+        return np.linalg.norm(state, axis=-1, keepdims=True)
+
+    def attempt(self, state, idx, h, xi):
+        z = state[idx]
+        r = np.linalg.norm(z, axis=-1, keepdims=True)
+        zh = z / r
+        db = np.sqrt(h) * xi
+        rad = np.sum(zh * db, axis=-1, keepdims=True)
+        prop = z + db - zh * rad + self.noise_coef * zh * rad
+        ok = np.linalg.norm(prop, axis=-1) > self.floor
+        return self._accept(state, idx, prop, ok, reject=ensemble.REJECT_ORIGIN)
+
+
+class _RowSphereRadius(_RowMajor, SphereRadiusKernel):
+    def attempt(self, state, idx, h, xi):
+        r = state[idx]
+        prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi
+        ok = in_chamber(prop, self.floor)
+        return self._accept(state, idx, prop, ok, reject=ensemble.REJECT_ORIGIN)
+
+
+_ROW_MAJOR = {
+    "particle": _RowParticle,
+    "mean-curvature": _RowMeanCurvature,
+    "dyson": _RowDyson,
+    "sphere-point": _RowSpherePoint,
+    "sphere-radius": _RowSphereRadius,
+}
+
+
+def _row_major_kernel(cfg):
+    """The reference twin of the kernel the scheme's factory builds."""
+    kernel = _KERNELS[cfg.scheme](cfg)
+    twin = object.__new__(_ROW_MAJOR[cfg.scheme])
+    twin.__dict__.update(kernel.__dict__)
+    return kernel, twin
+
+
+_EIGHT = tuple(0.4 * np.arange(1, 9))
+
+# (config, what the reference run must show); dt 1e-3, beta 2, seed 11
+_LAYOUT_CASES = {
+    # walls: refinements and a chamber-exit stop
+    "particle-walls": (dict(scheme="particle", n=3, sigma0=(0.01, 0.02, 0.03), t_final=0.05,
+                            n_paths=100), "chamber-exit"),
+    # beta 0.1: the cutoff freezes paths, some of them inside a refinement
+    "particle-cutoff": (dict(scheme="particle", n=2, beta=0.1, sigma0=(0.5, 1.0), t_final=0.1,
+                             n_paths=50, cutoff=(2.0, 2.0)), "cutoff-floor"),
+    "particle-n1": (dict(scheme="particle", n=1, sigma0=(0.05,), t_final=0.05, n_paths=60),
+                    "rejections"),
+    "particle-n8": (dict(scheme="particle", n=8, sigma0=_EIGHT, t_final=0.03, n_paths=40),
+                    "rejections"),
+    # log sum cosh / K lies in (1, 2), where eta depends on every bit of the sum
+    "particle-n8-cutoff": (dict(scheme="particle", n=8, sigma0=_EIGHT, t_final=0.02, n_paths=30,
+                                cutoff=(100.0, 2.5)), None),
+    "mean-curvature": (dict(scheme="mean-curvature", n=3, beta=float("inf"),
+                            sigma0=(0.5, 1.0, 1.5), t_final=0.05, n_paths=4), None),
+    "dyson-n8": (dict(scheme="dyson", n=8, sigma0=tuple(np.arange(-3.5, 4.0)), t_final=0.05,
+                      n_paths=30), None),
+    "sphere-point-n3": (dict(scheme="sphere-point", n=3, sigma0=(0.05,), t_final=0.05,
+                             n_paths=30), None),
+    "sphere-point-n8": (dict(scheme="sphere-point", n=8, sigma0=(0.05,), t_final=0.05,
+                             n_paths=30), None),
+    "sphere-radius": (dict(scheme="sphere-radius", n=1, sigma0=(0.05,), t_final=0.5,
+                           n_paths=20), "origin-hit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_coordinate_major_kernels_match_row_major(case):
+    kwargs, shows = _LAYOUT_CASES[case]
+    cfg = SimConfig(dt=1e-3, seed=11, **{"beta": 2.0, **kwargs})
+    kernel, twin = _row_major_kernel(cfg)
+    reference = run_ensemble(cfg, twin)
+    if shows == "rejections":
+        assert reference.rejections.sum() > 0
+    elif shows is not None:
+        assert shows in reference.stop_reason
+    assert ensembles_equal(run_ensemble(cfg, kernel), reference)
+
+
+def _outcome(step, *args):
+    """The new state of a single-state step, or the name of its error."""
+    try:
+        return np.asarray(step(*args)).tobytes()
+    except (ChamberExit, OriginHit) as exc:
+        return type(exc).__name__
+
+
+def _row_major_step(twin, state, h, g):
+    ensemble.step_once(twin, state, h, g)
+    return state[0]
+
+
+def test_single_state_steps_match_row_major():
+    rng = np.random.default_rng(12)
+    seen = set()
+    # near the walls, a frozen start (S far below -2k), and n = 8
+    for sigma, cutoff in [((0.02, 0.04, 0.5), None), ((0.3, 0.6), (0.3, 2.0)), (_EIGHT, None)]:
+        sigma = np.array(sigma)
+        twin = _RowParticle(sigma, 2.0, 1e-6, cutoff)
+        for _ in range(40):
+            g = rng.standard_normal(sigma.size)
+            ref = _outcome(_row_major_step, twin, sigma[None, :].copy(), 1e-2, g)
+            assert _outcome(step_particles, sigma, 2.0, 1e-2, g, cutoff) == ref
+            seen.add("frozen" if ref == sigma.tobytes() else ref if isinstance(ref, str) else "moved")
+    for n in (3, 8):
+        z = np.zeros(n)
+        z[0] = 0.1
+        twin = _RowSpherePoint([0.1], 2.0, 0.08, n)
+        for _ in range(40):
+            g = rng.standard_normal(n)
+            ref = _outcome(_row_major_step, twin, z[None, :].copy(), 1e-2, g)
+            assert _outcome(step_sphere_point, z, 2.0, 1e-2, g, 0.08) == ref
+            seen.add(ref if isinstance(ref, str) else "moved")
+    assert seen == {"moved", "frozen", "ChamberExit", "OriginHit"}
+
+
+def _assert_same_bits(new, ref):
+    """Finite outputs bit for bit equal; nonfinite ones in the same places."""
+    assert new.shape == ref.shape
+    fin = np.isfinite(ref)
+    np.testing.assert_array_equal(np.isfinite(new), fin)
+    assert new[fin].tobytes() == ref[fin].tobytes()
+    assert fin.mean() > 0.9
+
+
+@pytest.mark.parametrize("rows", [1, 2, 512])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_coordinate_leading_helpers_match_the_references(n, rows):
+    rng = np.random.default_rng(500 + 10 * n + rows)
+    sig = np.concatenate([_chamber(rng, n, rows, top) for top in (3.0, 30.0)])
+    lead = np.ascontiguousarray(sig.T)  # (n, rows), as a kernel holds its state
+    ref = reference_gradient_raw(sig)
+    _assert_same_bits(_gradient_raw(lead.T), ref)  # the particle kernels' call
+    _assert_same_bits(_gradient_raw(sig), ref)  # the matrix kernel's call
+    # the references sum over a last axis, which numpy adds pairwise only
+    # when it is contiguous: they get rows, as the row-major kernels held them
+    ref = reference_dyson_raw(np.cosh(sig))
+    _assert_same_bits(_dyson_raw(np.cosh(lead).T), ref)
+    _assert_same_bits(_dyson_raw(np.cosh(sig)), ref)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _assert_same_bits(_entropy_raw(lead.T), reference_entropy_raw(sig))

@@ -101,6 +101,7 @@ def test_compare_identical_ensembles():
     assert rep["t"] == 1.0
     assert rep["per_test_alpha"] == pytest.approx(0.01 / 3.0)
     assert rep["n_a"] == 300 and rep["n_b"] == 300
+    assert rep["paths_a"] == rep["paths_b"] == 300 and rep["stopped_a"] == rep["stopped_b"] == 0
     names = [r["name"] for r in rep["tests"]]
     assert names == ["sigma_1", "sigma_2", "sum_cosh"]
     assert all(r["statistic"] == 0.0 for r in rep["tests"])
@@ -138,6 +139,40 @@ def test_compare_skips_stopped_paths():
     b = _ensemble(wrecked, stopped_at=stopped, reasons=reasons)
     rep = compare_ensembles(a, b, alpha=0.01)
     assert rep["n_a"] == 400 and rep["n_b"] == 300
+    # the survivors agree in law, but a quarter of b's paths are lost
+    assert not any(test["reject"] for test in rep["tests"])
+    assert (rep["paths_a"], rep["stopped_a"], rep["paths_b"], rep["stopped_b"]) == (400, 0, 400, 100)
+    assert rep["stop_fraction"]["reject"] and rep["any_reject"]
+
+
+def _with_stops(samples, stopped):
+    samples = samples.copy()
+    samples[:stopped, 1:, :] = np.nan
+    stopped_at = np.full(samples.shape[0], np.nan)
+    stopped_at[:stopped] = 0.5
+    return _ensemble(samples, stopped_at=stopped_at,
+                     reasons=["chamber-exit"] * stopped + [None] * (samples.shape[0] - stopped))
+
+
+def test_stop_fraction_test_statistic():
+    base = np.abs(np.random.default_rng(12).standard_normal((100, 2, 1))) + 0.5
+    rep = compare_ensembles(_with_stops(base, 10), _with_stops(base, 20), alpha=0.01)
+    stops = rep["stop_fraction"]
+    # pooled p = 0.15: z = (0.1 - 0.2) / sqrt(0.15 * 0.85 * (1/100 + 1/100))
+    assert stops["statistic"] == pytest.approx(0.1 / np.sqrt(0.15 * 0.85 * 0.02), rel=1e-12)
+    assert stops["alpha"] == rep["per_test_alpha"] == pytest.approx(0.005)
+    # the two-sided normal quantile at 0.005
+    assert stops["threshold"] == pytest.approx(2.807033768, rel=1e-9)
+    assert not stops["reject"]
+    assert (rep["stopped_a"], rep["stopped_b"]) == (10, 20)
+
+
+def test_stop_fraction_without_stops_does_not_reject():
+    base = np.abs(np.random.default_rng(13).standard_normal((50, 2, 1))) + 0.5
+    rep = compare_ensembles(_ensemble(base), _ensemble(base + 1e-3), alpha=0.01)
+    assert rep["stop_fraction"]["statistic"] == 0.0
+    assert not rep["stop_fraction"]["reject"]
+    assert (rep["stopped_a"], rep["stopped_b"]) == (0, 0)
 
 
 def test_compare_names_the_empty_sample_time():
