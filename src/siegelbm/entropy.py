@@ -1,12 +1,16 @@
 """Orbit log-volume (entropy) field on the ordered radial chamber.
 
-    S(sigma) = sum_k log sinh(sigma_k)
-             + sum_{k<l} log |cosh(sigma_k) - cosh(sigma_l)|
+The positive roots of Sp(2n, R)/U(n) are 2 e_k and e_l -+ e_k (k < l), so
 
-S is permutation symmetric, so everything here accepts unordered (but
-pairwise distinct, strictly positive) coordinate vectors, and works on
-stacked inputs of shape (..., n).  A key identity, tested rather than
-assumed: Delta S + |grad S|^2 = n (n+1) (2n+1) / 6 at every chamber point.
+    S(sigma) = sum_alpha log sinh(alpha . sigma / 2) + n (n - 1) / 2 * log 2
+             = sum_k log sinh(sigma_k) + sum_{k<l} log |cosh(sigma_k) - cosh(sigma_l)|.
+
+S, grad S and Delta S all come from one table of the n^2 half-roots
+alpha . sigma / 2 and stay finite at any sigma.  Everything here accepts
+unordered (but pairwise distinct, strictly positive) coordinate vectors,
+stacked as (..., n), which the work sees transposed, coordinates first.
+A key identity, tested rather than assumed: Delta S + |grad S|^2 =
+n (n+1) (2n+1) / 6 at every chamber point.
 """
 from __future__ import annotations
 
@@ -25,73 +29,60 @@ def _as_sigma(sigma) -> np.ndarray:
 
 
 def _sum_lead(t: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis, adding the terms in the order numpy's
-    pairwise sum adds one contiguous run of len(t) terms: one after another
-    below 8 terms, in 8 running lanes joined as a tree up to 128, and as two
-    halves cut at a multiple of 8 above.  A sum over coordinates held first
-    is then bit-identical to np.sum(..., axis=-1) over the same coordinates
-    held last, while each addition runs over all paths at once."""
-    n = t.shape[0]
-    if n < 8:
-        return np.add.reduce(t, axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum_lead(t[:half]) + _sum_lead(t[half:])
-    r = t[:8]
-    for i in range(8, n - n % 8, 8):
-        r = r + t[i : i + 8]
-    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(n - n % 8, n):
-        res = res + t[i]
-    return res
+    """Sum over the leading axis, one term after another.  Each path's sum
+    is then the same however many paths share the call and however they
+    are laid out, which numpy's own reduction does not promise."""
+    acc = t[0]
+    for i in range(1, len(t)):
+        acc = acc + t[i]
+    return acc
 
 
-@functools.lru_cache(maxsize=16)
-def _upper_pairs(n: int):
-    pairs = np.triu_indices(n, 1)
-    for index in pairs:
-        index.setflags(write=False)  # shared by every caller
-    return pairs
+@functools.lru_cache(maxsize=64)
+def _signs(n: int, ndim: int) -> np.ndarray:
+    """(n, n) signs, +1 where i <= j and -1 below, broadcast over the path
+    axes of an (n, ...) coordinate array of ndim axes."""
+    i = np.arange(n)
+    sign = np.where(i[:, None] <= i, 1.0, -1.0).reshape((n, n) + (1,) * (ndim - 1))
+    sign.setflags(write=False)  # shared by every caller
+    return sign
 
 
-def _pair_diff(x: np.ndarray, f, odd: bool, diag: float) -> np.ndarray:
-    """f(x_k - x_l) for every ordered pair (k, l) of the leading axis of x,
-    as an (n, n, ...) table with the path axes innermost and diag on the
-    diagonal.  f runs once per unordered pair k < l, and the pair (l, k)
-    gets -f (odd) or f: x_l - x_k = -(x_k - x_l) exactly in IEEE
-    arithmetic, and so are 1/(-d) = -(1/d) and |-d| = |d|.  Coincident
-    entries leave exact zeros, which turn into nonfinite sums."""
-    k, l = _upper_pairs(x.shape[0])
-    v = f(x[k] - x[l])
-    d = np.full(x.shape[:1] + x.shape, diag)
-    d[k, l] = v
-    d[l, k] = -v if odd else v
-    return d
+def _half_roots(x: np.ndarray) -> np.ndarray:
+    """The half-roots of the coordinates x (n, ...) as one C-ordered (n, n, ...)
+    table: x_j on the diagonal, (x_j - x_i) / 2 above it and (x_i + x_j) / 2
+    below it, each rounded once (halving is exact)."""
+    h = np.multiply(0.5, x, order="C")
+    t = _signs(x.shape[0], x.ndim).swapaxes(0, 1) * h[:, None]
+    t += h
+    return t
 
 
-def _pair_sum(d: np.ndarray) -> np.ndarray:
-    """Sum of an (n, n, ...) pair table over both pair axes, in row-major
-    (k, l) order."""
-    return _sum_lead(d.reshape(-1, *d.shape[2:]))
+def _pair_scatter(table: np.ndarray) -> np.ndarray:
+    """Coordinate j of an (n, n, ...) pair table gets table[i, j] + table[j, i]
+    from each partner i <= j and table[i, j] - table[j, i] from each i > j,
+    in order of i: each root's term goes to its coordinates with its signs."""
+    terms = _signs(table.shape[0], table.ndim - 1) * table.swapaxes(0, 1)
+    terms += table
+    return _sum_lead(terms)
 
 
 def _entropy_raw(sigma: np.ndarray) -> np.ndarray:
-    """S(sigma) without error checking; -inf on collisions, nan off-domain."""
-    x = np.moveaxis(sigma, -1, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = _sum_lead(np.log(np.sinh(x)))
-        logd = _pair_diff(np.cosh(x), lambda d: np.log(np.abs(d)), False, 0.0)
-        return val + 0.5 * _pair_sum(logd)
+    """S(sigma) without error checking; -inf on collisions.  With
+    log sinh t = t - log 2 + log(1 - e^{-2t}) it is finite at any sigma."""
+    x = sigma.T
+    n = x.shape[0]
+    t = np.abs(_half_roots(x))
+    with np.errstate(divide="ignore"):
+        terms = t + np.log(-np.expm1(-2.0 * t))
+    return (_sum_lead(_sum_lead(terms)) - 0.5 * n * (n + 1) * np.log(2.0)).T
 
 
 def _validate(sigma: np.ndarray, value: np.ndarray):
     if np.any(sigma <= 0):
         raise OutOfChamber("sigma entries must be strictly positive")
     if not np.all(np.isfinite(value)):
-        with np.errstate(over="ignore"):
-            big = not np.all(np.isfinite(np.sinh(sigma) ** 2))
-        msg = "cosh/sinh overflow at large sigma" if big else "coincident sigma entries"
-        raise DegenerateSpectrum(msg)
+        raise DegenerateSpectrum("coincident sigma entries")
 
 
 def entropy(sigma) -> float | np.ndarray:
@@ -104,23 +95,23 @@ def entropy(sigma) -> float | np.ndarray:
 
 def _dyson_raw(lam: np.ndarray) -> np.ndarray:
     """Dyson drift sum_{l != k} 1 / (lambda_k - lambda_l) over the last axis
-    without error checking; nonfinite entries on collisions.  The work runs
-    coordinate-first: a kernel that holds its state as (n, c) passes the
-    (c, n) view state.T and gets one back."""
+    without error checking; nonfinite entries on collisions."""
+    x = lam.T
+    k, l = np.triu_indices(x.shape[0], 1)
+    table = np.zeros(x.shape[:1] + x.shape)
     with np.errstate(divide="ignore"):
-        inv = _pair_diff(np.moveaxis(lam, -1, 0), lambda d: 1.0 / d, True, 0.0)
-    return np.moveaxis(_sum_lead(inv.swapaxes(0, 1)), 0, -1)
+        table[k, l] = 1.0 / (x[l] - x[k])
+    return _pair_scatter(table).T
 
 
 def _gradient_raw(sigma: np.ndarray) -> np.ndarray:
-    """grad S = coth(sigma) + sinh(sigma) * D(cosh(sigma)), with D the Dyson
-    drift, without error checking; nonfinite entries on collisions."""
+    """grad S = sum over the roots of coth(alpha . sigma / 2) alpha / 2,
+    without error checking; nonfinite entries on collisions."""
+    coth = _half_roots(sigma.T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = 1.0 / np.tanh(sigma)
-        # a lone coordinate has no pairs, and sinh * 0 is nan once sinh overflows
-        if sigma.shape[-1] > 1:
-            g = g + np.sinh(sigma) * _dyson_raw(np.cosh(sigma))
-    return g
+        np.tanh(coth, out=coth)
+        np.divide(1.0, coth, out=coth)
+        return (0.5 * _pair_scatter(coth)).T
 
 
 def entropy_gradient(sigma) -> np.ndarray:
@@ -132,30 +123,34 @@ def entropy_gradient(sigma) -> np.ndarray:
 
 
 def entropy_laplacian(sigma) -> float | np.ndarray:
-    """Sum of the unmixed second derivatives of S (the flat Laplacian):
-
-        sum_k [ -1/sinh^2(sigma_k)
-                + sum_{l != k} ( cosh(sigma_k) / d_kl - sinh^2(sigma_k) / d_kl^2 ) ]
-
-    with d_kl = cosh(sigma_k) - cosh(sigma_l).
-    """
+    """Sum of the unmixed second derivatives of S (the flat Laplacian),
+    -sum_alpha |alpha/2|^2 / sinh^2(t) with |alpha/2|^2 = 1 on 2 e_k and 1/2
+    on e_l -+ e_k, taken as 4 e^{-2t} / (1 - e^{-2t})^2 at t = |alpha . sigma / 2|."""
     sigma = _as_sigma(sigma)
-    x = np.moveaxis(sigma, -1, 0)
-    c, s = np.cosh(x), np.sinh(x)
+    x = sigma.T
+    t = -2.0 * np.abs(_half_roots(x))
+    e = np.expm1(t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = _sum_lead(-1.0 / s**2)
-        # a lone coordinate has no pairs, and s^2 / inf^2 is nan once s^2 overflows
-        if x.shape[0] > 1:
-            d = _pair_diff(c, lambda d: d, True, np.inf)
-            val = val + _pair_sum(c[:, None] / d - (s**2)[:, None] / d**2)
+        inv = np.exp(t) / (e * e)
+    diag = np.arange(x.shape[0])
+    inv[diag, diag] *= 2.0
+    val = (-2.0 * _sum_lead(_sum_lead(inv))).T
     _validate(sigma, val)
     return float(val) if sigma.ndim == 1 else val
+
+
+def _log_cosh_norm_raw(sigma: np.ndarray) -> np.ndarray:
+    """log sum_k cosh(sigma_k) over the last axis, without overflow, as
+    m + log sum_k (e^{|sigma_k| - m} + e^{-|sigma_k| - m}) / 2, m = max |sigma_k|."""
+    a = np.abs(sigma.T)
+    top = np.max(a, axis=0)
+    return (top + np.log(0.5 * _sum_lead(np.exp(a - top) + np.exp(-a - top)))).T
 
 
 def log_cosh_norm(sigma) -> float | np.ndarray:
     """N(sigma) = log sum_k cosh(sigma_k), a smooth norm-like growth gauge."""
     sigma = _as_sigma(sigma)
-    val = np.log(np.sum(np.cosh(sigma), axis=-1))
+    val = _log_cosh_norm_raw(sigma)
     return float(val) if sigma.ndim == 1 else val
 
 
@@ -190,7 +185,7 @@ def cutoff_eta(sigma, k: float, big_k: float) -> float | np.ndarray:
         raise ValueError("cutoff scales must be positive")
     sigma = _as_sigma(sigma)
     s_val = _entropy_raw(sigma)
-    n_val = np.log(_sum_lead(np.cosh(np.moveaxis(sigma, -1, 0))))
+    n_val = _log_cosh_norm_raw(sigma)
     with np.errstate(invalid="ignore"):
         eta = np.asarray(bump(-s_val / k) * bump(n_val / big_k))
     eta = np.where(np.isfinite(eta), eta, 0.0)

@@ -157,8 +157,7 @@ class SphereRadiusKernel(_RadialKernel):
 
 
 def _norm(z: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of z (n, c), summed as np.linalg.norm
-    sums a row."""
+    """Euclidean norm of each column of z (n, c)."""
     return np.sqrt(_sum_lead(z * z))
 
 

@@ -3,12 +3,11 @@
 The comparison harness checks whether two path ensembles (typically one
 integrated at matrix level and one at spectral level) agree in law: a
 Kolmogorov-Smirnov test per radial coordinate at the final common sample
-time, plus one on the summed cosh functional, Bonferroni-corrected so the
-KS family holds level alpha.  The KS tests see survivors only, so a
-two-proportion test on the share of stopped paths, at the KS per-test
-level, guards against one scheme losing paths that the other keeps.  When
-either side has stopped paths the whole family therefore holds level
-alpha * (dim + 2) / (dim + 1), not alpha.
+time and one on the summed cosh functional.  The KS tests see survivors
+only, so a two-proportion test on the share of stopped paths guards
+against one scheme losing paths that the other keeps.  Each of these
+dim + 2 tests runs at level alpha / (dim + 2) (Bonferroni), so the whole
+family holds level alpha.
 """
 from __future__ import annotations
 
@@ -170,12 +169,11 @@ def compare_ensembles(
 
     Requires equal dimension, beta, and sample times (ShapeMismatch
     otherwise).  At the requested sample time (default: the final one),
-    runs one KS test per radial coordinate plus one on sum cosh(sigma),
-    each at level alpha/(dim + 1), on the paths still running at t.  The
-    share of paths stopped by t is tested at the same level
-    (_stop_fraction_test).  Any single rejection flags overall disagreement.
-    The Bonferroni bound covers the KS tests only: with stopped paths on
-    either side the family-wise level is alpha * (dim + 2) / (dim + 1).
+    runs one KS test per radial coordinate plus one on sum cosh(sigma), on
+    the paths still running at t, and tests the share of paths stopped by t
+    (_stop_fraction_test).  Each of these dim + 2 tests runs at level
+    alpha/(dim + 2), so the family holds level alpha (Bonferroni).  Any
+    single rejection flags overall disagreement.
     """
     dim = a.meta.get("dim")
     if dim != b.meta.get("dim"):
@@ -189,7 +187,7 @@ def compare_ensembles(
     xb = b.samples[b.alive_mask(j), j, :]
     if xa.shape[0] == 0 or xb.shape[0] == 0:
         raise EmptySample(f"no surviving paths at sample time t={float(a.times[j])}")
-    level = alpha / (dim + 1)
+    level = alpha / (dim + 2)
     tests = []
     for k in range(dim):
         res = ks_two_sample(xa[:, k], xb[:, k], alpha=level)

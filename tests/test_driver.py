@@ -111,18 +111,27 @@ def test_matrix_chunks_reach_the_pool(monkeypatch):
         simulate_matrix_paths(cfg, threads=2)
 
 
-# matrix n=8 is where the step's contractions run as BLAS matmuls
+# matrix n=8 is where the step's contractions run as BLAS matmuls; at 8
+# terms numpy's own sum over one path's coordinates would switch to pairwise
+# order, so the particle-type sums over 8 coordinates must not depend on it
 @pytest.mark.parametrize(
-    "scheme, sigma0",
-    [("particle", (1.0, 2.0)), ("matrix", (1.0, 2.0)), ("matrix", tuple(0.4 * np.arange(1, 9)))],
-    ids=["particle", "matrix", "matrix-n8"],
+    "scheme, n, sigma0",
+    [
+        ("particle", 2, (1.0, 2.0)),
+        ("particle", 8, tuple(0.4 * np.arange(1, 9))),
+        ("sphere-point", 8, (0.5,)),
+        ("matrix", 2, (1.0, 2.0)),
+        ("matrix", 8, tuple(0.4 * np.arange(1, 9))),
+    ],
+    ids=["particle", "particle-n8", "sphere-point-n8", "matrix", "matrix-n8"],
 )
-def test_chunking_does_not_change_paths(monkeypatch, scheme, sigma0):
-    cfg = _config(scheme, len(sigma0), sigma0, 40, seed=9)
+def test_chunking_does_not_change_paths(monkeypatch, scheme, n, sigma0):
+    cfg = _config(scheme, n, sigma0, 40, seed=9)
     reference = _simulate(cfg, threads=4)
-    # the particle run is inline, the matrix runs are on the pool
-    monkeypatch.setattr(ensemble, "_CHUNK", 7)
-    monkeypatch.setattr(ensemble, "_INLINE_CHUNK", 7)
+    # the particle-type runs are inline, the matrix runs are on the pool;
+    # 40 paths in chunks of 13 leave one path alone in the last chunk
+    monkeypatch.setattr(ensemble, "_CHUNK", 13)
+    monkeypatch.setattr(ensemble, "_INLINE_CHUNK", 13)
     assert ensembles_equal(_simulate(cfg, threads=4), reference)
 
 

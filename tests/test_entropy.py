@@ -1,4 +1,6 @@
 """Tests for the chamber entropy field and the smooth cutoff."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from siegelbm import (
     entropy_laplacian,
     log_cosh_norm,
 )
-from siegelbm.entropy import _sum_lead
 
 
 def _chamber_points(rng, n, count):
@@ -144,12 +145,15 @@ def test_cutoff_eta_intermediate():
     assert 0.0 < val < 1.0
 
 
-# lengths on every side of numpy's pairwise rule: sequential below 8 terms,
-# 8 lanes up to 128, halves cut at a multiple of 8 beyond
-@pytest.mark.parametrize("paths", [(), (1,), (3, 5)])
-def test_sum_lead_adds_in_numpys_order(paths):
-    rng = np.random.default_rng(21)
-    for n in [*range(1, 41), 127, 128, 129, 136, 200, 300]:
-        a = rng.standard_normal((*paths, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (*paths, n))
-        lead = np.ascontiguousarray(np.moveaxis(a, -1, 0))
-        assert np.asarray(_sum_lead(lead)).tobytes() == np.asarray(np.sum(a, axis=-1)).tobytes()
+def test_log_cosh_norm_and_cutoff_at_large_sigma():
+    sig = np.array([800.0, 1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = log_cosh_norm(sig)
+        eta = cutoff_eta(sig, 50.0, 50.0)
+        stacked = log_cosh_norm(np.array([[1.0, 2.0], [999.0, 1000.0]]))
+    # log(cosh 800 + cosh 1000) = 1000 - log 2 + log1p(e^-200 + ...)
+    assert val == pytest.approx(1000.0 - np.log(2.0), rel=1e-15)
+    assert eta == 0.0
+    assert stacked[0] == pytest.approx(np.log(np.cosh(1.0) + np.cosh(2.0)), rel=1e-15)
+    assert stacked[1] == pytest.approx(1000.0 - np.log(2.0) + np.log1p(np.exp(-1.0)), rel=1e-15)

@@ -1,19 +1,24 @@
-"""The pair-table entropy layer against the mask-based formulas it replaced.
+"""The half-root entropy layer against two oracles.
 
-The four reference functions below are the earlier implementations, kept
-verbatim as oracles: every finite output must match them bit for bit, and
-exact collisions must give nonfinite values in the same places."""
+The cosh-difference functions below are the formulas the half-root table
+replaced, kept as an independent oracle.  Where two coordinates (or the
+first coordinate and the origin) come within 1e-3 of each other, the oracle
+itself loses digits to cancellation in cosh(sigma_k) - cosh(sigma_l), and
+past sigma ~ 355 its sinh^2 overflows; there the reference is the root form
+summed one root at a time in np.longdouble.  Both oracles are held to a
+relative 1e-10, down to the smallest normal double."""
 import importlib
+import warnings
 
 import numpy as np
 import pytest
 
-from siegelbm import DegenerateSpectrum, OutOfChamber, dyson_drift
+from siegelbm import DegenerateSpectrum, OutOfChamber, dyson_drift, normal_drift
 from siegelbm.entropy import (
-    _as_sigma,
     _dyson_raw,
     _entropy_raw,
     _gradient_raw,
+    entropy,
     entropy_gradient,
     entropy_laplacian,
 )
@@ -21,9 +26,7 @@ from siegelbm.entropy import (
 # the package root exports a function named entropy, which shadows the module
 entropy_mod = importlib.import_module("siegelbm.entropy")
 
-
-def _validate(sigma, value):
-    entropy_mod._validate(sigma, value)
+_RTOL = 1e-10
 
 
 def _offdiag_mask(n: int) -> np.ndarray:
@@ -59,18 +62,17 @@ def reference_gradient_raw(sigma: np.ndarray) -> np.ndarray:
     return g
 
 
-def reference_entropy_laplacian(sigma) -> float | np.ndarray:
+def reference_entropy_laplacian(sigma: np.ndarray) -> np.ndarray:
     """Sum of the unmixed second derivatives of S (the flat Laplacian):
 
         sum_k [ -1/sinh^2(sigma_k)
                 + sum_{l != k} ( cosh(sigma_k) / d_kl - sinh^2(sigma_k) / d_kl^2 ) ]
 
-    with d_kl = cosh(sigma_k) - cosh(sigma_l).
+    with d_kl = cosh(sigma_k) - cosh(sigma_l); nonfinite on collisions.
     """
-    sigma = _as_sigma(sigma)
     n = sigma.shape[-1]
     c, s = np.cosh(sigma), np.sinh(sigma)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         val = np.sum(-1.0 / s**2, axis=-1)
         if n > 1:
             diff = c[..., :, None] - c[..., None, :]
@@ -79,8 +81,7 @@ def reference_entropy_laplacian(sigma) -> float | np.ndarray:
             term = np.where(_offdiag_mask(n), term, 0.0)
             term = np.where(_offdiag_mask(n) & (diff == 0), np.nan, term)
             val = val + np.sum(term, axis=(-2, -1))
-    _validate(sigma, val)
-    return float(val) if sigma.ndim == 1 else val
+    return val
 
 
 def reference_dyson_raw(lam: np.ndarray) -> np.ndarray:
@@ -92,54 +93,90 @@ def reference_dyson_raw(lam: np.ndarray) -> np.ndarray:
     return np.sum(inv, axis=-1)
 
 
-@pytest.fixture
-def unvalidated(monkeypatch):
-    """Both Laplacians return their raw values, nonfinite ones included."""
-    monkeypatch.setattr(entropy_mod, "_validate", lambda sigma, value: None)
+def longdouble_root_form(sigma: np.ndarray):
+    """S, grad S and Delta S at ascending chamber points (..., n), summed
+    over the positive roots 2 e_k, e_l - e_k and e_k + e_l one root at a
+    time in np.longdouble."""
+    x = np.asarray(sigma, dtype=np.longdouble)
+    n = x.shape[-1]
+    roots = []
+    for k in range(n):
+        roots.append(2 * np.eye(n)[k])
+        for l in range(k + 1, n):
+            roots.append(np.eye(n)[l] - np.eye(n)[k])
+            roots.append(np.eye(n)[l] + np.eye(n)[k])
+    s = np.full(x.shape[:-1], n * (n - 1) / 2 * np.log(np.longdouble(2.0)))
+    grad = np.zeros_like(x)
+    lap = np.zeros(x.shape[:-1], dtype=np.longdouble)
+    for alpha in roots:
+        w = np.asarray(alpha, dtype=np.longdouble) / 2
+        t = x @ w
+        s += np.log(np.sinh(t))
+        grad += w / np.tanh(t)[..., None]
+        lap -= (w @ w) / (np.sinh(t) * np.sinh(t))
+    return s, grad, lap
 
 
-def _pairs(sigma):
-    """(new, reference) outputs of the four formulas at the stacked points."""
-    with np.errstate(over="ignore"):
-        return [
-            (_entropy_raw(sigma), reference_entropy_raw(sigma)),
-            (_gradient_raw(sigma), reference_gradient_raw(sigma)),
-            (entropy_laplacian(sigma), reference_entropy_laplacian(sigma)),
-            (_dyson_raw(np.cosh(sigma)), reference_dyson_raw(np.cosh(sigma))),
-        ]
+def _warning_free(f, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(*args)
 
 
-def _assert_same_finite(new, ref):
-    """Finite outputs bit-identical; nonfinite ones in the same places."""
-    fin = np.isfinite(ref)
-    np.testing.assert_array_equal(np.isfinite(new), fin)
-    np.testing.assert_array_equal(new[fin], ref[fin])
-
-
-def _chamber(rng, n, count, top):
-    """Ascending points in (0, top]: log-uniform gaps down to 1e-12,
+def _chamber(rng, n, count, top, low=-12.0):
+    """Ascending points in (0, top]: log-uniform gaps from 10**low up,
     placed anywhere from the origin to the top."""
-    gaps = 10.0 ** rng.uniform(-12.0, 0.5, size=(count, n))
+    gaps = 10.0 ** rng.uniform(low, 0.5, size=(count, n))
     sig = np.cumsum(gaps, axis=1)
     lead = rng.uniform(0.0, 1.0, size=(count, 1)) * (top - sig[:, -1:])
     return sig + np.maximum(lead, 1e-3)
 
 
+def _expected(sig):
+    """(new, expected, oracle-used mask) for S, grad S and Delta S at stacked
+    ascending points: the cosh-difference oracle where every gap, sigma_1
+    included, is at least 1e-3 and its sinh^2 does not overflow, the
+    longdouble root form elsewhere."""
+    wide = (np.diff(sig, axis=-1, prepend=0.0).min(axis=-1) >= 1e-3) & (sig[:, -1] < 355.0)
+    ld = longdouble_root_form(sig)
+    out = []
+    for new, oracle, root in zip(
+        (_entropy_raw(sig), _gradient_raw(sig), entropy_laplacian(sig)),
+        (reference_entropy_raw(sig), reference_gradient_raw(sig), reference_entropy_laplacian(sig)),
+        ld,
+    ):
+        use = np.isfinite(oracle) & (wide if oracle.ndim == 1 else wide[:, None])
+        out.append((new, np.where(use, oracle, root.astype(float)), use))
+    return out
+
+
 @pytest.mark.parametrize("n", range(1, 9))
-def test_finite_outputs_match_the_mask_formulas(n, unvalidated):
+def test_finite_outputs_match_the_mask_formulas(n):
     rng = np.random.default_rng(100 + n)
-    sig = np.concatenate([_chamber(rng, n, 200, top) for top in (3.0, 30.0, 350.0, 700.0)])
+    sig = np.concatenate(
+        [_chamber(rng, n, 100, top, low) for top in (3.0, 30.0, 350.0, 700.0) for low in (-12.0, -3.0)]
+    )
     assert np.all(np.diff(sig, axis=-1) > 0) and np.all(sig > 0)
     assert sig.max() > 600.0 and (n == 1 or np.diff(sig, axis=-1).min() < 1e-11)
-    for new, ref in _pairs(sig):
-        _assert_same_finite(new, ref)
-        assert np.isfinite(ref).sum() > 0
-    # the bulk of the near-origin points is finite for every formula
-    for new, ref in _pairs(sig[:200]):
-        assert np.isfinite(ref).mean() > 0.9
-        np.testing.assert_array_equal(new, ref)
+    for new, expected, use in _expected(sig):
+        assert np.isfinite(new).all()
+        # values below the normal range keep only the bits their exponent leaves
+        np.testing.assert_allclose(new, expected, rtol=_RTOL, atol=np.finfo(float).tiny)
+        # the oracle takes part, and from n = 2 on so does the root form
+        assert use.any() and (n == 1 or not use.all())
+    np.testing.assert_allclose(
+        _dyson_raw(np.cosh(sig[:200])), reference_dyson_raw(np.cosh(sig[:200])), rtol=_RTOL
+    )
 
 
+@pytest.fixture
+def unvalidated(monkeypatch):
+    """entropy_laplacian returns its raw values, nonfinite ones included."""
+    monkeypatch.setattr(entropy_mod, "_validate", lambda sigma, value: None)
+
+
+# nonfinite exactly where two sigma coincide: the whole row of S and Delta S,
+# and the two coinciding entries of grad S, with every other entry finite
 @pytest.mark.parametrize("n", range(2, 9))
 def test_collisions_are_nonfinite_in_the_same_places(n, unvalidated):
     rng = np.random.default_rng(200 + n)
@@ -147,11 +184,11 @@ def test_collisions_are_nonfinite_in_the_same_places(n, unvalidated):
     k = rng.integers(0, n - 1, size=50)
     rows = np.arange(50)
     sig[rows, k + 1] = sig[rows, k]  # one exact collision per row
-    for new, ref in _pairs(sig)[:3]:
-        _assert_same_finite(new, ref)
-        assert not np.isfinite(ref).all()
-    grad = _gradient_raw(sig)
-    assert not np.isfinite(grad[rows, k]).any() and not np.isfinite(grad[rows, k + 1]).any()
+    for f in (_entropy_raw, entropy_laplacian):
+        assert not np.isfinite(_warning_free(f, sig)).any()
+    hit = np.zeros(sig.shape, dtype=bool)
+    hit[rows, k] = hit[rows, k + 1] = True
+    np.testing.assert_array_equal(~np.isfinite(_warning_free(_gradient_raw, sig)), hit)
 
 
 def test_dyson_collisions_are_nonfinite_and_refused():
@@ -171,31 +208,57 @@ def test_dyson_drift_matches_the_mask_formula(n):
 
 @pytest.mark.parametrize("sigma", [400.0, 700.0, 800.0])
 def test_single_coordinate_stays_finite_where_sinh_overflows(sigma):
-    with np.errstate(over="ignore"):
-        grad = entropy_gradient([sigma])
-        lap = entropy_laplacian([sigma])
-        np.testing.assert_array_equal(grad, reference_gradient_raw(np.array([sigma])))
-        assert lap == reference_entropy_laplacian([sigma])
-    if sigma == 800.0:
-        np.testing.assert_array_equal(grad, [1.0])
-        assert np.isfinite(lap)
+    s, grad, lap = longdouble_root_form(np.array([sigma]))
+    np.testing.assert_allclose(_warning_free(entropy, [sigma]), float(s), rtol=_RTOL)
+    np.testing.assert_array_equal(_warning_free(entropy_gradient, [sigma]), [1.0])
+    assert _warning_free(entropy_laplacian, [sigma]) == float(lap)
 
 
-def test_two_coordinates_overflowing_stay_refused():
-    with np.errstate(over="ignore"):
-        with pytest.raises(DegenerateSpectrum):
-            entropy_gradient([1.0, 800.0])
-        with pytest.raises(DegenerateSpectrum):
-            entropy_laplacian([1.0, 400.0])
+def test_two_coordinates_stay_finite_at_large_sigma():
+    for sigma in [(800.0, 801.0), (1.0, 800.0), (1.0, 400.0), (1000.0, 1500.0, 3000.0), (0.5, 1.0, 999.0)]:
+        sig = np.array(sigma)
+        s, grad, lap = longdouble_root_form(sig)
+        np.testing.assert_allclose(_warning_free(entropy, sig), float(s), rtol=_RTOL)
+        g = _warning_free(entropy_gradient, sig)
+        np.testing.assert_allclose(g, grad.astype(float), rtol=_RTOL)
+        np.testing.assert_allclose(g, 2.0 * normal_drift(sig), rtol=1e-12)
+        np.testing.assert_allclose(_warning_free(entropy_laplacian, sig), float(lap), rtol=_RTOL)
+        n = sig.size
+        assert abs(entropy_laplacian(sig) + g @ g - n * (n + 1) * (2 * n + 1) / 6) < 1e-10
+    np.testing.assert_allclose(entropy_gradient([800.0, 801.0]), [0.41802329, 2.58197671], atol=5e-9)
+    # every root is saturated: each coth is +-1 and each 1/sinh^2 underflows
+    g = entropy_gradient([1000.0, 1500.0, 3000.0])
+    np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
+    assert entropy_laplacian([1000.0, 1500.0, 3000.0]) + g @ g == 14.0
 
 
-def test_overflow_and_collision_have_their_own_messages():
-    with np.errstate(over="ignore"):
-        with pytest.raises(DegenerateSpectrum, match="overflow"):
-            entropy_gradient([1.0, 800.0])
-        with pytest.raises(DegenerateSpectrum, match="overflow"):
-            entropy_laplacian([1.0, 400.0])
-    with pytest.raises(DegenerateSpectrum, match="coincident sigma entries"):
-        entropy_gradient([1.0, 1.0])
-    with pytest.raises(DegenerateSpectrum, match="coincident sigma entries"):
-        entropy_laplacian([1.0, 1.0])
+def test_only_collisions_are_refused():
+    for f in (entropy, entropy_gradient, entropy_laplacian):
+        with pytest.raises(DegenerateSpectrum, match="coincident sigma entries"):
+            f([1.0, 1.0])
+        with pytest.raises(DegenerateSpectrum, match="coincident sigma entries"):
+            f([900.0, 2.0, 900.0])
+        with pytest.raises(OutOfChamber):
+            f([0.0, 1.0])
+        assert np.all(np.isfinite(_warning_free(f, [1.0, 800.0, 1e3 + 1e-9])))
+
+
+def _layouts(f, sig):
+    """f of stacked rows sig (c, n), called as the matrix kernel calls it
+    (rows) and as the particle kernels do (the (c, n) view of an (n, c)
+    array)."""
+    return f(sig), f(np.ascontiguousarray(sig.T).T)
+
+
+# the value of each path does not depend on how many paths share the call,
+# or on the layout they are held in
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_path_equals_its_row_of_a_batch(n):
+    rng = np.random.default_rng(400 + n)
+    sig = np.concatenate([_chamber(rng, n, 512, top) for top in (3.0, 30.0)])
+    for f in (_gradient_raw, _entropy_raw, entropy_laplacian, _dyson_raw):
+        batch = _layouts(f, sig)
+        assert batch[0].tobytes() == batch[1].tobytes()
+        for p in (0, 1, 511, 1023):
+            for one in (*_layouts(f, sig[p : p + 1]), f(sig[p])):
+                assert np.asarray(one).reshape(-1).tobytes() == np.asarray(batch[0][p]).reshape(-1).tobytes()

@@ -99,7 +99,7 @@ def test_compare_identical_ensembles():
     b = _ensemble(samples.copy())
     rep = compare_ensembles(a, b, alpha=0.01)
     assert rep["t"] == 1.0
-    assert rep["per_test_alpha"] == pytest.approx(0.01 / 3.0)
+    assert rep["per_test_alpha"] == pytest.approx(0.01 / 4.0)
     assert rep["n_a"] == 300 and rep["n_b"] == 300
     assert rep["paths_a"] == rep["paths_b"] == 300 and rep["stopped_a"] == rep["stopped_b"] == 0
     names = [r["name"] for r in rep["tests"]]
@@ -160,9 +160,10 @@ def test_stop_fraction_test_statistic():
     stops = rep["stop_fraction"]
     # pooled p = 0.15: z = (0.1 - 0.2) / sqrt(0.15 * 0.85 * (1/100 + 1/100))
     assert stops["statistic"] == pytest.approx(0.1 / np.sqrt(0.15 * 0.85 * 0.02), rel=1e-12)
-    assert stops["alpha"] == rep["per_test_alpha"] == pytest.approx(0.005)
-    # the two-sided normal quantile at 0.005
-    assert stops["threshold"] == pytest.approx(2.807033768, rel=1e-9)
+    # dim + 2 = 3 tests share alpha = 0.01
+    assert stops["alpha"] == rep["per_test_alpha"] == pytest.approx(0.01 / 3.0)
+    # the two-sided normal quantile at 0.01 / 3
+    assert stops["threshold"] == pytest.approx(2.935199469, rel=1e-9)
     assert not stops["reject"]
     assert (rep["stopped_a"], rep["stopped_b"]) == (10, 20)
 
