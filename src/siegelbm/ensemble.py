@@ -206,13 +206,21 @@ def read_jsonl(path: str) -> PathEnsemble:
 def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     """Integrate an ensemble of paths with per-interval reject-and-halve.
 
-    Each global step attempts the full interval h; settle() takes every
-    path whose status is not OK.  A rejected path retries a refinement of
-    the same draw over successively halved substeps; an accepted substep
-    takes fresh draws and lets the substep size grow back, so the h / 2**10
-    floor is only reached through ten consecutive rejections.  A path at
-    the floor stops at its current time, named by its last rejection.  A
-    FREEZE status (cutoff reached zero) stops the path where it is.
+    Each path takes its full steps of size h.  A rejected step is refined
+    on a dyadic grid: the path retries the same draw over successively
+    halved substeps, an accepted substep takes fresh draws and lets the
+    substep size grow back, so the h / 2**10 floor is only reached through
+    ten consecutive rejections.  A path at the floor stops at its current
+    time, named by its last rejection.  A FREEZE status (cutoff reached
+    zero) stops the path where it is.
+
+    Each loop iteration makes one kernel.attempt call over every live path
+    of a chunk: a path at a step boundary takes its full step, a path
+    inside a refinement its next substep (frac gives each path's step as a
+    fraction of h while any path is refining).  A path that refines falls
+    behind the others by its extra attempts; it samples, refills its noise
+    and retires when it reaches those step counts itself.  Every path sees
+    the same arithmetic and draws, in the same order, as if it ran alone.
 
     A kernel that declares `releases_gil` takes chunks of _CHUNK paths,
     run on `threads` workers when threads > 1 and inline otherwise.  A
@@ -230,72 +238,118 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     stopped_at = np.full(n_paths, np.nan)
     reasons: list = [None] * n_paths
     rejections = np.zeros(n_paths, dtype=np.int64)
-    sample_pos = {int(j): pos for pos, j in enumerate(sample_idx)}
 
     def do_chunk(lo: int, hi: int):
         c = hi - lo
         state = kernel.init(c)
         nd = kernel.noise_dim
-        # the primary draws of steps [j0, j0 + block) live in one reused
-        # buffer, refilled from each path's persistent stream
+        # path i's primary draws for steps [s0, s0 + block) sit in rows
+        # i * block + (s mod block) of one reused buffer, refilled from
+        # its persistent stream when it reaches step s0
         block = max(1, min(steps, _NOISE_BYTES // (8 * c * max(nd, 1))))
-        noise = np.empty((c, block, nd))
+        noise = np.empty((c * block, nd))
         gens = [path_generator(cfg.seed, cfg.scheme, p) for p in range(lo, hi)] if nd else None
+        # step counts at which a path samples, refills or retires
+        event = np.zeros(steps + 1, dtype=bool)
+        event[sample_idx] = True
+        event[::block] = True
+        event[steps] = True
+        step = np.zeros(c, dtype=np.int64)  # full steps taken
+        row = np.arange(c) * block  # noise row of the current (sub)step
         alive = np.ones(c, dtype=bool)
+        # paths inside a refinement: (units left of the step, substep
+        # units); frac holds each path's substep as a fraction of h, below
+        # one exactly while the path is refining
+        ladder: dict = {}
+        frac = np.ones(c)
         retry_gens: dict = {}
 
-        def settle(i: int, j: int, st: int, xi):
-            # status st of path i's full step j with draw xi.  A rejected
-            # substep is refined, not redrawn: the increment over its first
-            # half is the conditional (bridge) draw (xi + eta) / sqrt(2), so
-            # an adverse draw decays by 1/sqrt(2) per level instead of being
+        def settle(i: int, st: int) -> bool:
+            # status st of path i at the start of, or inside, a refinement;
+            # True once its full step is done.  A rejected substep is
+            # refined, not redrawn: the increment over its first half is
+            # the conditional (bridge) draw (xi + eta) / sqrt(2), so an
+            # adverse draw decays by 1/sqrt(2) per level instead of being
             # forgotten.  Accepted substeps take fresh draws from the path's
-            # retry stream and the substep size grows back, so only a run of
-            # ten straight rejections (a path cornered at the boundary at
-            # every scale) reaches the floor.
-            units, du = _HALVING_UNITS, _HALVING_UNITS
-            idx = np.array([i])
-            while True:
-                if st == OK:
-                    units -= du
-                    if units == 0:
-                        return
-                    xi = gen.standard_normal(nd)
-                    du = min(2 * du, _HALVING_UNITS // 2, units)
-                elif st == FREEZE:
-                    reason = "cutoff-floor"
-                    break
-                else:
-                    rejections[lo + i] += 1
-                    reason = REJECTIONS[st][0]
-                    if i not in retry_gens:
-                        retry_gens[i] = path_generator(cfg.seed, cfg.scheme, lo + i, retry=True)
-                    gen = retry_gens[i]
-                    xi = (xi + gen.standard_normal(nd)) / np.sqrt(2.0)
-                    du //= 2
-                    if du == 0:
-                        break
-                st = int(kernel.attempt(state, idx, h * du / _HALVING_UNITS, xi[None, :])[0])
-            stopped_at[lo + i] = (j + (_HALVING_UNITS - units) / _HALVING_UNITS) * h
-            reasons[lo + i] = reason
-            alive[i] = False
+            # retry stream and the substep size grows back, so only a run
+            # of ten straight rejections (a path cornered at the boundary at
+            # every scale) reaches the floor.  The substep's draw lives in
+            # the path's current noise row.
+            units, du = ladder.pop(i, (_HALVING_UNITS, _HALVING_UNITS))
+            r = row[i]
+            if st == OK:
+                units -= du
+                if units == 0:
+                    frac[i] = 1.0
+                    return True
+                noise[r] = retry_gens[i].standard_normal(nd)
+                du = min(2 * du, units)
+            elif st != FREEZE:
+                rejections[lo + i] += 1
+                if i not in retry_gens:
+                    retry_gens[i] = path_generator(cfg.seed, cfg.scheme, lo + i, retry=True)
+                noise[r] = (noise[r] + retry_gens[i].standard_normal(nd)) / np.sqrt(2.0)
+                du //= 2
+            if st == FREEZE or du == 0:
+                stopped_at[lo + i] = (int(step[i]) + (_HALVING_UNITS - units) / _HALVING_UNITS) * h
+                reasons[lo + i] = "cutoff-floor" if st == FREEZE else REJECTIONS[st][0]
+                alive[i] = False
+            else:
+                ladder[i] = (units, du)
+                frac[i] = du / _HALVING_UNITS
+            return False
 
-        if 0 in sample_pos:
-            samples[lo:hi, sample_pos[0]] = kernel.observe(state)
-        for j in range(steps):
-            act = np.nonzero(alive)[0]
-            jb = j % block
-            if jb == 0 and gens:
-                for i in act:  # a stopped path needs no more draws
-                    gens[i].standard_normal(out=noise[i, : min(block, steps - j)])
-            if act.size:
-                status = kernel.attempt(state, act, h, noise[act, jb])
-                for i in np.nonzero(status != OK)[0]:
-                    settle(int(act[i]), j, int(status[i]), noise[act[i], jb])
-            if (j + 1) in sample_pos:
-                live = np.nonzero(alive)[0]
-                if live.size:
-                    samples[lo + live, sample_pos[j + 1]] = kernel.observe(state)[live]
+        def arrive(paths: np.ndarray) -> bool:
+            # paths has just reached an event's step count; True if any
+            # of them retired
+            s = step[paths]
+            pos = np.searchsorted(sample_idx, s)
+            hit = sample_idx.take(pos, mode="clip") == s
+            if hit.any():
+                samples[lo + paths[hit], pos[hit]] = kernel.observe(state)[paths[hit]]
+            end = s == steps
+            alive[paths[end]] = False
+            start = (s % block == 0) & ~end
+            if start.any():
+                first = paths[start]
+                row[first] = first * block
+                if gens:
+                    for i, si in zip(first, s[start]):
+                        r = i * block
+                        gens[i].standard_normal(out=noise[r : r + min(block, steps - si)])
+            return end.any()
+
+        arrive(np.arange(c))
+        act = np.arange(c)
+        while act.size:
+            xi = noise.take(row.take(act), axis=0)
+            if ladder:
+                sub = frac.take(act)
+                status = kernel.attempt(state, act, h, xi, sub)
+                off = np.flatnonzero((status != OK) | (sub < 1.0))
+            else:
+                status = kernel.attempt(state, act, h, xi)
+                off = np.flatnonzero(status != OK)
+            stay = off
+            if off.size:
+                ended = [settle(i, st) for i, st in zip(act[off].tolist(), status[off].tolist())]
+                stay = off[np.logical_not(ended)]
+            # every path's counters move on; a path still refining, or
+            # stopped, is taken back and reaches no event
+            step += 1
+            row += 1
+            reached = event.take(step.take(act))
+            left = False
+            if stay.size:
+                back = act[stay]
+                step[back] -= 1
+                row[back] -= 1
+                reached[stay] = False
+                left = not alive.take(back).all()
+            if reached.any():
+                left = arrive(act[reached]) or left
+            if left:
+                act = np.flatnonzero(alive)
 
     pooled = threads > 1 and kernel.releases_gil
     size = _CHUNK if kernel.releases_gil else _INLINE_CHUNK

@@ -44,7 +44,7 @@ class _RadialKernel:
     """Kernel protocol shared by the particle-type schemes: the state holds
     one column of coordinates per path, (n, c), so every operation of a step
     is one contiguous loop over paths, and is observed transposed, one row
-    per path.  Subclasses propose a move in attempt() and settle it with
+    per path.  Subclasses propose a move in _step() and settle it with
     _accept()."""
 
     releases_gil = False  # small numpy calls per step: the interpreter lock bounds it
@@ -60,6 +60,10 @@ class _RadialKernel:
 
     def observe(self, state: np.ndarray) -> np.ndarray:
         return state.T
+
+    def attempt(self, state, idx, h, xi, frac=None):
+        # a (c,) step size broadcasts against the (n, c) state
+        return self._step(state, idx, h if frac is None else h * frac, xi)
 
     def _chamber_ok(self, prop: np.ndarray, positive: bool = True) -> np.ndarray:
         return in_chamber(prop.T, self.floor, positive) & np.all(np.isfinite(prop), axis=0)
@@ -82,7 +86,7 @@ class ParticleKernel(_RadialKernel):
         super().__init__(sigma0, beta, gap_floor)
         self.cutoff = cutoff
 
-    def attempt(self, state, idx, h, xi):
+    def _step(self, state, idx, h, xi):
         sig = state.take(idx, axis=1)
         move = 0.5 * _gradient_raw(sig.T).T * h + self.noise_coef * np.sqrt(h) * xi.T
         if self.cutoff is None:
@@ -101,7 +105,7 @@ class MeanCurvatureKernel(_RadialKernel):
         super().__init__(sigma0, beta, gap_floor)
         self.noise_dim = 0
 
-    def attempt(self, state, idx, h, xi):
+    def _step(self, state, idx, h, xi):
         prop = _rk4_step(state.take(idx, axis=1), h)
         return self._accept(state, idx, prop, self._chamber_ok(prop))
 
@@ -109,7 +113,7 @@ class MeanCurvatureKernel(_RadialKernel):
 class DysonKernel(_RadialKernel):
     """Euler-Maruyama for the flat squared-radial analogue on the real line."""
 
-    def attempt(self, state, idx, h, xi):
+    def _step(self, state, idx, h, xi):
         lam = state.take(idx, axis=1)
         prop = lam + _dyson_raw(lam.T).T * h + self.noise_coef * np.sqrt(h) * xi.T
         return self._accept(state, idx, prop, self._chamber_ok(prop, positive=False))
@@ -132,7 +136,7 @@ class SpherePointKernel(_RadialKernel):
     def observe(self, state: np.ndarray) -> np.ndarray:
         return _norm(state)[:, None]
 
-    def attempt(self, state, idx, h, xi):
+    def _step(self, state, idx, h, xi):
         z = state.take(idx, axis=1)
         zh = z / _norm(z)
         db = np.sqrt(h) * xi.T
@@ -149,7 +153,7 @@ class SphereRadiusKernel(_RadialKernel):
         super().__init__(sigma0, beta, gap_floor)
         self.n = n
 
-    def attempt(self, state, idx, h, xi):
+    def _step(self, state, idx, h, xi):
         r = state.take(idx, axis=1)
         prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi.T
         ok = in_chamber(prop.T, self.floor)

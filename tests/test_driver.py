@@ -1,6 +1,7 @@
 """The ensemble driver's scheduling: streamed noise blocks, which kernels
 reach the thread pool, chunk independence, and the worker-count check;
-the sample grid it records and the stop reasons it names."""
+the sample grid it records and the stop reasons it names; and its batched
+refinements against the sequential driver it replaced."""
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,8 @@ from siegelbm import (
 )
 from siegelbm import ensemble
 from siegelbm.matrix_flow import MatrixKernel
-from siegelbm.particle_flow import ParticleKernel
+from siegelbm.particle_flow import _KERNELS, ParticleKernel
+from test_kernels import _LAYOUT_CASES
 
 _STEPS = 60  # not a multiple of the 7-step block
 
@@ -257,3 +259,142 @@ def test_sample_grid_follows_replaced_fields():
         np.testing.assert_allclose(simulate_particle_paths(new).times, times, rtol=0, atol=1e-15)
     with pytest.raises(TypeError):
         replace(cfg, sample_indices=np.array([0, 3]))
+
+
+# ---------------------------------------------------------------------------
+# The sequential driver that run_ensemble replaced, kept as the reference.
+#
+# It steps every live path of a chunk through step j together and settles a
+# rejected path's whole refinement ladder with single-path attempts before
+# the next path.  run_ensemble instead batches each path's next substep with
+# the other paths' full steps; every path must come out bit for bit the same.
+
+
+def reference_run_ensemble(cfg, kernel):
+    n_paths, steps, h = cfg.n_paths, cfg.n_steps, cfg.dt
+    units_full = ensemble._HALVING_UNITS
+    sample_idx = cfg.sample_indices
+    samples = np.full((n_paths, sample_idx.size, kernel.obs_dim), np.nan)
+    stopped_at = np.full(n_paths, np.nan)
+    reasons = [None] * n_paths
+    rejections = np.zeros(n_paths, dtype=np.int64)
+    sample_pos = {int(j): pos for pos, j in enumerate(sample_idx)}
+
+    def do_chunk(lo, hi):
+        c = hi - lo
+        state = kernel.init(c)
+        nd = kernel.noise_dim
+        block = max(1, min(steps, ensemble._NOISE_BYTES // (8 * c * max(nd, 1))))
+        noise = np.empty((c, block, nd))
+        gens = [ensemble.path_generator(cfg.seed, cfg.scheme, p) for p in range(lo, hi)]
+        alive = np.ones(c, dtype=bool)
+        retry_gens = {}
+
+        def settle(i, j, st, xi):
+            units, du = units_full, units_full
+            idx = np.array([i])
+            while True:
+                if st == ensemble.OK:
+                    units -= du
+                    if units == 0:
+                        return
+                    xi = gen.standard_normal(nd)
+                    du = min(2 * du, units_full // 2, units)
+                elif st == ensemble.FREEZE:
+                    reason = "cutoff-floor"
+                    break
+                else:
+                    rejections[lo + i] += 1
+                    reason = ensemble.REJECTIONS[st][0]
+                    if i not in retry_gens:
+                        retry_gens[i] = ensemble.path_generator(cfg.seed, cfg.scheme, lo + i, retry=True)
+                    gen = retry_gens[i]
+                    xi = (xi + gen.standard_normal(nd)) / np.sqrt(2.0)
+                    du //= 2
+                    if du == 0:
+                        break
+                st = int(kernel.attempt(state, idx, h * du / units_full, xi[None, :])[0])
+            stopped_at[lo + i] = (j + (units_full - units) / units_full) * h
+            reasons[lo + i] = reason
+            alive[i] = False
+
+        if 0 in sample_pos:
+            samples[lo:hi, sample_pos[0]] = kernel.observe(state)
+        for j in range(steps):
+            act = np.nonzero(alive)[0]
+            jb = j % block
+            if jb == 0 and nd:
+                for i in act:
+                    gens[i].standard_normal(out=noise[i, : min(block, steps - j)])
+            if act.size:
+                status = kernel.attempt(state, act, h, noise[act, jb])
+                for i in np.nonzero(status != ensemble.OK)[0]:
+                    settle(int(act[i]), j, int(status[i]), noise[act[i], jb])
+            if (j + 1) in sample_pos:
+                live = np.nonzero(alive)[0]
+                if live.size:
+                    samples[lo + live, sample_pos[j + 1]] = kernel.observe(state)[live]
+
+    size = ensemble._CHUNK if kernel.releases_gil else ensemble._INLINE_CHUNK
+    for lo in range(0, n_paths, size):
+        do_chunk(lo, min(lo + size, n_paths))
+    meta = cfg.to_meta()
+    meta["dim"] = kernel.obs_dim
+    return ensemble.PathEnsemble(meta=meta, times=sample_idx * h, samples=samples,
+                                 stopped_at=stopped_at, stop_reason=reasons, rejections=rejections)
+
+
+def _kernel(cfg):
+    if cfg.scheme == "matrix":
+        return MatrixKernel(cfg.sigma0, cfg.beta, cfg.gap_floor, cfg.q0)
+    return _KERNELS[cfg.scheme](cfg)
+
+
+_ORACLE_CASES = {
+    **{f"stop-{name}": dict(seed=11, **kw) for name, kw in _STOP_CASES.items()},
+    **{f"layout-{name}": dict(seed=11, **kw) for name, (kw, _) in _LAYOUT_CASES.items()},
+    # a wall start recorded at every step: samples fall due while paths refine
+    "dense-walls": dict(scheme="particle", n=3, sigma0=(0.05, 0.1, 0.15), t_final=0.06,
+                        n_paths=60, seed=5, sample_times=tuple(k * 1e-3 for k in range(61))),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_batched_driver_matches_sequential_ladder(case, threads):
+    cfg = SimConfig(dt=1e-3, **{"beta": 2.0, **_ORACLE_CASES[case]})
+    reference = reference_run_ensemble(cfg, _kernel(cfg))
+    assert ensembles_equal(_simulate(cfg, threads=threads), reference)
+    if case == "dense-walls":
+        assert reference.rejections.sum() > 0
+
+
+class _RecordingKernel:
+    """Wraps a kernel and records the paths of every attempt call."""
+
+    def __init__(self, kernel, calls):
+        self._kernel, self._calls = kernel, calls
+
+    def attempt(self, state, idx, *args):
+        self._calls.append(np.array(idx))
+        return self._kernel.attempt(state, idx, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+
+def test_refinements_ride_in_the_batch():
+    cfg = SimConfig(scheme="particle", n=3, beta=2.0, sigma0=(0.5, 1.0, 1.5), t_final=0.2,
+                    dt=1e-3, n_paths=256, seed=8)
+    calls = []
+    ens = ensemble.run_ensemble(cfg, _RecordingKernel(_KERNELS["particle"](cfg), calls))
+    assert ens.rejections.sum() > 0
+    per_path = np.bincount(np.concatenate(calls), minlength=cfg.n_paths)
+    # one call per iteration, however many substeps the slowest path takes
+    assert len(calls) == per_path.max() > cfg.n_steps
+    # every call covers every live path: a path leaves the batch only once
+    # it has finished or stopped, so no call steps one path while others wait
+    assert calls[0].size == cfg.n_paths
+    for before, after in zip(calls, calls[1:]):
+        assert np.isin(after, before).all()
+    assert ensembles_equal(ens, reference_run_ensemble(cfg, _KERNELS["particle"](cfg)))

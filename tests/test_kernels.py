@@ -129,11 +129,12 @@ def test_step_once_passes_accepted_and_frozen_steps(status):
 # Coordinate-major particle state against the row-major kernels it replaced.
 #
 # The five particle-type kernels hold their state as (n, c), one column per
-# path.  The classes below keep the earlier row-major attempt bodies, one row
+# path.  The classes below keep the earlier row-major step bodies, one row
 # per path, as references.  They call the entropy helpers on rows, as the
-# matrix kernel does, and add the sphere-point sums one coordinate after
-# another along each row.  Every trajectory must come out bit for bit the
-# same, so the layout of the state changes no path.
+# matrix kernel does, add the sphere-point sums one coordinate after
+# another along each row, and take a per-path step size as a column.
+# Every trajectory must come out bit for bit the same, so the layout of the
+# state changes no path.
 
 
 def _row_sum(a):
@@ -146,6 +147,11 @@ def _row_sum(a):
 
 def _row_norm(z):
     return np.sqrt(_row_sum(z * z))[:, None]
+
+
+def _column(h):
+    """A per-path step size as a column against rows of coordinates."""
+    return h if np.ndim(h) == 0 else h[:, None]
 
 
 def _reference_rk4(sig, h):
@@ -178,7 +184,8 @@ class _RowMajor:
 
 
 class _RowParticle(_RowMajor, ParticleKernel):
-    def attempt(self, state, idx, h, xi):
+    def _step(self, state, idx, h, xi):
+        h = _column(h)
         sig = state[idx]
         if self.cutoff is not None:
             eta = cutoff_eta(sig, *self.cutoff)
@@ -191,13 +198,15 @@ class _RowParticle(_RowMajor, ParticleKernel):
 
 
 class _RowMeanCurvature(_RowMajor, MeanCurvatureKernel):
-    def attempt(self, state, idx, h, xi):
+    def _step(self, state, idx, h, xi):
+        h = _column(h)
         prop = _reference_rk4(state[idx], h)
         return self._accept(state, idx, prop, self._chamber_ok(prop))
 
 
 class _RowDyson(_RowMajor, DysonKernel):
-    def attempt(self, state, idx, h, xi):
+    def _step(self, state, idx, h, xi):
+        h = _column(h)
         lam = state[idx]
         prop = lam + _dyson_raw(lam) * h + self.noise_coef * np.sqrt(h) * xi
         return self._accept(state, idx, prop, self._chamber_ok(prop, positive=False))
@@ -212,7 +221,8 @@ class _RowSpherePoint(_RowMajor, SpherePointKernel):
     def observe(self, state):
         return _row_norm(state)
 
-    def attempt(self, state, idx, h, xi):
+    def _step(self, state, idx, h, xi):
+        h = _column(h)
         z = state[idx]
         zh = z / _row_norm(z)
         db = np.sqrt(h) * xi
@@ -223,7 +233,8 @@ class _RowSpherePoint(_RowMajor, SpherePointKernel):
 
 
 class _RowSphereRadius(_RowMajor, SphereRadiusKernel):
-    def attempt(self, state, idx, h, xi):
+    def _step(self, state, idx, h, xi):
+        h = _column(h)
         r = state[idx]
         prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi
         ok = in_chamber(prop, self.floor)
