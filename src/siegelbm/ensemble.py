@@ -71,7 +71,7 @@ def step_once(kernel, state, h: float, xi) -> None:
     """Attempt one step of size h for the single path held in state, in
     place, and raise the error its rejection names; a frozen path stays."""
     xi = check_gaussians(xi, kernel.noise_dim)
-    st = int(kernel.attempt(state, np.array([0]), h, xi[None, :])[0])
+    st = int(kernel.attempt(state, np.array([0]), h, xi[None, :], np.ones(1))[0])
     if st in REJECTIONS:
         _, error, message = REJECTIONS[st]
         raise error(message)
@@ -216,8 +216,9 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
 
     Each loop iteration makes one kernel.attempt call over every live path
     of a chunk: a path at a step boundary takes its full step, a path
-    inside a refinement its next substep (frac gives each path's step as a
-    fraction of h while any path is refining).  A path that refines falls
+    inside a refinement its next substep (the frac array passed with h
+    gives each path's step as a fraction of h: one at a step boundary, a
+    power of two below one inside a refinement).  A path that refines falls
     behind the others by its extra attempts; it samples, refills its noise
     and retires when it reaches those step counts itself.  Every path sees
     the same arithmetic and draws, in the same order, as if it ran alone.
@@ -257,11 +258,11 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         step = np.zeros(c, dtype=np.int64)  # full steps taken
         row = np.arange(c) * block  # noise row of the current (sub)step
         alive = np.ones(c, dtype=bool)
-        # paths inside a refinement: (units left of the step, substep
-        # units); frac holds each path's substep as a fraction of h, below
-        # one exactly while the path is refining
-        ladder: dict = {}
+        # each path's current (sub)step as a fraction of h, below one
+        # exactly while the path is inside a refinement; ladder holds the
+        # units of the step still to go for the paths that are
         frac = np.ones(c)
+        ladder: dict = {}
         retry_gens: dict = {}
 
         def settle(i: int, st: int) -> bool:
@@ -275,7 +276,8 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             # of ten straight rejections (a path cornered at the boundary at
             # every scale) reaches the floor.  The substep's draw lives in
             # the path's current noise row.
-            units, du = ladder.pop(i, (_HALVING_UNITS, _HALVING_UNITS))
+            units = ladder.pop(i, _HALVING_UNITS)
+            du = int(frac[i] * _HALVING_UNITS)  # exact: a power of two
             r = row[i]
             if st == OK:
                 units -= du
@@ -295,7 +297,7 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
                 reasons[lo + i] = "cutoff-floor" if st == FREEZE else REJECTIONS[st][0]
                 alive[i] = False
             else:
-                ladder[i] = (units, du)
+                ladder[i] = units
                 frac[i] = du / _HALVING_UNITS
             return False
 
@@ -323,13 +325,9 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         act = np.arange(c)
         while act.size:
             xi = noise.take(row.take(act), axis=0)
-            if ladder:
-                sub = frac.take(act)
-                status = kernel.attempt(state, act, h, xi, sub)
-                off = np.flatnonzero((status != OK) | (sub < 1.0))
-            else:
-                status = kernel.attempt(state, act, h, xi)
-                off = np.flatnonzero(status != OK)
+            sub = frac.take(act)
+            status = kernel.attempt(state, act, h, xi, sub)
+            off = np.flatnonzero((status != OK) | (sub < 1.0))
             stay = off
             if off.size:
                 ended = [settle(i, st) for i, st in zip(act[off].tolist(), status[off].tolist())]

@@ -193,9 +193,8 @@ class MatrixKernel:
     def observe(self, state: dict) -> np.ndarray:
         return state["sigma"]
 
-    def attempt(self, state: dict, idx, h: float, xi, frac=None) -> np.ndarray:
-        if frac is not None:
-            h = (h * frac)[:, None, None]
+    def attempt(self, state: dict, idx, h: float, xi, frac) -> np.ndarray:
+        h = (h * frac)[:, None, None]
         r = state["r"][idx]
         q = state["q"][idx]
         sig = state["sigma"][idx]

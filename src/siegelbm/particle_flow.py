@@ -61,9 +61,9 @@ class _RadialKernel:
     def observe(self, state: np.ndarray) -> np.ndarray:
         return state.T
 
-    def attempt(self, state, idx, h, xi, frac=None):
+    def attempt(self, state, idx, h, xi, frac):
         # a (c,) step size broadcasts against the (n, c) state
-        return self._step(state, idx, h if frac is None else h * frac, xi)
+        return self._step(state, idx, h * frac, xi)
 
     def _chamber_ok(self, prop: np.ndarray, positive: bool = True) -> np.ndarray:
         return in_chamber(prop.T, self.floor, positive) & np.all(np.isfinite(prop), axis=0)

@@ -213,7 +213,7 @@ def test_kernel_step_matches_three_operand_formulation(n):
         xi = rng.standard_normal((_C, n * n + n))
         before = {key: val.copy() for key, val in state.items()}
         status, r_ref, q_ref, sig_ref = _ref_attempt(kernel, before, idx, 1e-3, xi)
-        np.testing.assert_array_equal(kernel.attempt(state, idx, 1e-3, xi), status)
+        np.testing.assert_array_equal(kernel.attempt(state, idx, 1e-3, xi, np.ones(_C)), status)
         assert np.all(status == ens.OK)
         _close(state["r"], r_ref)
         _close(state["sigma"], sig_ref)

@@ -313,7 +313,7 @@ def reference_run_ensemble(cfg, kernel):
                     du //= 2
                     if du == 0:
                         break
-                st = int(kernel.attempt(state, idx, h * du / units_full, xi[None, :])[0])
+                st = int(kernel.attempt(state, idx, h, xi[None, :], np.array([du / units_full]))[0])
             stopped_at[lo + i] = (j + (units_full - units) / units_full) * h
             reasons[lo + i] = reason
             alive[i] = False
@@ -327,7 +327,7 @@ def reference_run_ensemble(cfg, kernel):
                 for i in act:
                     gens[i].standard_normal(out=noise[i, : min(block, steps - j)])
             if act.size:
-                status = kernel.attempt(state, act, h, noise[act, jb])
+                status = kernel.attempt(state, act, h, noise[act, jb], np.ones(act.size))
                 for i in np.nonzero(status != ensemble.OK)[0]:
                     settle(int(act[i]), j, int(status[i]), noise[act[i], jb])
             if (j + 1) in sample_pos:

@@ -101,7 +101,7 @@ class _FixedStatus:
     def __init__(self, status):
         self.status = status
 
-    def attempt(self, state, idx, h, xi):
+    def attempt(self, state, idx, h, xi, frac):
         return np.full(len(idx), self.status)
 
 
@@ -151,7 +151,7 @@ def _row_norm(z):
 
 def _column(h):
     """A per-path step size as a column against rows of coordinates."""
-    return h if np.ndim(h) == 0 else h[:, None]
+    return h[:, None]
 
 
 def _reference_rk4(sig, h):
