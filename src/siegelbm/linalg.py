@@ -87,29 +87,56 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eigh2(h: np.ndarray):
-    """Ascending eigenvalues and unit eigenvectors (as columns) of a stack
-    (..., 2, 2) of Hermitian matrices, in closed form; reads the diagonal and
-    the upper entry only.
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
 
-    For h = [[a, b], [conj(b), c]] with m = (a + c)/2, d = (a - c)/2 and
-    r = hypot(d, |b|): lambda = m -/+ r.  With t = atan2(|b|, d)/2 and
-    e^{i phi} = b/|b| (1 when b = 0) the eigenvectors are
-    (-sin t e^{i phi}, cos t) and (cos t e^{i phi}, sin t).
+
+def _unit(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """z / r where r > 0, else 1: the phase of z given r = |z|."""
+    return np.divide(z, r, out=np.ones_like(z), where=r > 0)
+
+
+def _takagi2(a: np.ndarray):
+    """Takagi factorization of a stack (..., 2, 2) of complex symmetric
+    matrices a = [[p, b], [b, s]] in closed form from a itself (q unitary, mu
+    ascending); reads the diagonal and the upper entry only.
+
+    With w = conj(p) b + conj(b) s, the off-diagonal entry of a^H a,
+
+        mu_2 = sqrt((|p|^2 + 2|b|^2 + |s|^2)/2 + hypot((|p|^2 - |s|^2)/2, |w|))
+        mu_1 = |p s - b^2| / mu_2
+
+    so mu_1 carries a relative error near eps mu_2 / mu_1, not the
+    eps (mu_2 / mu_1)^2 of the spectrum of a^H a.  mu_2's column is
+    x = conj(v) e^{i theta/2}, where v = (cos t e^{i phi}, sin t) with
+    t = atan2(|w|, (|p|^2 - |s|^2)/2) / 2 and e^{i phi} = w / |w| is the top
+    eigenvector of a^H a and e^{i theta} the phase of v^T a v.  mu_1's column
+    (-conj(x_2), conj(x_1)) e^{i psi} is orthogonal to x, and
+    e^{2 i psi} = det a / |det a| makes its diagonal entry of q^H a conj(q)
+    real and nonnegative.  The phase of a zero is taken as 1.  Columns of a
+    degenerate pair are left to _fix_cluster.
     """
-    a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
-    m, d = 0.5 * (a + c), 0.5 * (a - c)
-    babs = np.abs(b)
-    r = np.hypot(d, babs)
-    t = 0.5 * np.arctan2(babs, d)
+    p, b, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+    pp, bb, ss = _abs2(p), _abs2(b), _abs2(s)
+    w = p.conj() * b + b.conj() * s
+    wabs, d = np.abs(w), 0.5 * (pp - ss)
+    top = np.sqrt(0.5 * (pp + ss) + bb + np.hypot(d, wabs))
+    det = p * s - b * b
+    dabs = np.abs(det)
+    low = np.divide(dabs, top, out=np.zeros_like(top), where=top > 0)
+    t = 0.5 * np.arctan2(wabs, d)
     cos, sin = np.cos(t), np.sin(t)
-    phase = np.divide(b, babs, out=np.ones_like(b), where=babs > 0)
-    v = np.empty(h.shape, dtype=complex)
-    v[..., 0, 0] = -sin * phase
-    v[..., 1, 0] = cos
-    v[..., 0, 1] = cos * phase
-    v[..., 1, 1] = sin
-    return np.stack([m - r, m + r], axis=-1), v
+    v0 = cos * _unit(w, wabs)
+    g = p * v0 * v0 + (2.0 * sin) * b * v0 + (sin * sin) * s
+    half = np.sqrt(_unit(g, np.abs(g)))
+    x0, x1 = v0.conj() * half, sin * half
+    turn = np.sqrt(_unit(det, dabs))
+    q = np.empty(a.shape, dtype=complex)
+    q[..., 0, 0] = -x1.conj() * turn
+    q[..., 1, 0] = x0.conj() * turn
+    q[..., 0, 1] = x0
+    q[..., 1, 1] = x1
+    return q, np.stack([low, top], axis=-1)
 
 
 def _canonical_column_signs(q: np.ndarray) -> np.ndarray:
@@ -166,20 +193,27 @@ def _takagi_batch(a: np.ndarray):
     """Takagi factorization of a stack (..., n, n) of complex symmetric
     matrices.  No symmetry validation; callers guarantee the input.  Callers
     that keep or return q fix its column signs (_canonical_column_signs).
-    At n = 2 the spectrum of a^dagger a comes from the closed form _eigh2,
-    otherwise from LAPACK.
+
+    At n = 2 it is the closed form _takagi2 of a itself.  Otherwise mu comes
+    from LAPACK's spectrum of a^H a, which squares the condition number (a
+    small mu_1 carries a relative error near eps (mu_n / mu_1)^2), and each
+    column of conj(eigenvectors) is turned by a phase.  Runs of near-equal
+    mu are then re-solved exactly (_fix_cluster).
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
     if n == 0:
         return np.zeros(a.shape, complex), np.zeros(a.shape[:-1])
-    w, vecs = (_eigh2 if n == 2 else np.linalg.eigh)(_matmul(np.swapaxes(a.conj(), -1, -2), a))
-    mu = np.sqrt(np.clip(w, 0.0, None))
-    # phase correction: with qt = conj(vecs), the diagonal of
-    # qt^dagger a conj(qt) = vecs^T a vecs is mu * e^{i phi}
-    d = np.einsum("...rj,...rj->...j", vecs, _matmul(a, vecs))
-    phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
-    q = vecs.conj() * phase[..., None, :]
+    if n == 2:
+        q, mu = _takagi2(a)
+    else:
+        w, vecs = np.linalg.eigh(_matmul(np.swapaxes(a.conj(), -1, -2), a))
+        mu = np.sqrt(np.clip(w, 0.0, None))
+        # with qt = conj(vecs), the diagonal of qt^H a conj(qt) = vecs^T a vecs
+        # is mu * e^{i phi}
+        d = np.einsum("...rj,...rj->...j", vecs, _matmul(a, vecs))
+        phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
+        q = vecs.conj() * phase[..., None, :]
     # re-solve each run of near-equal singular values in place
     flat_a, flat_q, flat_mu = a.reshape(-1, n, n), q.reshape(-1, n, n), mu.reshape(-1, n)
     near = np.diff(flat_mu, axis=-1) < _CLUSTER_GAP * (1.0 + flat_mu[:, -1:])
@@ -197,10 +231,11 @@ def takagi_decompose(a: np.ndarray, tol: float = 1e-10) -> TakagiFactors:
     """Takagi factorization a = q @ diag(mu) @ q.T of a complex symmetric
     matrix, with q unitary and mu the ascending singular values of a.
 
-    Computed from the Hermitian eigendecomposition of a^dagger a followed
-    by a per-column phase correction; degenerate singular-value clusters
-    are re-solved through a real symmetric embedding of the restricted
-    block, which stays exact when singular values collide.
+    Computed in closed form at n = 2 (_takagi2), otherwise from the
+    Hermitian eigendecomposition of a^dagger a followed by a per-column
+    phase correction; degenerate singular-value clusters are re-solved
+    through a real symmetric embedding of the restricted block, which stays
+    exact when singular values collide.
 
     Raises NotSymmetric if ||a - a.T|| > tol * max(1, ||a||).
     """

@@ -19,24 +19,30 @@ the predictor's move dR = sqrt(h) (Q S) X (Q S)^T written in the frame,
 E = Q^H dR conj(Q) = sqrt(h) S X S (complex symmetric):
 
   mu*_k = mu_k + Re E_kk
-  Q*    = Q (diag(e^{i theta}) + K),   theta_k = Im E_kk / (2 mu_k),
+  Q*    = Q u,   u = diag(e^{i theta}) + K,   theta_k = Im E_kk / (2 mu_k),
           K_kl = Re E_kl / (mu_l - mu_k) + i Im E_kl / (mu_l + mu_k)  (k != l)
 
 Q* lies on the base frame's sign sheet by construction.  A row whose largest
 off-diagonal |K_kl| reaches _FIRST_ORDER_MAX (a near-collision, where first
-order breaks down) falls back to the full factorization of R + dR, its
-columns' signs aligned to the base frame.
+order breaks down) falls back to the full factorization of R + Q E Q^T, its
+columns' signs aligned to the base frame, and takes u = Q^H Q*.
 
-Each stacked product (congruence, drift lift, predictor rotation, and a^H a
-and the phase product in the Takagi factorization) goes through
+The whole step is built in the base frame, so it ends in one congruence:
+
+  R' = R + Q M Q^T,
+  M  = (sqrt(h)/2) (S X S + (u S*) X (u S*)^T) + h diag(S^2 grad S / 2),
+
+with S* = diag((1 + cosh sigma*)^-1/2).  That takes four stacked products,
+the corrector's (u S*) X (u S*)^T and the lift Q M Q^T, each through
 linalg._matmul: a batched matmul above n = 3, and at n <= 3 an elementwise
 sum over the inner index, which skips numpy's per-matrix BLAS call (94
-against 402 ns per 2x2 product).  At n = 2 the factorization's Hermitian
-eigensolve is closed-form (linalg._eigh2; LAPACK takes 1.5 us per 2x2
-matrix).  After the move the state is re-symmetrized and fully
-re-factorized; steps whose predicted or corrected point leaves the disk
-(some singular value reaching one) or whose corrected point leaves the
-ordered chamber (sigma gap at or below the floor) are rejected.
+against 402 ns per 2x2 product).  After the move the state is
+re-symmetrized and fully re-factorized (linalg._takagi_batch); at n = 2 that
+factorization is the closed form of R' itself (linalg._takagi2), which adds
+no stacked product and keeps mu_1's relative accuracy at the chamber wall.
+Steps whose predicted or corrected point leaves the disk (some singular
+value reaching one) or whose corrected point leaves the ordered chamber
+(sigma gap at or below the floor) are rejected.
 
 Gaussian layout per step (n^2 + n draws): first the n diagonal orbit
 directions, then the two off-diagonal families in lexicographic (k, l)
@@ -45,6 +51,7 @@ order, and the final n draws drive the radial directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,6 +95,19 @@ def init_matrix_state(sigma0, q0=None, t: float = 0.0) -> MatrixFlowState:
     return MatrixFlowState(r=r, sigma_cache=sigma0, q_cache=q, t=t)
 
 
+@lru_cache(maxsize=None)
+def _noise_index(n: int) -> np.ndarray:
+    """Read-only (n, n) map from each entry of X to its value's column in
+    _noise_matrix: the n diagonal values, then the n(n-1)/2 upper ones in
+    lexicographic (k, l) order, shared by (k, l) and (l, k)."""
+    index = np.empty((n, n), dtype=np.intp)
+    index[np.arange(n), np.arange(n)] = np.arange(n)
+    ks, ls = np.triu_indices(n, 1)
+    index[ks, ls] = index[ls, ks] = n + np.arange(ks.size)
+    index.flags.writeable = False
+    return index
+
+
 def _noise_matrix(xi: np.ndarray, n: int, beta: float) -> np.ndarray:
     """The sigma-free factor X of the per-step noise G = S X S in the
     Q-frame, S = diag((1 + cosh sigma)^-1/2): complex symmetric with
@@ -95,24 +115,17 @@ def _noise_matrix(xi: np.ndarray, n: int, beta: float) -> np.ndarray:
         X_kk = sqrt(2/beta) xi_L_k + i xi_U_k
         X_kl = (xi_2 + i xi_1) / sqrt(2)
 
-    so that sum_alpha c_alpha V_alpha xi_alpha = Q G Q^T = (Q S) X (Q S)^T."""
-    x = np.empty((xi.shape[0], n, n), dtype=complex)
-    x[:, np.arange(n), np.arange(n)] = _noise_coef(beta) * xi[:, n * n :] + 1j * xi[:, :n]
-    ks, ls = np.triu_indices(n, 1)
-    p = ks.size
-    off = (xi[:, n + p : n + 2 * p] + 1j * xi[:, n : n + p]) / np.sqrt(2.0)
-    x[:, ks, ls] = off
-    x[:, ls, ks] = off
-    return x
+    so that sum_alpha c_alpha V_alpha xi_alpha = Q G Q^T = (Q S) X (Q S)^T.
+    The n + n(n-1)/2 distinct values are placed by one take (_noise_index)."""
+    p = n * (n - 1) // 2
+    vals = np.empty((xi.shape[0], n + p), dtype=complex)
+    vals[:, :n] = _noise_coef(beta) * xi[:, n * n :] + 1j * xi[:, :n]
+    vals[:, n:] = (xi[:, n + p : n + 2 * p] + 1j * xi[:, n : n + p]) / np.sqrt(2.0)
+    return vals.take(_noise_index(n), axis=1)
 
 
 def _congruence(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _matmul(_matmul(q, g), np.swapaxes(q, -1, -2))
-
-
-def _lift(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """q diag(d) q^T for stacks q (c, n, n) and d (c, n)."""
-    return _matmul(q * d[:, None, :], np.swapaxes(q, -1, -2))
 
 
 def _chart(mu: np.ndarray):
@@ -135,13 +148,15 @@ def _align_signs(q: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return q * np.where(dots.real < 0, -1.0, 1.0)[:, None, :]
 
 
-def _predict(q: np.ndarray, sig: np.ndarray, e: np.ndarray, moved: np.ndarray):
-    """Frame, disk-edge flag and sigma of the stack of disk points
-    moved = q (diag(tanh(sig/2)) + e) q^T, e complex symmetric, from the
-    first-order Takagi perturbation in the module docstring.  Rows whose
-    off-diagonal rotation reaches _FIRST_ORDER_MAX are factorized exactly
-    instead, with column signs aligned to q; every returned frame is on q's
-    sign sheet."""
+def _predict(q: np.ndarray, sig: np.ndarray, e: np.ndarray, r: np.ndarray):
+    """In-frame rotation u, disk-edge flag and sigma of the stack of moved
+    disk points r + q e q^T, r = q diag(tanh(sig/2)) q^T and e complex
+    symmetric, from the first-order Takagi perturbation in the module
+    docstring: the moved point's frame is q u.  Rows whose off-diagonal
+    rotation reaches _FIRST_ORDER_MAX are factorized exactly instead, the
+    only rows for which the moved point is formed, and take
+    u = q^H (exact frame with column signs aligned to q); every frame q u is
+    on q's sign sheet."""
     n = sig.shape[1]
     diag = np.arange(n)
     off = ~np.eye(n, dtype=bool)
@@ -155,13 +170,13 @@ def _predict(q: np.ndarray, sig: np.ndarray, e: np.ndarray, moved: np.ndarray):
     first = np.all(small | ~off, axis=(-1, -2))
     u = e.real / np.where(small & off, lo, 1.0) + 1j * (e.imag / hi)
     u[:, diag, diag] = np.exp(0.5j * ed.imag / mu)
-    q_star = _matmul(q, u)
     dom_ok, sig_star = _chart(mu + ed.real)
     far = np.nonzero(~first)[0]
     if far.size:
-        q_far, dom_ok[far], sig_star[far] = _refactor(moved[far])
-        q_star[far] = _align_signs(q_far, q[far])
-    return q_star, dom_ok, sig_star
+        q_far = q[far]
+        q_ex, dom_ok[far], sig_star[far] = _refactor(r[far] + _congruence(q_far, e[far]))
+        u[far] = _matmul(np.swapaxes(q_far.conj(), -1, -2), _align_signs(q_ex, q_far))
+    return u, dom_ok, sig_star
 
 
 def _stack(st: MatrixFlowState, c: int) -> dict:
@@ -194,25 +209,26 @@ class MatrixKernel:
         return state["sigma"]
 
     def attempt(self, state: dict, idx, h: float, xi, frac) -> np.ndarray:
-        h = (h * frac)[:, None, None]
+        h = h * frac
         r = state["r"][idx]
         q = state["q"][idx]
         sig = state["sigma"][idx]
-        sq = np.sqrt(h)
+        sq = np.sqrt(h)[:, None, None]
+        n = sig.shape[1]
 
-        x = _noise_matrix(xi, sig.shape[1], self.beta)
-        s = 1.0 / np.sqrt(1.0 + np.cosh(sig))
-        qs = q * s[:, None, :]
-        incr_pred = _congruence(qs, x)
-        # in the frame the predictor's move Q^H incr_pred conj(Q) is S X S
+        x = _noise_matrix(xi, n, self.beta)
+        s2 = 1.0 / (1.0 + np.cosh(sig))
+        s = np.sqrt(s2)
+        # the predictor's move in the frame, Q^H dR conj(Q) = sqrt(h) S X S
         e = sq * (s[:, :, None] * x * s[:, None, :])
-        q_star, dom_ok, sig_star = _predict(q, sig, e, r + sq * incr_pred)
-        qs_star = q_star / np.sqrt(1.0 + np.cosh(sig_star))[:, None, :]
-        incr = 0.5 * sq * (incr_pred + _congruence(qs_star, x))
-        # drift h Q diag(d) Q^T with d = grad S / (2 (1 + cosh sigma)), lifted by the frame Q S
-        incr = incr + h * _lift(qs, 0.5 * _gradient_raw(sig))
-
-        r_new = r + incr
+        u, dom_ok, sig_star = _predict(q, sig, e, r)
+        us = u / np.sqrt(1.0 + np.cosh(sig_star))[:, None, :]
+        # Heun's increment and the drift h diag(S^2 grad S / 2), both in the
+        # frame, lifted by one congruence
+        m = 0.5 * (e + sq * _congruence(us, x))
+        diag = np.arange(n)
+        m[:, diag, diag] += (0.5 * h)[:, None] * s2 * _gradient_raw(sig)
+        r_new = r + _congruence(q, m)
         r_new = 0.5 * (r_new + np.swapaxes(r_new, -1, -2))
         q_new, dom_new, sig_new = _refactor(r_new)
         dom_ok = dom_ok & dom_new

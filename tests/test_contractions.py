@@ -19,7 +19,7 @@ from siegelbm.matrix_flow import (
     MatrixKernel,
     _align_signs,
     _congruence,
-    _lift,
+    _noise_index,
     _noise_matrix,
     _refactor,
 )
@@ -43,6 +43,18 @@ def _ref_noise_matrix(sig, xi, beta):
     g[:, ks, ls] = off
     g[:, ls, ks] = off
     return g
+
+
+def _ref_noise_x(xi, n, beta):
+    """The sigma-free noise factor X assembled by fancy indexing."""
+    x = np.empty((xi.shape[0], n, n), dtype=complex)
+    x[:, np.arange(n), np.arange(n)] = _noise_coef(beta) * xi[:, n * n :] + 1j * xi[:, :n]
+    ks, ls = np.triu_indices(n, 1)
+    p = ks.size
+    off = (xi[:, n + p : n + 2 * p] + 1j * xi[:, n : n + p]) / np.sqrt(2.0)
+    x[:, ks, ls] = off
+    x[:, ls, ks] = off
+    return x
 
 
 def _ref_congruence(q, g):
@@ -174,14 +186,25 @@ def test_noise_increment_is_scaled_frame_congruence(n, beta):
 
 
 @pytest.mark.parametrize("n", _NS)
+@pytest.mark.parametrize("beta", [1.0, 2.0, np.inf])
+def test_noise_matrix_take_matches_fancy_index_assembly(n, beta):
+    rng = np.random.default_rng(615 + n)
+    xi = rng.standard_normal((_C, n * n + n))
+    np.testing.assert_array_equal(_noise_matrix(xi, n, beta), _ref_noise_x(xi, n, beta))
+    index = _noise_index(n)
+    assert index is _noise_index(n) and not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 0
+
+
+@pytest.mark.parametrize("n", _NS)
 def test_drift_lift_matches_three_operand_einsum(n):
+    # the step adds the drift d = grad S / (2 (1 + cosh sigma)) to the
+    # diagonal of its in-frame increment M and lifts it with Q M Q^T
     rng = np.random.default_rng(620 + n)
     q, sig = _unitary(rng, _C, n), _sigma(rng, _C, n)
-    grad = _gradient_raw(sig)
-    _close(_lift(q, grad), _ref_lift(q, grad))
-    # the kernel lifts half the gradient with the scaled frame Q S
-    qs = q / np.sqrt(1.0 + np.cosh(sig))[:, None, :]
-    _close(_lift(qs, 0.5 * grad), _ref_lift(q, 0.5 * grad / (1.0 + np.cosh(sig))))
+    d = 0.5 * _gradient_raw(sig) / (1.0 + np.cosh(sig))
+    _close(_congruence(q, d[:, :, None] * np.eye(n)), _ref_lift(q, d))
 
 
 @pytest.mark.parametrize("n", _NS)

@@ -16,7 +16,7 @@ from siegelbm import (
     unitary_algebra_basis,
     unitary_exp,
 )
-from siegelbm.linalg import _eigh2, _matmul, _takagi_batch
+from siegelbm.linalg import _matmul, _takagi2, _takagi_batch
 
 
 def _takagi_residual(a, tf):
@@ -126,38 +126,55 @@ def test_takagi_batch_matches_single():
         assert np.linalg.norm(recon - a[i]) < 1e-10 * max(1.0, np.linalg.norm(a[i]))
 
 
-def _hermitian2(rng, c):
-    g = rng.standard_normal((c, 2, 2)) + 1j * rng.standard_normal((c, 2, 2))
-    return g + np.swapaxes(g.conj(), -1, -2)
+def _check_takagi2(a, q, mu):
+    # reconstruction and singular values to 1e-14 ||a||, unitarity to 1e-14
+    scale = 1e-14 * np.linalg.norm(a, axis=(-2, -1))
+    recon = (q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)
+    assert np.all(np.linalg.norm(recon - a, axis=(-2, -1)) <= scale)
+    gram = np.swapaxes(q.conj(), -1, -2) @ q
+    assert np.all(np.linalg.norm(gram - np.eye(2), axis=(-2, -1)) <= 1e-14)
+    sv = np.linalg.svd(a, compute_uv=False)[:, ::-1]
+    assert np.all(np.abs(mu - sv) <= scale[:, None])
 
 
-def _check_eigh2(h, w, v):
-    scale = 1e-14 * np.linalg.norm(h, axis=(-2, -1))[:, None]
-    assert np.all(np.abs(w - np.linalg.eigvalsh(h)) <= scale)
-    assert np.all(np.linalg.norm(h @ v - v * w[:, None, :], axis=-2) <= scale)
-    gram = np.swapaxes(v.conj(), -1, -2) @ v
-    assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+def test_takagi2_matches_svd_on_random_stacks():
+    rng = np.random.default_rng(901)
+    g = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
+    a = g + np.swapaxes(g, -1, -2)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        q, mu = _takagi2(a)
+    assert np.all(mu[:, 0] <= mu[:, 1])
+    _check_takagi2(a, q, mu)
 
 
-def test_eigh2_matches_lapack_on_random_hermitian():
-    h = _hermitian2(np.random.default_rng(901), 1000)
-    with np.errstate(all="raise"):
-        w, v = _eigh2(h)
-    assert np.all(w[:, 0] <= w[:, 1])
-    _check_eigh2(h, w, v)
-
-
-def test_eigh2_edge_rows():
-    # b = 0 with a > c, a < c and a = c, and a tiny |b|
-    h = np.zeros((5, 2, 2), dtype=complex)
-    h[:, 0, 0] = [2.0, -1.0, 0.7, 0.0, 1.0]
-    h[:, 1, 1] = [-1.0, 2.0, 0.7, 0.0, 0.5]
-    h[4, 0, 1] = (0.6 + 0.8j) * 1e-300
-    h[4, 1, 0] = np.conj(h[4, 0, 1])
-    with np.errstate(all="raise"):
-        w, v = _eigh2(h)
-    np.testing.assert_array_equal(w[:4], [[-1.0, 2.0], [-1.0, 2.0], [0.7, 0.7], [0.0, 0.0]])
-    _check_eigh2(h, w, v)
+def test_takagi2_edge_rows():
+    # the zero matrix, equal and swapped diagonals, a zero diagonal with
+    # equal singular values, an entry of 1e-300 and a rank-one matrix
+    x = np.array([0.6 - 0.3j, 0.2 + 0.7j])
+    x /= np.linalg.norm(x)
+    a = np.array(
+        [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.3, 0.0], [0.0, 0.3]],
+            [[0.5, 0.0], [0.0, 0.2]],
+            [[0.2, 0.0], [0.0, 0.5]],
+            [[0.0, 0.4 - 0.3j], [0.4 - 0.3j, 0.0]],
+            [[1.0, 1e-300j], [1e-300j, 0.5]],
+            0.7 * np.outer(x, x),
+        ],
+        dtype=complex,
+    )
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        q, mu = _takagi2(a)
+        q_fixed, mu_fixed = _takagi_batch(a)
+    np.testing.assert_array_equal(mu[:6], [[0, 0], [0.3, 0.3], [0.2, 0.5], [0.2, 0.5], [0.5, 0.5], [0.5, 1.0]])
+    np.testing.assert_allclose(mu[6], [0.0, 0.7], rtol=1e-15, atol=1e-16)
+    # the closed form leaves the columns of equal singular values to
+    # _fix_cluster; every other row is already a Takagi factorization
+    np.testing.assert_allclose(mu_fixed, mu, rtol=1e-15, atol=1e-16)
+    generic = [0, 2, 3, 5, 6]
+    _check_takagi2(a[generic], q[generic], mu[generic])
+    _check_takagi2(a, q_fixed, mu_fixed)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -171,19 +188,18 @@ def test_matmul_matches_operator(n):
 
 
 def test_takagi_batch_small_singular_value_at_n2():
-    # mu = (1e-6, 0.9): forming a^dagger a squares the condition number, so
-    # mu_1 carries a relative error near eps * 0.81 / 1e-12; the closed form
-    # must do no worse than LAPACK's eigh on the same products
-    rng = np.random.default_rng(920)
-    z = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
-    q = np.linalg.qr(z)[0]
-    mu = np.array([1e-6, 0.9])
-    a = (q * mu) @ np.swapaxes(q, -1, -2)
-    lapack = np.sqrt(np.clip(np.linalg.eigvalsh(np.swapaxes(a.conj(), -1, -2) @ a), 0.0, None))
-    _, got = _takagi_batch(a)
-    err = np.abs(got[:, 0] / mu[0] - 1.0)
-    assert np.max(err) <= np.max(np.abs(lapack[:, 0] / mu[0] - 1.0))
-    np.testing.assert_allclose(got[:, 1], 0.9, rtol=1e-14)
+    # the closed form reads mu_1 = |det a| / mu_2 off a itself, so its
+    # relative error stays near eps mu_2 / mu_1; through a^H a it would be
+    # near eps (mu_2 / mu_1)^2 (1e-4 at (1e-6, 0.9), no digit at 1e-9)
+    for mu, bound in (((1e-6, 0.9), 1e-9), ((1e-9, 0.5), 1e-6)):
+        rng = np.random.default_rng(920)
+        z = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+        q = np.linalg.qr(z)[0]
+        mu = np.array(mu)
+        a = (q * mu) @ np.swapaxes(q, -1, -2)
+        _, got = _takagi_batch(a)
+        assert np.max(np.abs(got[:, 0] / mu[0] - 1.0)) <= bound
+        np.testing.assert_allclose(got[:, 1], mu[1], rtol=1e-14)
 
 
 def test_hermitian_eigenvalues_char_poly():

@@ -1,9 +1,12 @@
 """The matrix step's first-order Takagi predictor against the exact
-factorization it replaces: the exact path is _refactor of r + dR with its
-column signs aligned to the base frame (_align_signs)."""
+factorization it replaces.  _predict returns the in-frame rotation u of the
+moved point's frame q u; the exact path is _refactor of r + q e q^T with its
+column signs aligned to the base frame (_align_signs), written as
+u = q^H (aligned exact frame)."""
 import numpy as np
 import pytest
 
+from siegelbm.linalg import _matmul
 from siegelbm.matrix_flow import (
     _FIRST_ORDER_MAX,
     _align_signs,
@@ -31,14 +34,21 @@ def _symmetric(rng, c, n):
     return d + np.swapaxes(d, -1, -2)
 
 
+def _in_frame(q, dr):
+    return np.swapaxes(q.conj(), -1, -2) @ dr @ q.conj()
+
+
 def _predict_move(r, q, sig, dr):
-    e = np.swapaxes(q.conj(), -1, -2) @ dr @ q.conj()
-    return _predict(q, sig, e, r + dr)
+    """The moved point's frame q u, disk-edge flag and sigma."""
+    u, dom, sig_star = _predict(q, sig, _in_frame(q, dr), r)
+    return q @ u, dom, sig_star
 
 
 def _exact(r, q, dr):
-    q_ex, dom, sig = _refactor(r + dr)
-    return _align_signs(q_ex, q), dom, sig
+    """The exact path's u, disk-edge flag and sigma, from the moved point
+    formed as _predict forms it."""
+    q_ex, dom, sig = _refactor(r + _congruence(q, _in_frame(q, dr)))
+    return _matmul(np.swapaxes(q.conj(), -1, -2), _align_signs(q_ex, q)), dom, sig
 
 
 def _noise_increment(q, sig, x):
@@ -51,12 +61,12 @@ def _errors(n, eps, seed):
     dr = eps * _symmetric(rng, _C, n)
     x = _noise_matrix(rng.standard_normal((_C, n * n + n)), n, 2.0)
     q_star, dom, sig_star = _predict_move(r, q, sig, dr)
-    q_ex, dom_ex, sig_ex = _exact(r, q, dr)
+    u_ex, dom_ex, sig_ex = _exact(r, q, dr)
     np.testing.assert_array_equal(dom, dom_ex)
     unit = np.swapaxes(q_star.conj(), -1, -2) @ q_star - np.eye(n)
     return (
         np.linalg.norm(sig_star - sig_ex),
-        np.linalg.norm(_noise_increment(q_star, sig_star, x) - _noise_increment(q_ex, sig_ex, x)),
+        np.linalg.norm(_noise_increment(q_star, sig_star, x) - _noise_increment(q @ u_ex, sig_ex, x)),
         np.linalg.norm(unit),
     )
 
@@ -95,13 +105,13 @@ def test_rows_past_threshold_take_the_exact_path(n):
     r = (q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)
     dr = 1e-3 * _symmetric(rng, _C, n)
 
-    e = np.swapaxes(q.conj(), -1, -2) @ dr @ q.conj()
+    e = _in_frame(q, dr)
     k_top = abs(e[:, -2, -1].real) / (mu[:, -1] - mu[:, -2])
     assert np.all(k_top[far] >= _FIRST_ORDER_MAX)
 
-    q_star, dom, sig_star = _predict_move(r, q, sig, dr)
-    q_ex, dom_ex, sig_ex = _exact(r[far], q[far], dr[far])
-    np.testing.assert_array_equal(q_star[far], q_ex)
+    u, dom, sig_star = _predict(q, sig, e, r)
+    u_ex, dom_ex, sig_ex = _exact(r[far], q[far], dr[far])
+    np.testing.assert_array_equal(u[far], u_ex)
     np.testing.assert_array_equal(sig_star[far], sig_ex)
     np.testing.assert_array_equal(dom[far], dom_ex)
     # the other rows took first order, which differs from the exact path
@@ -119,7 +129,7 @@ def test_equal_mu_falls_back_without_dividing_by_zero():
     r = (q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)
     dr = 1e-16 * _symmetric(np.random.default_rng(740), 1, 3)
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        q_star, dom, sig_star = _predict_move(r, q, sig, dr)
-    q_ex, dom_ex, sig_ex = _exact(r, q, dr)
-    np.testing.assert_array_equal(q_star, q_ex)
+        u, dom, sig_star = _predict(q, sig, _in_frame(q, dr), r)
+    u_ex, dom_ex, sig_ex = _exact(r, q, dr)
+    np.testing.assert_array_equal(u, u_ex)
     np.testing.assert_array_equal(sig_star, sig_ex)
