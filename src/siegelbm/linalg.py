@@ -24,9 +24,14 @@ from .errors import (
 _CLUSTER_GAP = 1e-6
 _ZERO_TOL = 1e-12
 # Largest inner dimension at which a stacked product is summed elementwise
-# over k instead of one BLAS call per matrix.  For 512 complex products: 94
-# against 402 ns per matrix at n = 2, 287 against 522 ns at n = 3, a tie at
-# n = 4 and 3,825 against 799 ns at n = 8.
+# over k instead of one BLAS call per matrix; the matrix step holds its
+# arrays C-ordered path-last up to it and over path-major memory above it
+# (matrix_flow._empty).  For 512 complex products, elementwise over C-ordered
+# path-last stacks against matmul over path-major ones: 30 against 292 ns per
+# matrix at n = 2, 70 against 305 ns at n = 3, 163 against 321 ns at n = 4 and
+# 1,810 against 434 ns at n = 8 (means of two timeit minima).  n = 4 stays on
+# matmul: its step's eigh wants path-major memory too, and no benchmark
+# workload runs it.
 _ELEMENTWISE_MAX_N = 3
 
 
@@ -76,14 +81,17 @@ def is_positive_definite(h: np.ndarray, tol: float = 0.0) -> bool:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked matrix product a @ b; for an inner dimension up to
-    _ELEMENTWISE_MAX_N summed elementwise, sum_k a[..., :, k] b[..., k, :]."""
-    n = a.shape[-1]
+    """Stacked matrix product over path-last stacks (n, n, ...),
+    out[i, j] = sum_k a[i, k] b[k, j].  Up to an inner dimension of
+    _ELEMENTWISE_MAX_N it is summed elementwise, each term one loop over the
+    trailing axes; above it numpy's matmul makes one BLAS call per matrix,
+    which wants each matrix contiguous (path-major memory)."""
+    n = a.shape[1]
     if n > _ELEMENTWISE_MAX_N:
-        return a @ b
-    out = a[..., :, 0, None] * b[..., None, 0, :]
+        return np.matmul(a, b, axes=[(0, 1), (0, 1), (0, 1)])
+    out = a[:, 0, None] * b[None, 0]
     for k in range(1, n):
-        out += a[..., :, k, None] * b[..., None, k, :]
+        out += a[:, k, None] * b[None, k]
     return out
 
 
@@ -97,9 +105,10 @@ def _unit(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _takagi2(a: np.ndarray):
-    """Takagi factorization of a stack (..., 2, 2) of complex symmetric
-    matrices a = [[p, b], [b, s]] in closed form from a itself (q unitary, mu
-    ascending); reads the diagonal and the upper entry only.
+    """Takagi factorization of a path-last stack (2, 2, ...) of complex
+    symmetric matrices a = [[p, b], [b, s]] in closed form from a itself (q
+    unitary in a's memory order, mu (2, ...) ascending); reads the diagonal
+    and the upper entry only.
 
     With w = conj(p) b + conj(b) s, the off-diagonal entry of a^H a,
 
@@ -116,27 +125,29 @@ def _takagi2(a: np.ndarray):
     real and nonnegative.  The phase of a zero is taken as 1.  Columns of a
     degenerate pair are left to _fix_cluster.
     """
-    p, b, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+    p, b, s = a[0, 0], a[0, 1], a[1, 1]
     pp, bb, ss = _abs2(p), _abs2(b), _abs2(s)
     w = p.conj() * b + b.conj() * s
     wabs, d = np.abs(w), 0.5 * (pp - ss)
-    top = np.sqrt(0.5 * (pp + ss) + bb + np.hypot(d, wabs))
+    mu = np.zeros_like(a.real[0])
+    low, top = mu[0, ...], mu[1, ...]
+    np.sqrt(0.5 * (pp + ss) + bb + np.hypot(d, wabs), out=top)
     det = p * s - b * b
     dabs = np.abs(det)
-    low = np.divide(dabs, top, out=np.zeros_like(top), where=top > 0)
+    np.divide(dabs, top, out=low, where=top > 0)
     t = 0.5 * np.arctan2(wabs, d)
     cos, sin = np.cos(t), np.sin(t)
     v0 = cos * _unit(w, wabs)
     g = p * v0 * v0 + (2.0 * sin) * b * v0 + (sin * sin) * s
     half = np.sqrt(_unit(g, np.abs(g)))
-    x0, x1 = v0.conj() * half, sin * half
     turn = np.sqrt(_unit(det, dabs))
-    q = np.empty(a.shape, dtype=complex)
-    q[..., 0, 0] = -x1.conj() * turn
-    q[..., 1, 0] = x0.conj() * turn
-    q[..., 0, 1] = x0
-    q[..., 1, 1] = x1
-    return q, np.stack([low, top], axis=-1)
+    q = np.empty_like(a)
+    x0, x1 = q[0, 1, ...], q[1, 1, ...]
+    np.multiply(v0.conj(), half, out=x0)
+    np.multiply(sin, half, out=x1)
+    np.multiply(x1.conj(), -turn, out=q[0, 0, ...])
+    np.multiply(x0.conj(), turn, out=q[1, 0, ...])
+    return q, mu
 
 
 def _canonical_column_signs(q: np.ndarray) -> np.ndarray:
@@ -191,40 +202,51 @@ def _fix_cluster(a, q, mu, lo, hi):
 
 def _takagi_batch(a: np.ndarray):
     """Takagi factorization of a stack (..., n, n) of complex symmetric
-    matrices.  No symmetry validation; callers guarantee the input.  Callers
-    that keep or return q fix its column signs (_canonical_column_signs).
+    matrices.  No symmetry validation; callers guarantee the input.  Column
+    signs are not fixed (takagi_decompose fixes them).
 
-    At n = 2 it is the closed form _takagi2 of a itself.  Otherwise mu comes
-    from LAPACK's spectrum of a^H a, which squares the condition number (a
-    small mu_1 carries a relative error near eps (mu_n / mu_1)^2), and each
-    column of conj(eigenvectors) is turned by a phase.  Runs of near-equal
-    mu are then re-solved exactly (_fix_cluster).
+    The work runs on the path-last view (n, n, ...) of a, and q and mu come
+    back as (..., n, n) and (..., n) views of path-last results.  At n = 2 it
+    is the closed form _takagi2 of a itself.  Otherwise mu comes from
+    LAPACK's spectrum of a^H a, which squares the condition number (a small
+    mu_1 carries a relative error near eps (mu_n / mu_1)^2), and each column
+    of conj(eigenvectors) is turned by a phase.  Runs of near-equal mu are
+    then re-solved exactly (_fix_cluster).
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
     if n == 0:
         return np.zeros(a.shape, complex), np.zeros(a.shape[:-1])
+    # the path-last views of q and mu, and their inverses, as axis orders
+    last = (a.ndim - 2, a.ndim - 1) + tuple(range(a.ndim - 2))
+    first = tuple(range(2, a.ndim)) + (0, 1)
+    mu_last = (a.ndim - 2,) + tuple(range(a.ndim - 2))
+    mu_first = tuple(range(1, a.ndim - 1)) + (0,)
+    al = a.transpose(last)
     if n == 2:
-        q, mu = _takagi2(a)
+        q, mu = _takagi2(al)
     else:
-        w, vecs = np.linalg.eigh(_matmul(np.swapaxes(a.conj(), -1, -2), a))
-        mu = np.sqrt(np.clip(w, 0.0, None))
+        w, v = np.linalg.eigh(_matmul(al.conj().swapaxes(0, 1), al).transpose(first))
+        # eigh returns path-first arrays; the rest runs in a's memory order
+        mu, vecs = np.empty_like(al[0], dtype=float), np.empty_like(al)
+        mu[...] = np.sqrt(np.clip(w, 0.0, None)).transpose(mu_last)
+        vecs[...] = v.transpose(last)
         # with qt = conj(vecs), the diagonal of qt^H a conj(qt) = vecs^T a vecs
         # is mu * e^{i phi}
-        d = np.einsum("...rj,...rj->...j", vecs, _matmul(a, vecs))
+        d = np.einsum("rj...,rj...->j...", vecs, _matmul(al, vecs))
         phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
-        q = vecs.conj() * phase[..., None, :]
+        q = vecs.conj() * phase
     # re-solve each run of near-equal singular values in place
-    flat_a, flat_q, flat_mu = a.reshape(-1, n, n), q.reshape(-1, n, n), mu.reshape(-1, n)
-    near = np.diff(flat_mu, axis=-1) < _CLUSTER_GAP * (1.0 + flat_mu[:, -1:])
-    for i in np.nonzero(np.any(near, axis=-1))[0]:
+    near = mu[1:] - mu[:-1] < _CLUSTER_GAP * (1.0 + mu[-1])
+    for i in map(tuple, np.argwhere(np.any(near, axis=0))):
+        at = (Ellipsis,) + i
         lo = 0
         for k in range(n):
-            if k == n - 1 or not near[i, k]:
+            if k == n - 1 or not near[(k,) + i]:
                 if k > lo:
-                    _fix_cluster(flat_a[i], flat_q[i], flat_mu[i], lo, k + 1)
+                    _fix_cluster(al[at], q[at], mu[at], lo, k + 1)
                 lo = k + 1
-    return q, mu
+    return q.transpose(first), mu.transpose(mu_first)
 
 
 def takagi_decompose(a: np.ndarray, tol: float = 1e-10) -> TakagiFactors:

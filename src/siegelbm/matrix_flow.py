@@ -35,14 +35,30 @@ The whole step is built in the base frame, so it ends in one congruence:
 with S* = diag((1 + cosh sigma*)^-1/2).  That takes four stacked products,
 the corrector's (u S*) X (u S*)^T and the lift Q M Q^T, each through
 linalg._matmul: a batched matmul above n = 3, and at n <= 3 an elementwise
-sum over the inner index, which skips numpy's per-matrix BLAS call (94
-against 402 ns per 2x2 product).  After the move the state is
-re-symmetrized and fully re-factorized (linalg._takagi_batch); at n = 2 that
-factorization is the closed form of R' itself (linalg._takagi2), which adds
-no stacked product and keeps mu_1's relative accuracy at the chamber wall.
-Steps whose predicted or corrected point leaves the disk (some singular
-value reaching one) or whose corrected point leaves the ordered chamber
-(sigma gap at or below the floor) are rejected.
+sum over the inner index, which skips numpy's per-matrix BLAS call.  After
+the move the state is re-symmetrized and fully re-factorized
+(linalg._takagi_batch); at n = 2 that factorization is the closed form of
+R' itself (linalg._takagi2), which adds no stacked product and keeps mu_1's
+relative accuracy at the chamber wall.  The frame's column signs are left
+as the factorization gives them: flipping a column of Q keeps R and
+conjugates the in-frame move by a diagonal sign matrix, which keeps its
+singular values, so sigma does not depend on them (R' then takes another
+realization of the same law), and the predictor aligns its fallback frames
+to the base frame itself.  Steps whose predicted or corrected point leaves
+the disk (some singular value reaching one) or whose corrected point leaves
+the ordered chamber (sigma gap at or below the floor) are rejected.
+
+Layout: the state and every array of a step are path-last, r and q as
+(n, n, paths) and sigma as (n, paths), and the draws are read transposed.
+At n <= 3 the arrays are C-ordered, so each numpy call of a step, an
+elementwise 2x2 product included, is one contiguous loop over the paths.
+Path-major, (paths, n, n), numpy would run each such call as one loop of
+length n per path, and per-call overhead, not arithmetic, would bound the
+step.
+Above n = 3 the same path-last shapes sit over path-major memory, so
+np.moveaxis(a, -1, 0) hands matmul and eigh a contiguous stack of matrices
+without a copy.  The memory order is chosen from n where arrays are
+allocated (_empty); every other array follows its input.
 
 Gaussian layout per step (n^2 + n draws): first the n diagonal orbit
 directions, then the two off-diagonal families in lexicographic (k, l)
@@ -61,7 +77,7 @@ from .entropy import _gradient_raw, entropy_gradient
 from .errors import OutOfChamber
 from .geometry import _DOMAIN_EDGE, SpectralCoord, _disk_sigma, in_chamber
 from .linalg import (
-    _canonical_column_signs,
+    _ELEMENTWISE_MAX_N,
     _matmul,
     _takagi_batch,
     unitary_algebra_basis,
@@ -95,9 +111,45 @@ def init_matrix_state(sigma0, q0=None, t: float = 0.0) -> MatrixFlowState:
     return MatrixFlowState(r=r, sigma_cache=sigma0, q_cache=q, t=t)
 
 
+def _empty(n: int, shape: tuple, dtype=complex) -> np.ndarray:
+    """Uninitialized path-last array (..., paths) for the step at matrix size
+    n: C-ordered up to _ELEMENTWISE_MAX_N, where every op of the step is then
+    one contiguous loop over the paths, and over path-major memory above it,
+    where np.moveaxis(a, -1, 0) is the contiguous stack that matmul and eigh
+    want."""
+    if n <= _ELEMENTWISE_MAX_N:
+        return np.empty(shape, dtype)
+    return np.moveaxis(np.empty(shape[-1:] + shape[:-1], dtype), 0, -1)
+
+
+def _take(a: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+    """a.take(index, axis) of a path-last array, axis 0 or the paths (-1),
+    in a's memory order: over path-major memory it is taken from the
+    contiguous path-first view, since take copies any other input to C
+    order first."""
+    if a.flags.c_contiguous:
+        return a.take(index, axis)
+    return np.moveaxis(np.moveaxis(a, -1, 0).take(index, 0 if axis == -1 else axis + 1), 0, -1)
+
+
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Paths idx (ascending) of a path-last array; a itself when idx holds
+    every path."""
+    return a if idx.size == a.shape[-1] else _take(a, idx, -1)
+
+
+def _scatter(a: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """a[..., idx] = vals for ascending idx, one plain copy when idx holds
+    every path."""
+    if idx.size == a.shape[-1]:
+        a[...] = vals
+    else:
+        a[..., idx] = vals
+
+
 @lru_cache(maxsize=None)
 def _noise_index(n: int) -> np.ndarray:
-    """Read-only (n, n) map from each entry of X to its value's column in
+    """Read-only (n, n) map from each entry of X to its value's row in
     _noise_matrix: the n diagonal values, then the n(n-1)/2 upper ones in
     lexicographic (k, l) order, shared by (k, l) and (l, k)."""
     index = np.empty((n, n), dtype=np.intp)
@@ -110,88 +162,100 @@ def _noise_index(n: int) -> np.ndarray:
 
 def _noise_matrix(xi: np.ndarray, n: int, beta: float) -> np.ndarray:
     """The sigma-free factor X of the per-step noise G = S X S in the
-    Q-frame, S = diag((1 + cosh sigma)^-1/2): complex symmetric with
+    Q-frame, S = diag((1 + cosh sigma)^-1/2), path-last (n, n, paths) from
+    one row of draws per path: complex symmetric with
 
         X_kk = sqrt(2/beta) xi_L_k + i xi_U_k
         X_kl = (xi_2 + i xi_1) / sqrt(2)
 
     so that sum_alpha c_alpha V_alpha xi_alpha = Q G Q^T = (Q S) X (Q S)^T.
-    The n + n(n-1)/2 distinct values are placed by one take (_noise_index)."""
+    The draws are read transposed, one row per noise field, and the
+    n + n(n-1)/2 distinct values are placed by one take (_noise_index)."""
     p = n * (n - 1) // 2
-    vals = np.empty((xi.shape[0], n + p), dtype=complex)
-    vals[:, :n] = _noise_coef(beta) * xi[:, n * n :] + 1j * xi[:, :n]
-    vals[:, n:] = (xi[:, n + p : n + 2 * p] + 1j * xi[:, n : n + p]) / np.sqrt(2.0)
-    return vals.take(_noise_index(n), axis=1)
+    xt = _empty(n, xi.shape[::-1], float)
+    xt[...] = xi.T
+    vals = np.empty_like(xt, dtype=complex, shape=(n + p, xi.shape[0]))
+    vals[:n] = _noise_coef(beta) * xt[n * n :] + 1j * xt[:n]
+    vals[n:] = (xt[n + p : n + 2 * p] + 1j * xt[n : n + p]) / np.sqrt(2.0)
+    return _take(vals, _noise_index(n), 0)
 
 
 def _congruence(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return _matmul(_matmul(q, g), np.swapaxes(q, -1, -2))
+    return _matmul(_matmul(q, g), q.swapaxes(0, 1))
 
 
 def _chart(mu: np.ndarray):
-    """Whether each row of singular values stays clear of the disk edge, and
-    sigma = 2 artanh(mu)."""
-    return mu[:, -1] < 1.0 - _DOMAIN_EDGE, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
+    """Whether each path's singular values (n, paths) stay clear of the disk
+    edge, and sigma = 2 artanh(mu)."""
+    return mu[-1] < 1.0 - _DOMAIN_EDGE, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
 
 
 def _refactor(r: np.ndarray):
-    """Takagi frame of a stack of disk points (column signs not fixed),
-    whether each stays clear of the disk edge, and its sigma = 2 artanh(mu)."""
-    q, mu = _takagi_batch(r)
-    return (q, *_chart(mu))
+    """Takagi frame of a path-last stack of disk points (column signs not
+    fixed), whether each stays clear of the disk edge, and its
+    sigma = 2 artanh(mu)."""
+    q, mu = _takagi_batch(r.transpose(2, 0, 1))
+    return (q.transpose(1, 2, 0), *_chart(mu.T))
 
 
 def _align_signs(q: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """q with each column's sign chosen so its overlap with the same column
     of ref has nonnegative real part; the input signs of q do not matter."""
-    dots = np.einsum("paj,paj->pj", ref.conj(), q)
-    return q * np.where(dots.real < 0, -1.0, 1.0)[:, None, :]
+    dots = np.einsum("aj...,aj...->j...", ref.conj(), q)
+    return q * np.where(dots.real < 0, -1.0, 1.0)
 
 
 def _predict(q: np.ndarray, sig: np.ndarray, e: np.ndarray, r: np.ndarray):
-    """In-frame rotation u, disk-edge flag and sigma of the stack of moved
-    disk points r + q e q^T, r = q diag(tanh(sig/2)) q^T and e complex
-    symmetric, from the first-order Takagi perturbation in the module
-    docstring: the moved point's frame is q u.  Rows whose off-diagonal
-    rotation reaches _FIRST_ORDER_MAX are factorized exactly instead, the
-    only rows for which the moved point is formed, and take
+    """In-frame rotation u, disk-edge flag and sigma of the path-last stack
+    of moved disk points r + q e q^T, r = q diag(tanh(sig/2)) q^T and e
+    complex symmetric, from the first-order Takagi perturbation in the
+    module docstring: the moved point's frame is q u.  Paths whose
+    off-diagonal rotation reaches _FIRST_ORDER_MAX are factorized exactly
+    instead, the only paths for which the moved point is formed, and take
     u = q^H (exact frame with column signs aligned to q); every frame q u is
     on q's sign sheet."""
-    n = sig.shape[1]
+    n = sig.shape[0]
     diag = np.arange(n)
-    off = ~np.eye(n, dtype=bool)
+    off = ~np.eye(n, dtype=bool)[..., None]
     mu = np.tanh(0.5 * sig)
-    ed = e[:, diag, diag]
-    lo = mu[:, None, :] - mu[:, :, None]  # mu_l - mu_k at [k, l]
-    hi = mu[:, None, :] + mu[:, :, None]
+    ed = e.diagonal(axis1=0, axis2=1).T
+    lo = mu - mu[:, None]  # mu_l - mu_k at [k, l]
+    hi = mu + mu[:, None]
     # |K_kl| < _FIRST_ORDER_MAX, multiplied out so that equal mu fail it
     # instead of dividing by zero
     small = (e.real * hi) ** 2 + (e.imag * lo) ** 2 < (_FIRST_ORDER_MAX * lo * hi) ** 2
-    first = np.all(small | ~off, axis=(-1, -2))
-    u = e.real / np.where(small & off, lo, 1.0) + 1j * (e.imag / hi)
-    u[:, diag, diag] = np.exp(0.5j * ed.imag / mu)
+    first = np.all(small | ~off, axis=(0, 1))
+    u = np.empty_like(e)
+    np.divide(e.real, np.where(small & off, lo, 1.0), out=u.real)
+    np.divide(e.imag, hi, out=u.imag)
+    u[diag, diag] = np.exp(0.5j * ed.imag / mu)
     dom_ok, sig_star = _chart(mu + ed.real)
-    far = np.nonzero(~first)[0]
+    far = np.flatnonzero(~first)
     if far.size:
-        q_far = q[far]
-        q_ex, dom_ok[far], sig_star[far] = _refactor(r[far] + _congruence(q_far, e[far]))
-        u[far] = _matmul(np.swapaxes(q_far.conj(), -1, -2), _align_signs(q_ex, q_far))
+        q_far = _gather(q, far)
+        moved = _gather(r, far) + _congruence(q_far, _gather(e, far))
+        q_ex, dom_ok[far], sig_star[:, far] = _refactor(moved)
+        u[..., far] = _matmul(q_far.conj().swapaxes(0, 1), _align_signs(q_ex, q_far))
     return u, dom_ok, sig_star
 
 
 def _stack(st: MatrixFlowState, c: int) -> dict:
-    """Kernel state holding c copies of st."""
-    return {
-        "r": np.tile(st.r, (c, 1, 1)),
-        "q": np.tile(st.q_cache, (c, 1, 1)),
-        "sigma": np.tile(st.sigma_cache, (c, 1)),
-    }
+    """Kernel state holding c copies of st, path-last."""
+    n = st.sigma_cache.size
+    state = {}
+    for key, a in (("r", st.r), ("q", st.q_cache), ("sigma", st.sigma_cache)):
+        state[key] = _empty(n, a.shape + (c,), a.dtype)
+        state[key][...] = a[..., None]
+    return state
 
 
 class MatrixKernel:
-    """Batched disk-coordinate stepping over stacked path states."""
+    """Batched disk-coordinate stepping over path-last stacked states: r and
+    q (n, n, paths) and sigma (n, paths)."""
 
-    releases_gil = True  # at n >= 4 the step's time is in LAPACK eigh and BLAS matmul
+    # at n >= 4 the step's time is in LAPACK eigh and BLAS matmul, which run
+    # without the lock; at n <= 3 it is many short path-last numpy calls
+    releases_gil = True
 
     def __init__(self, sigma0, beta: float, gap_floor: float, q0=None):
         self.sigma0 = np.asarray(sigma0, dtype=float)
@@ -206,41 +270,41 @@ class MatrixKernel:
         return _stack(init_matrix_state(self.sigma0, self.q0), c)
 
     def observe(self, state: dict) -> np.ndarray:
-        return state["sigma"]
+        return state["sigma"].T
 
     def attempt(self, state: dict, idx, h: float, xi, frac) -> np.ndarray:
         h = h * frac
-        r = state["r"][idx]
-        q = state["q"][idx]
-        sig = state["sigma"][idx]
-        sq = np.sqrt(h)[:, None, None]
-        n = sig.shape[1]
+        r = _gather(state["r"], idx)
+        q = _gather(state["q"], idx)
+        sig = _gather(state["sigma"], idx)
+        sq = np.sqrt(h)
+        n = sig.shape[0]
 
         x = _noise_matrix(xi, n, self.beta)
         s2 = 1.0 / (1.0 + np.cosh(sig))
         s = np.sqrt(s2)
         # the predictor's move in the frame, Q^H dR conj(Q) = sqrt(h) S X S
-        e = sq * (s[:, :, None] * x * s[:, None, :])
+        e = sq * (s[:, None] * x * s)
         u, dom_ok, sig_star = _predict(q, sig, e, r)
-        us = u / np.sqrt(1.0 + np.cosh(sig_star))[:, None, :]
+        u /= np.sqrt(1.0 + np.cosh(sig_star))  # u S*, in u's memory order
         # Heun's increment and the drift h diag(S^2 grad S / 2), both in the
         # frame, lifted by one congruence
-        m = 0.5 * (e + sq * _congruence(us, x))
+        m = 0.5 * (e + sq * _congruence(u, x))
         diag = np.arange(n)
-        m[:, diag, diag] += (0.5 * h)[:, None] * s2 * _gradient_raw(sig)
+        m[diag, diag] += (0.5 * h) * s2 * _gradient_raw(sig.T).T
         r_new = r + _congruence(q, m)
-        r_new = 0.5 * (r_new + np.swapaxes(r_new, -1, -2))
+        r_new = 0.5 * (r_new + r_new.swapaxes(0, 1))
         q_new, dom_new, sig_new = _refactor(r_new)
         dom_ok = dom_ok & dom_new
 
         status = np.full(len(idx), ens.OK, dtype=np.int64)
-        status[~in_chamber(sig_new, self.floor)] = ens.REJECT_CHAMBER
+        status[~in_chamber(sig_new.T, self.floor)] = ens.REJECT_CHAMBER
         status[~dom_ok] = ens.REJECT_DOMAIN
-        ok = status == ens.OK
+        ok = np.flatnonzero(status == ens.OK)
         acc = idx[ok]
-        state["r"][acc] = r_new[ok]
-        state["q"][acc] = _canonical_column_signs(q_new[ok])
-        state["sigma"][acc] = sig_new[ok]
+        _scatter(state["r"], acc, _gather(r_new, ok))
+        _scatter(state["q"], acc, _gather(q_new, ok))
+        _scatter(state["sigma"], acc, _gather(sig_new, ok))
         return status
 
 
@@ -258,9 +322,9 @@ def step_matrix_flow(
     arrs = _stack(state, 1)
     ens.step_once(kernel, arrs, h, gaussians)
     return MatrixFlowState(
-        r=arrs["r"][0],
-        sigma_cache=arrs["sigma"][0],
-        q_cache=arrs["q"][0],
+        r=arrs["r"][..., 0],
+        sigma_cache=arrs["sigma"][..., 0],
+        q_cache=arrs["q"][..., 0],
         t=state.t + h,
     )
 

@@ -5,7 +5,8 @@ The reference functions below are the earlier formulations, kept verbatim:
 the per-sigma noise assembly G, the congruence Q G Q^T, the drift lift
 Q diag(d) Q^T and the Takagi phase diagonal, each a three-operand einsum.
 The first-order predictor is written out per row and per entry in
-_ref_predict.
+_ref_predict.  The references hold one path per leading index; the step
+holds the paths last, so its inputs and outputs pass through _pl and _pf.
 """
 import numpy as np
 import pytest
@@ -27,6 +28,15 @@ from siegelbm.particle_flow import _noise_coef
 
 _NS = range(1, 9)
 _C = 64  # stack depth
+
+
+def _pl(a):
+    """A path-first stack (paths, ...) as the step's path-last view."""
+    return np.moveaxis(a, 0, -1)
+
+
+def _pf(a):
+    return np.moveaxis(a, -1, 0)
 
 
 def _ref_noise_matrix(sig, xi, beta):
@@ -169,7 +179,7 @@ def test_congruence_matches_three_operand_einsum(n):
     q = rng.standard_normal((_C, n, n)) + 1j * rng.standard_normal((_C, n, n))
     g = rng.standard_normal((_C, n, n)) + 1j * rng.standard_normal((_C, n, n))
     g = g + np.swapaxes(g, -1, -2)
-    _close(_congruence(q, g), _ref_congruence(q, g))
+    _close(_pf(_congruence(_pl(q), _pl(g))), _ref_congruence(q, g))
 
 
 @pytest.mark.parametrize("n", _NS)
@@ -181,7 +191,7 @@ def test_noise_increment_is_scaled_frame_congruence(n, beta):
     q, sig = _unitary(rng, _C, n), _sigma(rng, _C, n)
     xi = rng.standard_normal((_C, n * n + n))
     qs = q / np.sqrt(1.0 + np.cosh(sig))[:, None, :]
-    _close(_congruence(qs, _noise_matrix(xi, n, beta)),
+    _close(_pf(_congruence(_pl(qs), _noise_matrix(xi, n, beta))),
            _ref_congruence(q, _ref_noise_matrix(sig, xi, beta)))
 
 
@@ -190,7 +200,7 @@ def test_noise_increment_is_scaled_frame_congruence(n, beta):
 def test_noise_matrix_take_matches_fancy_index_assembly(n, beta):
     rng = np.random.default_rng(615 + n)
     xi = rng.standard_normal((_C, n * n + n))
-    np.testing.assert_array_equal(_noise_matrix(xi, n, beta), _ref_noise_x(xi, n, beta))
+    np.testing.assert_array_equal(_pf(_noise_matrix(xi, n, beta)), _ref_noise_x(xi, n, beta))
     index = _noise_index(n)
     assert index is _noise_index(n) and not index.flags.writeable
     with pytest.raises(ValueError):
@@ -204,7 +214,7 @@ def test_drift_lift_matches_three_operand_einsum(n):
     rng = np.random.default_rng(620 + n)
     q, sig = _unitary(rng, _C, n), _sigma(rng, _C, n)
     d = 0.5 * _gradient_raw(sig) / (1.0 + np.cosh(sig))
-    _close(_congruence(q, d[:, :, None] * np.eye(n)), _ref_lift(q, d))
+    _close(_pf(_congruence(_pl(q), _pl(d[:, :, None] * np.eye(n)))), _ref_lift(q, d))
 
 
 @pytest.mark.parametrize("n", _NS)
@@ -227,6 +237,8 @@ def test_takagi_phase_diagonal_matches_three_operand_einsum(n):
 
 @pytest.mark.parametrize("n", _NS)
 def test_kernel_step_matches_three_operand_formulation(n):
+    # the step leaves the frame's column signs as the factorization gives
+    # them; the reference fixes them, so q is compared with signs canonical
     rng = np.random.default_rng(640 + n)
     sigma0 = np.linspace(0.5, 0.5 * n, n)
     kernel = MatrixKernel(sigma0, 2.0, 1e-6)
@@ -234,13 +246,13 @@ def test_kernel_step_matches_three_operand_formulation(n):
     idx = np.arange(_C)
     for _ in range(3):
         xi = rng.standard_normal((_C, n * n + n))
-        before = {key: val.copy() for key, val in state.items()}
+        before = {key: _pf(val).copy() for key, val in state.items()}
         status, r_ref, q_ref, sig_ref = _ref_attempt(kernel, before, idx, 1e-3, xi)
         np.testing.assert_array_equal(kernel.attempt(state, idx, 1e-3, xi, np.ones(_C)), status)
         assert np.all(status == ens.OK)
-        _close(state["r"], r_ref)
-        _close(state["sigma"], sig_ref)
-        _close(state["q"], q_ref)
+        _close(_pf(state["r"]), r_ref)
+        _close(_pf(state["sigma"]), sig_ref)
+        _close(_canonical_column_signs(_pf(state["q"])), q_ref)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -254,9 +266,10 @@ def test_raw_predictor_frame_aligns_like_canonical_frame(n):
     r = (q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)
     dr = 1e-3 * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape))
     dr[3] *= 1e-6  # small enough to leave row 3 clustered
-    raw, _, sig = _refactor(r + dr + np.swapaxes(dr, -1, -2))
-    assert np.diff(sig[3])[0] < 1e-5
-    np.testing.assert_array_equal(_align_signs(raw, q), _align_signs(_canonical_column_signs(raw), q))
+    raw, _, sig = _refactor(_pl(r + dr + np.swapaxes(dr, -1, -2)))
+    assert np.diff(sig[:, 3])[0] < 1e-5
+    canonical = _pl(_canonical_column_signs(_pf(raw)))
+    np.testing.assert_array_equal(_align_signs(raw, _pl(q)), _align_signs(canonical, _pl(q)))
     # the predictor frame lies on the base frame's sign sheet
-    dots = np.einsum("paj,paj->pj", q.conj(), _align_signs(raw, q))
+    dots = np.einsum("paj,paj->pj", q.conj(), _pf(_align_signs(raw, _pl(q))))
     assert np.all(dots.real >= 0)

@@ -123,9 +123,10 @@ def test_matrix_chunks_reach_the_pool(monkeypatch):
         ("particle", 8, tuple(0.4 * np.arange(1, 9))),
         ("sphere-point", 8, (0.5,)),
         ("matrix", 2, (1.0, 2.0)),
+        ("matrix", 3, (0.5, 1.0, 1.5)),
         ("matrix", 8, tuple(0.4 * np.arange(1, 9))),
     ],
-    ids=["particle", "particle-n8", "sphere-point-n8", "matrix", "matrix-n8"],
+    ids=["particle", "particle-n8", "sphere-point-n8", "matrix", "matrix-n3", "matrix-n8"],
 )
 def test_chunking_does_not_change_paths(monkeypatch, scheme, n, sigma0):
     cfg = _config(scheme, n, sigma0, 40, seed=9)

@@ -19,6 +19,13 @@ from siegelbm import (
 from siegelbm.linalg import _matmul, _takagi2, _takagi_batch
 
 
+def _takagi2_stack(a):
+    """_takagi2 on the path-last view of a stack (paths, 2, 2), its q and mu
+    returned path-first."""
+    q, mu = _takagi2(a.transpose(1, 2, 0))
+    return q.transpose(2, 0, 1), mu.T
+
+
 def _takagi_residual(a, tf):
     recon = (tf.q * tf.mu) @ tf.q.T
     return np.linalg.norm(recon - a)
@@ -124,6 +131,10 @@ def test_takagi_batch_matches_single():
         np.testing.assert_allclose(mu[i], tf.mu, atol=1e-10)
         recon = (q[i] * mu[i]) @ q[i].T
         assert np.linalg.norm(recon - a[i]) < 1e-10 * max(1.0, np.linalg.norm(a[i]))
+    # two stack axes: the clustered rows are re-solved through the same views
+    q2, mu2 = _takagi_batch(a.reshape(2, 4, 3, 3))
+    np.testing.assert_array_equal(q2.reshape(q.shape), q)
+    np.testing.assert_array_equal(mu2.reshape(mu.shape), mu)
 
 
 def _check_takagi2(a, q, mu):
@@ -142,7 +153,7 @@ def test_takagi2_matches_svd_on_random_stacks():
     g = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
     a = g + np.swapaxes(g, -1, -2)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        q, mu = _takagi2(a)
+        q, mu = _takagi2_stack(a)
     assert np.all(mu[:, 0] <= mu[:, 1])
     _check_takagi2(a, q, mu)
 
@@ -165,7 +176,7 @@ def test_takagi2_edge_rows():
         dtype=complex,
     )
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        q, mu = _takagi2(a)
+        q, mu = _takagi2_stack(a)
         q_fixed, mu_fixed = _takagi_batch(a)
     np.testing.assert_array_equal(mu[:6], [[0, 0], [0.3, 0.3], [0.2, 0.5], [0.2, 0.5], [0.5, 0.5], [0.5, 1.0]])
     np.testing.assert_allclose(mu[6], [0.0, 0.7], rtol=1e-15, atol=1e-16)
@@ -179,12 +190,16 @@ def test_takagi2_edge_rows():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_matmul_matches_operator(n):
+    # path-last stacks over path-major memory (views) and C-ordered copies
     rng = np.random.default_rng(910 + n)
     a = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
     b = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
     for x, y in ((a, b), (np.swapaxes(a, -1, -2), b), (a, np.swapaxes(b.conj(), -1, -2))):
         ref = x @ y
-        np.testing.assert_allclose(_matmul(x, y), ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+        xl, yl = np.moveaxis(x, 0, -1), np.moveaxis(y, 0, -1)
+        for got in (_matmul(xl, yl), _matmul(np.ascontiguousarray(xl), np.ascontiguousarray(yl))):
+            got = np.moveaxis(got, -1, 0)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
 
 def test_takagi_batch_small_singular_value_at_n2():

@@ -18,7 +18,9 @@ from siegelbm import (
     step_takagi_chart,
     unitary_exp,
 )
+from siegelbm import ensemble as ens
 from siegelbm.ensemble import path_generator
+from siegelbm.matrix_flow import MatrixKernel
 
 
 def test_init_matrix_state():
@@ -125,6 +127,52 @@ def test_extract_sigma_matches_cache_along_run():
     for _ in range(50):
         st = step_matrix_flow(st, beta=2.0, h=1e-3, gaussians=rng.standard_normal(6))
     np.testing.assert_allclose(extract_sigma(st).sigma, st.sigma_cache, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_sigma_does_not_depend_on_frame_column_signs(n):
+    # flipping columns of Q leaves R = Q diag(mu) Q^T as it is and conjugates
+    # the step's in-frame move by a diagonal sign matrix, which keeps its
+    # singular values: with the same draws sigma agrees to roundoff, while
+    # R moves by another realization of the same law
+    rng = np.random.default_rng(660 + n)
+    c = 32
+    kernel = MatrixKernel(np.linspace(0.5, 0.5 * n, n), 2.0, 1e-6)
+    idx, frac = np.arange(c), np.ones(c)
+    state = kernel.init(c)
+    for _ in range(3):  # away from the identity frame
+        kernel.attempt(state, idx, 1e-3, rng.standard_normal((c, n * n + n)), frac)
+    flipped = {key: val.copy(order="K") for key, val in state.items()}
+    flipped["q"] *= rng.choice([-1.0, 1.0], size=(n, c))
+    q, mu = flipped["q"], np.tanh(0.5 * flipped["sigma"])
+    np.testing.assert_allclose(np.einsum("ij...,j...,kj...->ik...", q, mu, q), state["r"], atol=1e-13)
+    xi = rng.standard_normal((c, n * n + n))
+    for st in (state, flipped):
+        assert np.all(kernel.attempt(st, idx, 1e-3, xi, frac) == ens.OK)
+    np.testing.assert_allclose(flipped["sigma"], state["sigma"], rtol=1e-12, atol=0)
+    assert np.max(np.abs(flipped["r"] - state["r"])) > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_path_subset_steps_as_in_the_full_batch(n):
+    # a step over some of the paths gathers them from, and stores them back
+    # into, the path-last state in its memory order; each path gets the bits
+    # it gets in a step over every path
+    rng = np.random.default_rng(670 + n)
+    c = 12
+    kernel = MatrixKernel(np.linspace(0.5, 0.5 * n, n), 2.0, 1e-6)
+    full = kernel.init(c)
+    kernel.attempt(full, np.arange(c), 1e-3, rng.standard_normal((c, n * n + n)), np.ones(c))
+    part = {key: val.copy(order="K") for key, val in full.items()}
+    xi = rng.standard_normal((c, n * n + n))
+    idx = np.array([1, 4, 5, 10])
+    kernel.attempt(full, np.arange(c), 1e-3, xi, np.ones(c))
+    kernel.attempt(part, idx, 1e-3, xi[idx], np.ones(idx.size))
+    for key in full:
+        assert part[key].strides == full[key].strides
+        np.testing.assert_array_equal(part[key][..., idx], full[key][..., idx])
+    rest = np.setdiff1d(np.arange(c), idx)
+    assert not np.any(part["sigma"][:, rest] == full["sigma"][:, rest])
 
 
 def test_conjugation_invariance_of_radial_law():

@@ -2,7 +2,8 @@
 factorization it replaces.  _predict returns the in-frame rotation u of the
 moved point's frame q u; the exact path is _refactor of r + q e q^T with its
 column signs aligned to the base frame (_align_signs), written as
-u = q^H (aligned exact frame)."""
+u = q^H (aligned exact frame).  The stacks here hold one path per leading
+index; the step's functions take and return the path-last views (_pl, _pf)."""
 import numpy as np
 import pytest
 
@@ -19,6 +20,20 @@ from siegelbm.matrix_flow import (
 _NS = range(1, 9)
 _C = 32  # stack depth
 _EPS = 2e-5  # small enough that no row of the stacks below falls back
+
+
+def _pl(a):
+    return np.moveaxis(a, 0, -1)
+
+
+def _pf(a):
+    return np.moveaxis(a, -1, 0)
+
+
+def _predict_stack(q, sig, e, r):
+    """_predict on path-first stacks: u, disk-edge flag and sigma."""
+    u, dom, sig_star = _predict(_pl(q), sig.T, _pl(e), _pl(r))
+    return _pf(u), dom, sig_star.T
 
 
 def _chamber_stack(rng, c, n):
@@ -40,19 +55,20 @@ def _in_frame(q, dr):
 
 def _predict_move(r, q, sig, dr):
     """The moved point's frame q u, disk-edge flag and sigma."""
-    u, dom, sig_star = _predict(q, sig, _in_frame(q, dr), r)
+    u, dom, sig_star = _predict_stack(q, sig, _in_frame(q, dr), r)
     return q @ u, dom, sig_star
 
 
 def _exact(r, q, dr):
     """The exact path's u, disk-edge flag and sigma, from the moved point
     formed as _predict forms it."""
-    q_ex, dom, sig = _refactor(r + _congruence(q, _in_frame(q, dr)))
-    return _matmul(np.swapaxes(q.conj(), -1, -2), _align_signs(q_ex, q)), dom, sig
+    ql = _pl(q)
+    q_ex, dom, sig = _refactor(_pl(r) + _congruence(ql, _pl(_in_frame(q, dr))))
+    return _pf(_matmul(ql.conj().swapaxes(0, 1), _align_signs(q_ex, ql))), dom, sig.T
 
 
 def _noise_increment(q, sig, x):
-    return _congruence(q / np.sqrt(1.0 + np.cosh(sig))[:, None, :], x)
+    return _pf(_congruence(_pl(q / np.sqrt(1.0 + np.cosh(sig))[:, None, :]), x))
 
 
 def _errors(n, eps, seed):
@@ -109,7 +125,7 @@ def test_rows_past_threshold_take_the_exact_path(n):
     k_top = abs(e[:, -2, -1].real) / (mu[:, -1] - mu[:, -2])
     assert np.all(k_top[far] >= _FIRST_ORDER_MAX)
 
-    u, dom, sig_star = _predict(q, sig, e, r)
+    u, dom, sig_star = _predict_stack(q, sig, e, r)
     u_ex, dom_ex, sig_ex = _exact(r[far], q[far], dr[far])
     np.testing.assert_array_equal(u[far], u_ex)
     np.testing.assert_array_equal(sig_star[far], sig_ex)
@@ -129,7 +145,7 @@ def test_equal_mu_falls_back_without_dividing_by_zero():
     r = (q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)
     dr = 1e-16 * _symmetric(np.random.default_rng(740), 1, 3)
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        u, dom, sig_star = _predict(q, sig, _in_frame(q, dr), r)
+        u, dom, sig_star = _predict_stack(q, sig, _in_frame(q, dr), r)
     u_ex, dom_ex, sig_ex = _exact(r, q, dr)
     np.testing.assert_array_equal(u, u_ex)
     np.testing.assert_array_equal(sig_star, sig_ex)
