@@ -29,9 +29,9 @@ _ZERO_TOL = 1e-12
 # (matrix_flow._empty).  For 512 complex products, elementwise over C-ordered
 # path-last stacks against matmul over path-major ones: 30 against 292 ns per
 # matrix at n = 2, 70 against 305 ns at n = 3, 163 against 321 ns at n = 4 and
-# 1,810 against 434 ns at n = 8 (means of two timeit minima).  n = 4 stays on
-# matmul: its step's eigh wants path-major memory too, and no benchmark
-# workload runs it.
+# 1,810 against 434 ns at n = 8 (means of two timeit minima).  A whole n = 4
+# step on 512 paths was faster C-ordered too (3.5 against 4.0 ms, its eigh's
+# copy included), but n = 4 stays on matmul: no benchmark workload runs it.
 _ELEMENTWISE_MAX_N = 3
 
 

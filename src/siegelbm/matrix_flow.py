@@ -12,43 +12,44 @@ One step from R = Q diag(tanh(sigma/2)) Q^T:
        Euler term h * sum_k d_k(sigma) L_k evaluated at the base point,
        with d the normal drift (half the entropy gradient).
 
-The corrector needs the predicted point's frame Q* and sigma* only to first
-order, so they come from a first-order Takagi perturbation of the base frame
-rather than a second factorization (_predict).  With mu = tanh(sigma/2) and
-the predictor's move dR = sqrt(h) (Q S) X (Q S)^T written in the frame,
-E = Q^H dR conj(Q) = sqrt(h) S X S (complex symmetric):
+The state is held factored, as the frame Q and sigma; R itself is never
+formed in a step.  With mu = tanh(sigma/2), the moved point written in the
+frame is R' = Q A' Q^T, so the step factorizes A' = V diag(mu') V^T and
+stores Q' = Q V and sigma' = 2 artanh(mu').
+
+The corrector needs the predicted point's frame and sigma* only to first
+order, so they come from a first-order Takagi perturbation of diag(mu)
+rather than a second factorization (_predict).  With the predictor's move
+written in the frame, E = sqrt(h) S X S (complex symmetric):
 
   mu*_k = mu_k + Re E_kk
-  Q*    = Q u,   u = diag(e^{i theta}) + K,   theta_k = Im E_kk / (2 mu_k),
+  u     = diag(e^{i theta}) + K,   theta_k = Im E_kk / (2 mu_k),
           K_kl = Re E_kl / (mu_l - mu_k) + i Im E_kl / (mu_l + mu_k)  (k != l)
 
-Q* lies on the base frame's sign sheet by construction.  A row whose largest
+u lies on the identity's sign sheet by construction.  A row whose largest
 off-diagonal |K_kl| reaches _FIRST_ORDER_MAX (a near-collision, where first
-order breaks down) falls back to the full factorization of R + Q E Q^T, its
-columns' signs aligned to the base frame, and takes u = Q^H Q*.
+order breaks down) falls back to the full factorization of diag(mu) + E
+and takes its frame as u, each column's sign set so that Re u_jj >= 0.
 
-The whole step is built in the base frame, so it ends in one congruence:
+The corrected point in the frame is
 
-  R' = R + Q M Q^T,
-  M  = (sqrt(h)/2) (S X S + (u S*) X (u S*)^T) + h diag(S^2 grad S / 2),
+  A' = diag(mu) + (sqrt(h)/2) (S X S + (u S*) X (u S*)^T) + h diag(S^2 grad S / 2),
 
-with S* = diag((1 + cosh sigma*)^-1/2).  That takes four stacked products,
-the corrector's (u S*) X (u S*)^T and the lift Q M Q^T, each through
-linalg._matmul: a batched matmul above n = 3, and at n <= 3 an elementwise
-sum over the inner index, which skips numpy's per-matrix BLAS call.  After
-the move the state is re-symmetrized and fully re-factorized
-(linalg._takagi_batch); at n = 2 that factorization is the closed form of
-R' itself (linalg._takagi2), which adds no stacked product and keeps mu_1's
-relative accuracy at the chamber wall.  The frame's column signs are left
-as the factorization gives them: flipping a column of Q keeps R and
-conjugates the in-frame move by a diagonal sign matrix, which keeps its
-singular values, so sigma does not depend on them (R' then takes another
-realization of the same law), and the predictor aligns its fallback frames
-to the base frame itself.  Steps whose predicted or corrected point leaves
-the disk (some singular value reaching one) or whose corrected point leaves
-the ordered chamber (sigma gap at or below the floor) are rejected.
+with S* = diag((1 + cosh sigma*)^-1/2), symmetrized and factorized
+(linalg._takagi_batch).  A' is the diagonal base point plus a small move;
+at n = 2 its factorization is the closed form of A' itself
+(linalg._takagi2), which keeps mu_1's relative accuracy at the chamber wall.
+That takes three stacked products, the corrector's (u S*) X (u S*)^T and
+Q V, each through linalg._matmul: a batched matmul above n = 3, and at
+n <= 3 an elementwise sum over the inner index, which skips numpy's
+per-matrix BLAS call.  sigma' is computed from sigma and the draws alone,
+so it does not depend on Q at all; Q' takes the frame's realization, and
+its column signs are left as the factorization gives them.  Steps whose
+predicted or corrected point leaves the disk (some singular value reaching
+one) or whose corrected point leaves the ordered chamber (sigma gap at or
+below the floor) are rejected.
 
-Layout: the state and every array of a step are path-last, r and q as
+Layout: the state and every array of a step are path-last, q as
 (n, n, paths) and sigma as (n, paths), and the draws are read transposed.
 At n <= 3 the arrays are C-ordered, so each numpy call of a step, an
 elementwise 2x2 product included, is one contiguous loop over the paths.
@@ -198,22 +199,13 @@ def _refactor(r: np.ndarray):
     return (q.transpose(1, 2, 0), *_chart(mu.T))
 
 
-def _align_signs(q: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """q with each column's sign chosen so its overlap with the same column
-    of ref has nonnegative real part; the input signs of q do not matter."""
-    dots = np.einsum("aj...,aj...->j...", ref.conj(), q)
-    return q * np.where(dots.real < 0, -1.0, 1.0)
-
-
-def _predict(q: np.ndarray, sig: np.ndarray, e: np.ndarray, r: np.ndarray):
+def _predict(sig: np.ndarray, e: np.ndarray):
     """In-frame rotation u, disk-edge flag and sigma of the path-last stack
-    of moved disk points r + q e q^T, r = q diag(tanh(sig/2)) q^T and e
-    complex symmetric, from the first-order Takagi perturbation in the
-    module docstring: the moved point's frame is q u.  Paths whose
-    off-diagonal rotation reaches _FIRST_ORDER_MAX are factorized exactly
-    instead, the only paths for which the moved point is formed, and take
-    u = q^H (exact frame with column signs aligned to q); every frame q u is
-    on q's sign sheet."""
+    of moved points diag(mu) + e, mu = tanh(sig/2) and e complex symmetric,
+    from the first-order Takagi perturbation in the module docstring.  Paths
+    whose off-diagonal rotation reaches _FIRST_ORDER_MAX factorize the moved
+    point exactly instead and take its frame, each column's sign set so that
+    Re u_jj >= 0; every u is on the identity's sign sheet."""
     n = sig.shape[0]
     diag = np.arange(n)
     off = ~np.eye(n, dtype=bool)[..., None]
@@ -232,10 +224,10 @@ def _predict(q: np.ndarray, sig: np.ndarray, e: np.ndarray, r: np.ndarray):
     dom_ok, sig_star = _chart(mu + ed.real)
     far = np.flatnonzero(~first)
     if far.size:
-        q_far = _gather(q, far)
-        moved = _gather(r, far) + _congruence(q_far, _gather(e, far))
-        q_ex, dom_ok[far], sig_star[:, far] = _refactor(moved)
-        u[..., far] = _matmul(q_far.conj().swapaxes(0, 1), _align_signs(q_ex, q_far))
+        moved = _take(e, far, -1)
+        moved[diag, diag] += mu[:, far]
+        v, dom_ok[far], sig_star[:, far] = _refactor(moved)
+        u[..., far] = v * np.where(v.diagonal(axis1=0, axis2=1).T.real < 0, -1.0, 1.0)
     return u, dom_ok, sig_star
 
 
@@ -243,15 +235,16 @@ def _stack(st: MatrixFlowState, c: int) -> dict:
     """Kernel state holding c copies of st, path-last."""
     n = st.sigma_cache.size
     state = {}
-    for key, a in (("r", st.r), ("q", st.q_cache), ("sigma", st.sigma_cache)):
+    for key, a in (("q", st.q_cache), ("sigma", st.sigma_cache)):
         state[key] = _empty(n, a.shape + (c,), a.dtype)
         state[key][...] = a[..., None]
     return state
 
 
 class MatrixKernel:
-    """Batched disk-coordinate stepping over path-last stacked states: r and
-    q (n, n, paths) and sigma (n, paths)."""
+    """Batched disk-coordinate stepping over path-last stacked states in
+    factored form, R = Q diag(tanh(sigma/2)) Q^T: q (n, n, paths) and sigma
+    (n, paths)."""
 
     # at n >= 4 the step's time is in LAPACK eigh and BLAS matmul, which run
     # without the lock; at n <= 3 it is many short path-last numpy calls
@@ -274,8 +267,6 @@ class MatrixKernel:
 
     def attempt(self, state: dict, idx, h: float, xi, frac) -> np.ndarray:
         h = h * frac
-        r = _gather(state["r"], idx)
-        q = _gather(state["q"], idx)
         sig = _gather(state["sigma"], idx)
         sq = np.sqrt(h)
         n = sig.shape[0]
@@ -285,16 +276,15 @@ class MatrixKernel:
         s = np.sqrt(s2)
         # the predictor's move in the frame, Q^H dR conj(Q) = sqrt(h) S X S
         e = sq * (s[:, None] * x * s)
-        u, dom_ok, sig_star = _predict(q, sig, e, r)
+        u, dom_ok, sig_star = _predict(sig, e)
         u /= np.sqrt(1.0 + np.cosh(sig_star))  # u S*, in u's memory order
-        # Heun's increment and the drift h diag(S^2 grad S / 2), both in the
-        # frame, lifted by one congruence
-        m = 0.5 * (e + sq * _congruence(u, x))
+        # the moved point in the frame, diag(mu) plus Heun's increment and
+        # the drift h diag(S^2 grad S / 2)
+        a = 0.5 * (e + sq * _congruence(u, x))
         diag = np.arange(n)
-        m[diag, diag] += (0.5 * h) * s2 * _gradient_raw(sig.T).T
-        r_new = r + _congruence(q, m)
-        r_new = 0.5 * (r_new + r_new.swapaxes(0, 1))
-        q_new, dom_new, sig_new = _refactor(r_new)
+        a[diag, diag] += np.tanh(0.5 * sig) + (0.5 * h) * s2 * _gradient_raw(sig.T).T
+        a = 0.5 * (a + a.swapaxes(0, 1))
+        v, dom_new, sig_new = _refactor(a)
         dom_ok = dom_ok & dom_new
 
         status = np.full(len(idx), ens.OK, dtype=np.int64)
@@ -302,8 +292,7 @@ class MatrixKernel:
         status[~dom_ok] = ens.REJECT_DOMAIN
         ok = np.flatnonzero(status == ens.OK)
         acc = idx[ok]
-        _scatter(state["r"], acc, _gather(r_new, ok))
-        _scatter(state["q"], acc, _gather(q_new, ok))
+        _scatter(state["q"], acc, _matmul(_gather(state["q"], acc), _gather(v, ok)))
         _scatter(state["sigma"], acc, _gather(sig_new, ok))
         return status
 
@@ -321,12 +310,7 @@ def step_matrix_flow(
     kernel = MatrixKernel(state.sigma_cache, beta, gap_floor, state.q_cache)
     arrs = _stack(state, 1)
     ens.step_once(kernel, arrs, h, gaussians)
-    return MatrixFlowState(
-        r=arrs["r"][..., 0],
-        sigma_cache=arrs["sigma"][..., 0],
-        q_cache=arrs["q"][..., 0],
-        t=state.t + h,
-    )
+    return init_matrix_state(arrs["sigma"][..., 0], arrs["q"][..., 0], state.t + h)
 
 
 def extract_sigma(state) -> SpectralCoord:

@@ -1,12 +1,13 @@
-"""The matrix step's contractions as batched matmul, against the three-operand
-einsum forms they replace, and the predictor frame's sign alignment.
+"""The matrix step's contractions as batched matmul, and the factored step
+as a whole, against the three-operand einsum forms they replace.
 
 The reference functions below are the earlier formulations, kept verbatim:
 the per-sigma noise assembly G, the congruence Q G Q^T, the drift lift
 Q diag(d) Q^T and the Takagi phase diagonal, each a three-operand einsum.
 The first-order predictor is written out per row and per entry in
-_ref_predict.  The references hold one path per leading index; the step
-holds the paths last, so its inputs and outputs pass through _pl and _pf.
+_ref_predict, and _ref_attempt moves the disk point R itself.  The
+references hold one path per leading index; the step holds the paths last,
+so its inputs and outputs pass through _pl and _pf.
 """
 import numpy as np
 import pytest
@@ -18,11 +19,9 @@ from siegelbm.linalg import _ELEMENTWISE_MAX_N, _canonical_column_signs, _fix_cl
 from siegelbm.matrix_flow import (
     _FIRST_ORDER_MAX,
     MatrixKernel,
-    _align_signs,
     _congruence,
     _noise_index,
     _noise_matrix,
-    _refactor,
 )
 from siegelbm.particle_flow import _noise_coef
 
@@ -209,8 +208,9 @@ def test_noise_matrix_take_matches_fancy_index_assembly(n, beta):
 
 @pytest.mark.parametrize("n", _NS)
 def test_drift_lift_matches_three_operand_einsum(n):
-    # the step adds the drift d = grad S / (2 (1 + cosh sigma)) to the
-    # diagonal of its in-frame increment M and lifts it with Q M Q^T
+    # the reference step lifts the drift d = grad S / (2 (1 + cosh sigma))
+    # with Q diag(d) Q^T; the factored step adds d to the diagonal of its
+    # in-frame point, whose frame is lifted by the same congruence
     rng = np.random.default_rng(620 + n)
     q, sig = _unitary(rng, _C, n), _sigma(rng, _C, n)
     d = 0.5 * _gradient_raw(sig) / (1.0 + np.cosh(sig))
@@ -235,10 +235,16 @@ def test_takagi_phase_diagonal_matches_three_operand_einsum(n):
     _close(_canonical_column_signs(q), q_ref)
 
 
+def _disk_points(q, sig):
+    return (q * np.tanh(0.5 * sig)[:, None, :]) @ np.swapaxes(q, -1, -2)
+
+
 @pytest.mark.parametrize("n", _NS)
 def test_kernel_step_matches_three_operand_formulation(n):
-    # the step leaves the frame's column signs as the factorization gives
-    # them; the reference fixes them, so q is compared with signs canonical
+    # the factored step never forms R; the reference moves R itself, from
+    # the kernel's (Q, sigma) before each step.  The step leaves the frame's
+    # column signs as the factorization gives them; the reference fixes
+    # them, so q is compared with signs canonical
     rng = np.random.default_rng(640 + n)
     sigma0 = np.linspace(0.5, 0.5 * n, n)
     kernel = MatrixKernel(sigma0, 2.0, 1e-6)
@@ -247,29 +253,34 @@ def test_kernel_step_matches_three_operand_formulation(n):
     for _ in range(3):
         xi = rng.standard_normal((_C, n * n + n))
         before = {key: _pf(val).copy() for key, val in state.items()}
+        before["r"] = _disk_points(before["q"], before["sigma"])
         status, r_ref, q_ref, sig_ref = _ref_attempt(kernel, before, idx, 1e-3, xi)
         np.testing.assert_array_equal(kernel.attempt(state, idx, 1e-3, xi, np.ones(_C)), status)
         assert np.all(status == ens.OK)
-        _close(_pf(state["r"]), r_ref)
-        _close(_pf(state["sigma"]), sig_ref)
-        _close(_canonical_column_signs(_pf(state["q"])), q_ref)
+        q, sig = _pf(state["q"]), _pf(state["sigma"])
+        np.testing.assert_allclose(sig, sig_ref, rtol=1e-12, atol=0)
+        _close(_disk_points(q, sig), r_ref)
+        _close(_canonical_column_signs(q), q_ref)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
-def test_raw_predictor_frame_aligns_like_canonical_frame(n):
-    # aligning the predictor frame to the base frame overrides the canonical
-    # column signs, so the predictor skips that pass
-    rng = np.random.default_rng(650 + n)
-    q = _unitary(rng, _C, n)
-    mu = np.tanh(0.5 * _sigma(rng, _C, n))
-    mu[3, 1] = mu[3, 0] + 1e-7  # a clustered row
-    r = (q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)
-    dr = 1e-3 * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape))
-    dr[3] *= 1e-6  # small enough to leave row 3 clustered
-    raw, _, sig = _refactor(_pl(r + dr + np.swapaxes(dr, -1, -2)))
-    assert np.diff(sig[:, 3])[0] < 1e-5
-    canonical = _pl(_canonical_column_signs(_pf(raw)))
-    np.testing.assert_array_equal(_align_signs(raw, _pl(q)), _align_signs(canonical, _pl(q)))
-    # the predictor frame lies on the base frame's sign sheet
-    dots = np.einsum("paj,paj->pj", q.conj(), _pf(_align_signs(raw, _pl(q))))
-    assert np.all(dots.real >= 0)
+def test_kernel_step_matches_reference_at_a_near_collision(n):
+    # the top two sigma start 1e-3 apart, so the predictor falls back to the
+    # exact factorization on nearly every path: of diag(mu) + E in the step,
+    # of the moved disk point R + dR in the reference
+    rng = np.random.default_rng(645 + n)
+    sigma0 = np.linspace(0.5, 0.5 * n, n)
+    sigma0[-1] = sigma0[-2] + 1e-3
+    kernel = MatrixKernel(sigma0, 2.0, 1e-6)
+    state = kernel.init(_C)
+    idx = np.arange(_C)
+    xi = rng.standard_normal((_C, n * n + n))
+    before = {key: _pf(val).copy() for key, val in state.items()}
+    before["r"] = _disk_points(before["q"], before["sigma"])
+    status, r_ref, _, sig_ref = _ref_attempt(kernel, before, idx, 1e-3, xi)
+    np.testing.assert_array_equal(kernel.attempt(state, idx, 1e-3, xi, np.ones(_C)), status)
+    ok = status == ens.OK
+    assert np.count_nonzero(ok) > _C // 2
+    q, sig = _pf(state["q"])[ok], _pf(state["sigma"])[ok]
+    np.testing.assert_allclose(sig, sig_ref[ok], rtol=1e-12, atol=0)
+    _close(_disk_points(q, sig), r_ref[ok])

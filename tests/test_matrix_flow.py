@@ -129,12 +129,16 @@ def test_extract_sigma_matches_cache_along_run():
     np.testing.assert_allclose(extract_sigma(st).sigma, st.sigma_cache, atol=1e-9)
 
 
+def _disk_points(state):
+    q, mu = state["q"], np.tanh(0.5 * state["sigma"])
+    return np.einsum("ij...,j...,kj...->ik...", q, mu, q)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_sigma_does_not_depend_on_frame_column_signs(n):
-    # flipping columns of Q leaves R = Q diag(mu) Q^T as it is and conjugates
-    # the step's in-frame move by a diagonal sign matrix, which keeps its
-    # singular values: with the same draws sigma agrees to roundoff, while
-    # R moves by another realization of the same law
+    # the step computes sigma from sigma and the draws alone, so replacing
+    # the frame Q by any unitary, a change of column signs among them, keeps
+    # every bit of sigma, while the disk point Q diag(mu) Q^T moves
     rng = np.random.default_rng(660 + n)
     c = 32
     kernel = MatrixKernel(np.linspace(0.5, 0.5 * n, n), 2.0, 1e-6)
@@ -142,15 +146,31 @@ def test_sigma_does_not_depend_on_frame_column_signs(n):
     state = kernel.init(c)
     for _ in range(3):  # away from the identity frame
         kernel.attempt(state, idx, 1e-3, rng.standard_normal((c, n * n + n)), frac)
-    flipped = {key: val.copy(order="K") for key, val in state.items()}
-    flipped["q"] *= rng.choice([-1.0, 1.0], size=(n, c))
-    q, mu = flipped["q"], np.tanh(0.5 * flipped["sigma"])
-    np.testing.assert_allclose(np.einsum("ij...,j...,kj...->ik...", q, mu, q), state["r"], atol=1e-13)
+    turned = {key: val.copy(order="K") for key, val in state.items()}
+    z = rng.standard_normal((c, n, n)) + 1j * rng.standard_normal((c, n, n))
+    turned["q"][...] = np.moveaxis(np.linalg.qr(z)[0], 0, -1)
     xi = rng.standard_normal((c, n * n + n))
-    for st in (state, flipped):
+    for st in (state, turned):
         assert np.all(kernel.attempt(st, idx, 1e-3, xi, frac) == ens.OK)
-    np.testing.assert_allclose(flipped["sigma"], state["sigma"], rtol=1e-12, atol=0)
-    assert np.max(np.abs(flipped["r"] - state["r"])) > 1e-3
+    np.testing.assert_array_equal(turned["sigma"], state["sigma"])
+    assert np.max(np.abs(_disk_points(turned) - _disk_points(state))) > 1e-3
+
+
+def test_frame_stays_unitary_over_long_runs():
+    # Q' = Q V accumulates one product per accepted step with no
+    # re-orthonormalization; after 10^4 steps Q is still unitary
+    n, c = 3, 4
+    rng = np.random.default_rng(680)
+    kernel = MatrixKernel(np.array([0.5, 1.0, 1.5]), 2.0, 1e-6)
+    state = kernel.init(c)
+    idx, frac = np.arange(c), np.ones(c)
+    accepted = 0
+    for _ in range(10_000):
+        status = kernel.attempt(state, idx, 1e-4, rng.standard_normal((c, n * n + n)), frac)
+        accepted += np.count_nonzero(status == ens.OK)
+    assert accepted > 0.99 * 10_000 * c
+    q = np.moveaxis(state["q"], -1, 0)
+    assert np.max(np.abs(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(n))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
