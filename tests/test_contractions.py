@@ -22,6 +22,8 @@ from siegelbm.matrix_flow import (
     _congruence,
     _noise_index,
     _noise_matrix,
+    _predict,
+    _refactor,
 )
 from siegelbm.particle_flow import _noise_coef
 
@@ -261,6 +263,33 @@ def test_kernel_step_matches_three_operand_formulation(n):
         np.testing.assert_allclose(sig, sig_ref, rtol=1e-12, atol=0)
         _close(_disk_points(q, sig), r_ref)
         _close(_canonical_column_signs(q), q_ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_raw_predictor_frame_aligns_like_canonical_frame(n):
+    # the predictor's fallback sets each column's sign so that Re u_jj >= 0,
+    # which overrides whatever signs the factorization gave, so it skips the
+    # canonical column-sign pass
+    rng = np.random.default_rng(650 + n)
+    sig = _sigma(rng, _C, n)
+    sig[3, 1] = sig[3, 0] + 1e-7  # a clustered row, which falls back
+    mu = np.tanh(0.5 * sig)
+    e = 1e-3 * (rng.standard_normal((_C, n, n)) + 1j * rng.standard_normal((_C, n, n)))
+    e = e + np.swapaxes(e, -1, -2)
+    assert abs(e[3, 0, 1].real) >= _FIRST_ORDER_MAX * (mu[3, 1] - mu[3, 0])
+    moved = e[3:4].copy()
+    moved[:, np.arange(n), np.arange(n)] += mu[3:4]
+    raw = _pf(_refactor(_pl(moved))[0])
+    canonical = _canonical_column_signs(raw)
+
+    def aligned(v):
+        return v * np.where(v.diagonal(axis1=-2, axis2=-1).real < 0, -1.0, 1.0)[..., None, :]
+
+    np.testing.assert_array_equal(aligned(raw), aligned(canonical))
+    u = _pf(_predict(_pl(sig), _pl(e))[0])[3:4]
+    _close(u, aligned(canonical))
+    # the fallback frame lies on the identity's sign sheet
+    assert np.all(u.diagonal(axis1=-2, axis2=-1).real >= 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
