@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 
 _HIST_BINS = 32
 _THREADS_HELP = (
-    "worker threads for the matrix scheme's chunks of 512 paths (default 1);"
-    " particle-type schemes always run inline"
+    "worker threads for the matrix scheme's chunks of 512 paths at n >= 4 (default 1);"
+    " particle-type schemes and the matrix scheme at n <= 3 always run inline"
 )
 
 

@@ -71,9 +71,13 @@ def step_once(kernel, state, h: float, xi) -> None:
     """Attempt one step of size h for the single path held in state, in
     place, and raise the error its rejection names; a frozen path stays."""
     xi = check_gaussians(xi, kernel.noise_dim)
-    st = int(kernel.attempt(state, np.array([0]), h, xi[None, :], np.ones(1))[0])
-    if st in REJECTIONS:
-        _, error, message = REJECTIONS[st]
+    raise_rejection(int(kernel.attempt(state, np.array([0]), h, xi[None, :], np.ones(1))[0]))
+
+
+def raise_rejection(status: int) -> None:
+    """Raise the error REJECTIONS names for a single-state step's status."""
+    if status in REJECTIONS:
+        _, error, message = REJECTIONS[status]
         raise error(message)
 
 

@@ -104,27 +104,17 @@ def _unit(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.divide(z, r, out=np.ones_like(z), where=r > 0)
 
 
-def _takagi2(a: np.ndarray):
-    """Takagi factorization of a path-last stack (2, 2, ...) of complex
-    symmetric matrices a = [[p, b], [b, s]] in closed form from a itself (q
-    unitary in a's memory order, mu (2, ...) ascending); reads the diagonal
-    and the upper entry only.
+def _singular_values2(a: np.ndarray):
+    """Closed-form ascending singular values (2, ...) of a path-last stack
+    (2, 2, ...) of complex symmetric a = [[p, b], [b, s]], with the terms
+    _takagi2 reuses: w = conj(p) b + conj(b) s (the off-diagonal entry of
+    a^H a), |w|, d = (|p|^2 - |s|^2)/2, det a and |det a|.
 
-    With w = conj(p) b + conj(b) s, the off-diagonal entry of a^H a,
+        mu_2 = sqrt((|p|^2 + 2|b|^2 + |s|^2)/2 + hypot(d, |w|))
+        mu_1 = |det a| / mu_2
 
-        mu_2 = sqrt((|p|^2 + 2|b|^2 + |s|^2)/2 + hypot((|p|^2 - |s|^2)/2, |w|))
-        mu_1 = |p s - b^2| / mu_2
-
-    so mu_1 carries a relative error near eps mu_2 / mu_1, not the
-    eps (mu_2 / mu_1)^2 of the spectrum of a^H a.  mu_2's column is
-    x = conj(v) e^{i theta/2}, where v = (cos t e^{i phi}, sin t) with
-    t = atan2(|w|, (|p|^2 - |s|^2)/2) / 2 and e^{i phi} = w / |w| is the top
-    eigenvector of a^H a and e^{i theta} the phase of v^T a v.  mu_1's column
-    (-conj(x_2), conj(x_1)) e^{i psi} is orthogonal to x, and
-    e^{2 i psi} = det a / |det a| makes its diagonal entry of q^H a conj(q)
-    real and nonnegative.  The phase of a zero is taken as 1.  Columns of a
-    degenerate pair are left to _fix_cluster.
-    """
+    so mu_1's relative error stays near eps mu_2 / mu_1, not the
+    eps (mu_2 / mu_1)^2 of the spectrum of a^H a."""
     p, b, s = a[0, 0], a[0, 1], a[1, 1]
     pp, bb, ss = _abs2(p), _abs2(b), _abs2(s)
     w = p.conj() * b + b.conj() * s
@@ -135,6 +125,39 @@ def _takagi2(a: np.ndarray):
     det = p * s - b * b
     dabs = np.abs(det)
     np.divide(dabs, top, out=low, where=top > 0)
+    return mu, w, wabs, d, det, dabs
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Ascending singular values (n, ...) of a path-last stack (n, n, ...)
+    of complex symmetric matrices in a's memory order, with no vectors:
+    _singular_values2 at n = 2, else the roots of LAPACK's eigvalsh of a^H a
+    (a small mu_1 carries a relative error near eps (mu_n / mu_1)^2)."""
+    if a.shape[0] == 2:
+        return _singular_values2(a)[0]
+    h = _matmul(a.conj().swapaxes(0, 1), a)
+    w = np.linalg.eigvalsh(np.moveaxis(h, (0, 1), (-2, -1)))
+    mu = np.empty_like(a[0], dtype=float)
+    mu[...] = np.sqrt(np.clip(np.moveaxis(w, -1, 0), 0.0, None))
+    return mu
+
+
+def _takagi2(a: np.ndarray):
+    """Takagi factorization of a path-last stack (2, 2, ...) of complex
+    symmetric matrices a = [[p, b], [b, s]] in closed form from a itself (q
+    unitary in a's memory order, mu (2, ...) ascending, from
+    _singular_values2); reads the diagonal and the upper entry only.
+
+    mu_2's column is x = conj(v) e^{i theta/2}, where
+    v = (cos t e^{i phi}, sin t) with t = atan2(|w|, (|p|^2 - |s|^2)/2) / 2
+    and e^{i phi} = w / |w| is the top eigenvector of a^H a and e^{i theta}
+    the phase of v^T a v.  mu_1's column (-conj(x_2), conj(x_1)) e^{i psi}
+    is orthogonal to x, and e^{2 i psi} = det a / |det a| makes its diagonal
+    entry of q^H a conj(q) real and nonnegative.  The phase of a zero is
+    taken as 1.  Columns of a degenerate pair are left to _fix_cluster.
+    """
+    p, b, s = a[0, 0], a[0, 1], a[1, 1]
+    mu, w, wabs, d, det, dabs = _singular_values2(a)
     t = 0.5 * np.arctan2(wabs, d)
     cos, sin = np.cos(t), np.sin(t)
     v0 = cos * _unit(w, wabs)

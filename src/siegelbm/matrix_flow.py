@@ -12,10 +12,12 @@ One step from R = Q diag(tanh(sigma/2)) Q^T:
        Euler term h * sum_k d_k(sigma) L_k evaluated at the base point,
        with d the normal drift (half the entropy gradient).
 
-The state is held factored, as the frame Q and sigma; R itself is never
-formed in a step.  With mu = tanh(sigma/2), the moved point written in the
-frame is R' = Q A' Q^T, so the step factorizes A' = V diag(mu') V^T and
-stores Q' = Q V and sigma' = 2 artanh(mu').
+The ensemble kernel holds sigma alone.  With mu = tanh(sigma/2), the moved
+point written in the frame is R' = Q A' Q^T, so sigma' = 2 artanh(mu')
+takes only the singular values mu' of A', which is built from sigma and the
+draws: the frame Q reaches no sigma.  The single-state step keeps Q; it
+takes sigma' and the status as the kernel does, then factorizes
+A' = V diag(mu') V^T and sets Q' = Q V.
 
 The corrector needs the predicted point's frame and sigma* only to first
 order, so they come from a first-order Takagi perturbation of diag(mu)
@@ -35,30 +37,27 @@ The corrected point in the frame is
 
   A' = diag(mu) + (sqrt(h)/2) (S X S + (u S*) X (u S*)^T) + h diag(S^2 grad S / 2),
 
-with S* = diag((1 + cosh sigma*)^-1/2), symmetrized and factorized
-(linalg._takagi_batch).  A' is the diagonal base point plus a small move;
-at n = 2 its factorization is the closed form of A' itself
-(linalg._takagi2), which keeps mu_1's relative accuracy at the chamber wall.
-That takes three stacked products, the corrector's (u S*) X (u S*)^T and
-Q V, each through linalg._matmul: a batched matmul above n = 3, and at
-n <= 3 an elementwise sum over the inner index, which skips numpy's
-per-matrix BLAS call.  sigma' is computed from sigma and the draws alone,
-so it does not depend on Q at all; Q' takes the frame's realization, and
-its column signs are left as the factorization gives them.  Steps whose
-predicted or corrected point leaves the disk (some singular value reaching
-one) or whose corrected point leaves the ordered chamber (sigma gap at or
-below the floor) are rejected.
+with S* = diag((1 + cosh sigma*)^-1/2), symmetrized.  Its singular values
+(linalg._singular_values) are the closed form of A' itself at n = 2, which
+keeps mu_1's relative accuracy at the chamber wall, and above it the square
+roots of LAPACK's eigvalsh of A'^H A', with no eigenvectors.  A step takes
+two stacked products, the corrector's (u S*) X (u S*)^T, and at n >= 3
+A'^H A' as a third, each through linalg._matmul: a batched matmul above
+n = 3, and at n <= 3 an elementwise sum over the inner index, which skips
+numpy's per-matrix BLAS call.  Steps whose predicted or corrected point
+leaves the disk (some singular value reaching one) or whose corrected point
+leaves the ordered chamber (sigma gap at or below the floor) are rejected.
 
-Layout: the state and every array of a step are path-last, q as
-(n, n, paths) and sigma as (n, paths), and the draws are read transposed.
+Layout: the state and every array of a step are path-last, sigma as
+(n, paths) and matrices as (n, n, paths), and the draws are read transposed.
 At n <= 3 the arrays are C-ordered, so each numpy call of a step, an
 elementwise 2x2 product included, is one contiguous loop over the paths.
 Path-major, (paths, n, n), numpy would run each such call as one loop of
 length n per path, and per-call overhead, not arithmetic, would bound the
 step.
 Above n = 3 the same path-last shapes sit over path-major memory, so
-np.moveaxis(a, -1, 0) hands matmul and eigh a contiguous stack of matrices
-without a copy.  The memory order is chosen from n where arrays are
+np.moveaxis(a, -1, 0) hands matmul and eigvalsh a contiguous stack of
+matrices without a copy.  The memory order is chosen from n where arrays are
 allocated (_empty); every other array follows its input.
 
 Gaussian layout per step (n^2 + n draws): first the n diagonal orbit
@@ -80,6 +79,7 @@ from .geometry import _DOMAIN_EDGE, SpectralCoord, _disk_sigma, in_chamber
 from .linalg import (
     _ELEMENTWISE_MAX_N,
     _matmul,
+    _singular_values,
     _takagi_batch,
     unitary_algebra_basis,
     unitary_exp,
@@ -116,8 +116,8 @@ def _empty(n: int, shape: tuple, dtype=complex) -> np.ndarray:
     """Uninitialized path-last array (..., paths) for the step at matrix size
     n: C-ordered up to _ELEMENTWISE_MAX_N, where every op of the step is then
     one contiguous loop over the paths, and over path-major memory above it,
-    where np.moveaxis(a, -1, 0) is the contiguous stack that matmul and eigh
-    want."""
+    where np.moveaxis(a, -1, 0) is the contiguous stack that matmul and
+    eigvalsh want."""
     if n <= _ELEMENTWISE_MAX_N:
         return np.empty(shape, dtype)
     return np.moveaxis(np.empty(shape[-1:] + shape[:-1], dtype), 0, -1)
@@ -231,69 +231,58 @@ def _predict(sig: np.ndarray, e: np.ndarray):
     return u, dom_ok, sig_star
 
 
-def _stack(st: MatrixFlowState, c: int) -> dict:
-    """Kernel state holding c copies of st, path-last."""
-    n = st.sigma_cache.size
-    state = {}
-    for key, a in (("q", st.q_cache), ("sigma", st.sigma_cache)):
-        state[key] = _empty(n, a.shape + (c,), a.dtype)
-        state[key][...] = a[..., None]
-    return state
+def _step(sig: np.ndarray, h, xi: np.ndarray, beta: float, floor: float):
+    """The moved point A' in the base frame (symmetrized), sigma' from its
+    singular values and each path's status, from path-last sigma (n, paths)."""
+    sq = np.sqrt(h)
+    n = sig.shape[0]
+    x = _noise_matrix(xi, n, beta)
+    s2 = 1.0 / (1.0 + np.cosh(sig))
+    s = np.sqrt(s2)
+    # the predictor's move in the frame, Q^H dR conj(Q) = sqrt(h) S X S
+    e = sq * (s[:, None] * x * s)
+    u, dom_ok, sig_star = _predict(sig, e)
+    u /= np.sqrt(1.0 + np.cosh(sig_star))  # u S*, in u's memory order
+    # the moved point in the frame, diag(mu) plus Heun's increment and
+    # the drift h diag(S^2 grad S / 2)
+    a = 0.5 * (e + sq * _congruence(u, x))
+    diag = np.arange(n)
+    a[diag, diag] += np.tanh(0.5 * sig) + (0.5 * h) * s2 * _gradient_raw(sig.T).T
+    a = 0.5 * (a + a.swapaxes(0, 1))
+    dom_new, sig_new = _chart(_singular_values(a))
+    status = np.full(sig.shape[1], ens.OK, dtype=np.int64)
+    status[~in_chamber(sig_new.T, floor)] = ens.REJECT_CHAMBER
+    status[~(dom_ok & dom_new)] = ens.REJECT_DOMAIN
+    return a, sig_new, status
 
 
 class MatrixKernel:
-    """Batched disk-coordinate stepping over path-last stacked states in
-    factored form, R = Q diag(tanh(sigma/2)) Q^T: q (n, n, paths) and sigma
-    (n, paths)."""
+    """Batched disk-coordinate stepping of path-last sigma (n, paths).  The
+    frame Q of R = Q diag(tanh(sigma/2)) Q^T reaches no sigma, so it is not
+    held.  Above _ELEMENTWISE_MAX_N a step's time is in LAPACK eigvalsh and
+    BLAS matmul, which release the interpreter lock; up to it, in short
+    path-last numpy calls that hold it."""
 
-    # at n >= 4 the step's time is in LAPACK eigh and BLAS matmul, which run
-    # without the lock; at n <= 3 it is many short path-last numpy calls
-    releases_gil = True
-
-    def __init__(self, sigma0, beta: float, gap_floor: float, q0=None):
+    def __init__(self, sigma0, beta: float, gap_floor: float):
         self.sigma0 = np.asarray(sigma0, dtype=float)
-        self.q0 = q0
         self.beta = beta
         self.floor = gap_floor
         n = self.sigma0.size
-        self.noise_dim = n * n + n
-        self.obs_dim = n
+        self.noise_dim, self.obs_dim = n * n + n, n
+        self.releases_gil = n > _ELEMENTWISE_MAX_N
 
-    def init(self, c: int) -> dict:
-        return _stack(init_matrix_state(self.sigma0, self.q0), c)
+    def init(self, c: int) -> np.ndarray:
+        state = _empty(self.obs_dim, (self.obs_dim, c), float)
+        state[...] = self.sigma0[:, None]
+        return state
 
-    def observe(self, state: dict) -> np.ndarray:
-        return state["sigma"].T
+    def observe(self, state: np.ndarray) -> np.ndarray:
+        return state.T
 
-    def attempt(self, state: dict, idx, h: float, xi, frac) -> np.ndarray:
-        h = h * frac
-        sig = _gather(state["sigma"], idx)
-        sq = np.sqrt(h)
-        n = sig.shape[0]
-
-        x = _noise_matrix(xi, n, self.beta)
-        s2 = 1.0 / (1.0 + np.cosh(sig))
-        s = np.sqrt(s2)
-        # the predictor's move in the frame, Q^H dR conj(Q) = sqrt(h) S X S
-        e = sq * (s[:, None] * x * s)
-        u, dom_ok, sig_star = _predict(sig, e)
-        u /= np.sqrt(1.0 + np.cosh(sig_star))  # u S*, in u's memory order
-        # the moved point in the frame, diag(mu) plus Heun's increment and
-        # the drift h diag(S^2 grad S / 2)
-        a = 0.5 * (e + sq * _congruence(u, x))
-        diag = np.arange(n)
-        a[diag, diag] += np.tanh(0.5 * sig) + (0.5 * h) * s2 * _gradient_raw(sig.T).T
-        a = 0.5 * (a + a.swapaxes(0, 1))
-        v, dom_new, sig_new = _refactor(a)
-        dom_ok = dom_ok & dom_new
-
-        status = np.full(len(idx), ens.OK, dtype=np.int64)
-        status[~in_chamber(sig_new.T, self.floor)] = ens.REJECT_CHAMBER
-        status[~dom_ok] = ens.REJECT_DOMAIN
+    def attempt(self, state: np.ndarray, idx, h: float, xi, frac) -> np.ndarray:
+        _, sig_new, status = _step(_gather(state, idx), h * frac, xi, self.beta, self.floor)
         ok = np.flatnonzero(status == ens.OK)
-        acc = idx[ok]
-        _scatter(state["q"], acc, _matmul(_gather(state["q"], acc), _gather(v, ok)))
-        _scatter(state["sigma"], acc, _gather(sig_new, ok))
+        _scatter(state, idx[ok], _gather(sig_new, ok))
         return status
 
 
@@ -302,15 +291,19 @@ def step_matrix_flow(
 ) -> MatrixFlowState:
     """One predictor-corrector step for a single state.
 
+    sigma' and the status come from the ensemble kernel's step; the frame
+    then moves by the Takagi frame V of the moved point, Q' = Q V.
     gaussians must hold n^2 + n draws in the documented layout (ValueError
     otherwise).  Raises ChamberExit when the re-factorized sigma violates
     ordering or the gap floor, DomainExit when a singular value reaches the
     disk boundary.
     """
-    kernel = MatrixKernel(state.sigma_cache, beta, gap_floor, state.q_cache)
-    arrs = _stack(state, 1)
-    ens.step_once(kernel, arrs, h, gaussians)
-    return init_matrix_state(arrs["sigma"][..., 0], arrs["q"][..., 0], state.t + h)
+    n = state.sigma_cache.size
+    xi = ens.check_gaussians(gaussians, n * n + n)
+    a, sig_new, status = _step(state.sigma_cache[:, None], h, xi[None], beta, gap_floor)
+    ens.raise_rejection(int(status[0]))
+    v = _takagi_batch(a[..., 0])[0]
+    return init_matrix_state(sig_new[:, 0], state.q_cache @ v, state.t + h)
 
 
 def extract_sigma(state) -> SpectralCoord:
@@ -327,7 +320,7 @@ def extract_sigma(state) -> SpectralCoord:
 def simulate_matrix_paths(cfg: SimConfig, threads: int = 1) -> ens.PathEnsemble:
     if cfg.scheme != "matrix":
         raise ValueError(f"not a matrix-scheme config: {cfg.scheme}")
-    kernel = MatrixKernel(cfg.sigma0, cfg.beta, cfg.gap_floor, cfg.q0)
+    kernel = MatrixKernel(cfg.sigma0, cfg.beta, cfg.gap_floor)
     return ens.run_ensemble(cfg, kernel, threads=threads)
 
 

@@ -5,13 +5,15 @@ The reference functions below are the earlier formulations, kept verbatim:
 the per-sigma noise assembly G, the congruence Q G Q^T, the drift lift
 Q diag(d) Q^T and the Takagi phase diagonal, each a three-operand einsum.
 The first-order predictor is written out per row and per entry in
-_ref_predict, and _ref_attempt moves the disk point R itself.  The
+_ref_predict, and _ref_attempt moves the disk point R itself; the kernel
+holds sigma alone, so the frame is taken from single-state steps.  The
 references hold one path per leading index; the step holds the paths last,
 so its inputs and outputs pass through _pl and _pf.
 """
 import numpy as np
 import pytest
 
+from siegelbm import ChamberExit, DomainExit, init_matrix_state, step_matrix_flow
 from siegelbm import ensemble as ens
 from siegelbm.entropy import _gradient_raw
 from siegelbm.geometry import in_chamber
@@ -237,32 +239,50 @@ def test_takagi_phase_diagonal_matches_three_operand_einsum(n):
     _close(_canonical_column_signs(q), q_ref)
 
 
-def _disk_points(q, sig):
-    return (q * np.tanh(0.5 * sig)[:, None, :]) @ np.swapaxes(q, -1, -2)
+def _single_steps(singles, xi):
+    """step_matrix_flow on each single state with its row of draws; a state
+    whose step is rejected stays as it is."""
+    out = []
+    for st, x in zip(singles, xi):
+        try:
+            st = step_matrix_flow(st, 2.0, 1e-3, x)
+        except (ChamberExit, DomainExit):
+            pass
+        out.append(st)
+    return out
+
+
+def _reference_state(singles):
+    return {key: np.array([getattr(st, attr) for st in singles])
+            for key, attr in (("r", "r"), ("q", "q_cache"), ("sigma", "sigma_cache"))}
 
 
 @pytest.mark.parametrize("n", _NS)
 def test_kernel_step_matches_three_operand_formulation(n):
-    # the factored step never forms R; the reference moves R itself, from
-    # the kernel's (Q, sigma) before each step.  The step leaves the frame's
-    # column signs as the factorization gives them; the reference fixes
-    # them, so q is compared with signs canonical
+    # the kernel holds sigma alone; the reference moves the disk point R
+    # itself, from the frame and sigma of single-state steps taken alongside
+    # on the same draws.  The single-state step leaves the frame's column
+    # signs as the factorization gives them; the reference fixes them, so q
+    # is compared with signs canonical
     rng = np.random.default_rng(640 + n)
     sigma0 = np.linspace(0.5, 0.5 * n, n)
     kernel = MatrixKernel(sigma0, 2.0, 1e-6)
     state = kernel.init(_C)
+    singles = [init_matrix_state(sigma0)] * _C
     idx = np.arange(_C)
     for _ in range(3):
         xi = rng.standard_normal((_C, n * n + n))
-        before = {key: _pf(val).copy() for key, val in state.items()}
-        before["r"] = _disk_points(before["q"], before["sigma"])
+        before = _reference_state(singles)
+        np.testing.assert_array_equal(before["sigma"], _pf(state))
         status, r_ref, q_ref, sig_ref = _ref_attempt(kernel, before, idx, 1e-3, xi)
         np.testing.assert_array_equal(kernel.attempt(state, idx, 1e-3, xi, np.ones(_C)), status)
         assert np.all(status == ens.OK)
-        q, sig = _pf(state["q"]), _pf(state["sigma"])
-        np.testing.assert_allclose(sig, sig_ref, rtol=1e-12, atol=0)
-        _close(_disk_points(q, sig), r_ref)
-        _close(_canonical_column_signs(q), q_ref)
+        singles = _single_steps(singles, xi)
+        after = _reference_state(singles)
+        np.testing.assert_allclose(_pf(state), sig_ref, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(after["sigma"], _pf(state))
+        _close(after["r"], r_ref)
+        _close(_canonical_column_signs(after["q"]), q_ref)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -304,12 +324,13 @@ def test_kernel_step_matches_reference_at_a_near_collision(n):
     state = kernel.init(_C)
     idx = np.arange(_C)
     xi = rng.standard_normal((_C, n * n + n))
-    before = {key: _pf(val).copy() for key, val in state.items()}
-    before["r"] = _disk_points(before["q"], before["sigma"])
-    status, r_ref, _, sig_ref = _ref_attempt(kernel, before, idx, 1e-3, xi)
+    singles = [init_matrix_state(sigma0)] * _C
+    status, r_ref, q_ref, sig_ref = _ref_attempt(kernel, _reference_state(singles), idx, 1e-3, xi)
     np.testing.assert_array_equal(kernel.attempt(state, idx, 1e-3, xi, np.ones(_C)), status)
     ok = status == ens.OK
     assert np.count_nonzero(ok) > _C // 2
-    q, sig = _pf(state["q"])[ok], _pf(state["sigma"])[ok]
-    np.testing.assert_allclose(sig, sig_ref[ok], rtol=1e-12, atol=0)
-    _close(_disk_points(q, sig), r_ref[ok])
+    np.testing.assert_allclose(_pf(state)[ok], sig_ref[ok], rtol=1e-12, atol=0)
+    after = _reference_state(_single_steps(singles, xi))
+    np.testing.assert_array_equal(after["sigma"], _pf(state))
+    _close(after["r"][ok], r_ref[ok])
+    _close(_canonical_column_signs(after["q"][ok]), q_ref[ok])

@@ -107,7 +107,7 @@ def test_particle_chunks_stay_off_the_pool(monkeypatch):
 
 def test_matrix_chunks_reach_the_pool(monkeypatch):
     monkeypatch.setattr(ensemble, "ThreadPoolExecutor", _no_pool)
-    cfg = SimConfig(scheme="matrix", n=2, beta=2.0, sigma0=(1.0, 2.0), t_final=0.01,
+    cfg = SimConfig(scheme="matrix", n=4, beta=2.0, sigma0=(0.5, 1.0, 1.5, 2.0), t_final=0.01,
                     dt=1e-3, n_paths=ensemble._CHUNK + 1, seed=4)
     with pytest.raises(_PoolUsed):
         simulate_matrix_paths(cfg, threads=2)
@@ -165,14 +165,33 @@ def test_inline_run_takes_one_chunk(threads):
     assert not np.isnan(ens.samples[:, -1]).any()
 
 
-# the matrix kernel keeps _CHUNK paths a chunk when its chunks run inline
+# above linalg._ELEMENTWISE_MAX_N the matrix kernel keeps _CHUNK paths a
+# chunk when its chunks run inline
 def test_inline_matrix_run_keeps_pool_chunks():
-    cfg = SimConfig(scheme="matrix", n=2, beta=2.0, sigma0=(1.0, 2.0), t_final=0.002,
+    sigma0 = (0.5, 1.0, 1.5, 2.0)
+    cfg = SimConfig(scheme="matrix", n=4, beta=2.0, sigma0=sigma0, t_final=0.002,
                     dt=1e-3, n_paths=2 * ensemble._CHUNK, seed=4)
     calls = []
-    kernel = _CountInit(MatrixKernel((1.0, 2.0), 2.0, 1e-6), calls)
+    kernel = _CountInit(MatrixKernel(sigma0, 2.0, 1e-6), calls)
     ens = ensemble.run_ensemble(cfg, kernel, threads=1)
     assert calls == [ensemble._CHUNK, ensemble._CHUNK]
+    assert not np.isnan(ens.samples[:, -1]).any()
+
+
+# at n <= linalg._ELEMENTWISE_MAX_N the matrix step is short path-last numpy
+# calls that hold the interpreter lock, so it runs inline in chunks of
+# _INLINE_CHUNK paths at any thread count
+@pytest.mark.parametrize("n", [2, 3])
+def test_small_matrix_chunks_stay_off_the_pool(monkeypatch, n):
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", _no_pool)
+    sigma0 = tuple(0.5 * np.arange(1, n + 1))
+    cfg = SimConfig(scheme="matrix", n=n, beta=2.0, sigma0=sigma0, t_final=0.002,
+                    dt=1e-3, n_paths=ensemble._INLINE_CHUNK + 88, seed=4)
+    calls = []
+    kernel = _CountInit(MatrixKernel(sigma0, 2.0, 1e-6), calls)
+    assert not kernel.releases_gil
+    ens = ensemble.run_ensemble(cfg, kernel, threads=2)
+    assert calls == [ensemble._INLINE_CHUNK, 88]
     assert not np.isnan(ens.samples[:, -1]).any()
 
 
@@ -347,7 +366,7 @@ def reference_run_ensemble(cfg, kernel):
 
 def _kernel(cfg):
     if cfg.scheme == "matrix":
-        return MatrixKernel(cfg.sigma0, cfg.beta, cfg.gap_floor, cfg.q0)
+        return MatrixKernel(cfg.sigma0, cfg.beta, cfg.gap_floor)
     return _KERNELS[cfg.scheme](cfg)
 
 

@@ -61,6 +61,8 @@ def _matrix(cfg, xi):
         ("particle", 3, (0.6, 1.2, 2.0), simulate_particle_paths, _particle),
         ("sphere-point", 3, (1.0,), simulate_particle_paths, _sphere_point),
         ("matrix", 2, (1.0, 2.0), simulate_matrix_paths, _matrix),
+        ("matrix", 3, (0.5, 1.0, 1.5), simulate_matrix_paths, _matrix),
+        ("matrix", 8, tuple(0.4 * np.arange(1, 9)), simulate_matrix_paths, _matrix),
     ],
 )
 def test_single_step_api_matches_ensemble(scheme, n, sigma0, simulate, step):

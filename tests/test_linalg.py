@@ -16,7 +16,7 @@ from siegelbm import (
     unitary_algebra_basis,
     unitary_exp,
 )
-from siegelbm.linalg import _matmul, _takagi2, _takagi_batch
+from siegelbm.linalg import _matmul, _singular_values, _takagi2, _takagi_batch
 
 
 def _takagi2_stack(a):
@@ -215,6 +215,36 @@ def test_takagi_batch_small_singular_value_at_n2():
         _, got = _takagi_batch(a)
         assert np.max(np.abs(got[:, 0] / mu[0] - 1.0)) <= bound
         np.testing.assert_allclose(got[:, 1], mu[1], rtol=1e-14)
+
+
+def test_singular_values_at_n2_are_the_closed_form_bits():
+    # _takagi2 takes its mu from the same closed form, rows with a zero or a
+    # repeated singular value included
+    rng = np.random.default_rng(930)
+    a = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
+    a = a + np.swapaxes(a, -1, -2)
+    a[0] = 0.0
+    a[1] = np.diag([0.3, 0.3])
+    a[2] = [[0.0, 0.5], [0.5, 0.0]]
+    np.testing.assert_array_equal(_singular_values(a.transpose(1, 2, 0)).T, _takagi2_stack(a)[1])
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_singular_values_match_takagi_batch(n):
+    # sqrt(eigvalsh(a^H a)) against the full factorization's mu, whose
+    # clustered runs are re-solved exactly; both path-last memory orders
+    rng = np.random.default_rng(940 + n)
+    c = 32
+    q = np.linalg.qr(rng.standard_normal((c, n, n)) + 1j * rng.standard_normal((c, n, n)))[0]
+    mu = np.sort(rng.uniform(0.0, 0.99, (c, n)), axis=-1)
+    if n > 1:
+        mu[3, 1] = mu[3, 0] + 1e-9  # a clustered row
+    a = (q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)
+    expected = _takagi_batch(a)[1]
+    for stack in (a.transpose(1, 2, 0), np.ascontiguousarray(a.transpose(1, 2, 0))):
+        got = _singular_values(stack)
+        assert got.strides == np.empty_like(stack[0], dtype=float).strides
+        assert np.all(np.abs(got.T - expected) <= 1e-12 * expected[:, -1:])
 
 
 def test_hermitian_eigenvalues_char_poly():

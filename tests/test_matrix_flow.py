@@ -18,7 +18,6 @@ from siegelbm import (
     step_takagi_chart,
     unitary_exp,
 )
-from siegelbm import ensemble as ens
 from siegelbm.ensemble import path_generator
 from siegelbm.matrix_flow import MatrixKernel
 
@@ -129,48 +128,36 @@ def test_extract_sigma_matches_cache_along_run():
     np.testing.assert_allclose(extract_sigma(st).sigma, st.sigma_cache, atol=1e-9)
 
 
-def _disk_points(state):
-    q, mu = state["q"], np.tanh(0.5 * state["sigma"])
-    return np.einsum("ij...,j...,kj...->ik...", q, mu, q)
-
-
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_sigma_does_not_depend_on_frame_column_signs(n):
-    # the step computes sigma from sigma and the draws alone, so replacing
-    # the frame Q by any unitary, a change of column signs among them, keeps
-    # every bit of sigma, while the disk point Q diag(mu) Q^T moves
+    # the single-state step computes sigma from sigma and the draws alone,
+    # so replacing the frame Q by any unitary, a change of column signs
+    # among them, keeps every bit of sigma, while the disk point moves
     rng = np.random.default_rng(660 + n)
-    c = 32
-    kernel = MatrixKernel(np.linspace(0.5, 0.5 * n, n), 2.0, 1e-6)
-    idx, frac = np.arange(c), np.ones(c)
-    state = kernel.init(c)
+    st = init_matrix_state(np.linspace(0.5, 0.5 * n, n))
     for _ in range(3):  # away from the identity frame
-        kernel.attempt(state, idx, 1e-3, rng.standard_normal((c, n * n + n)), frac)
-    turned = {key: val.copy(order="K") for key, val in state.items()}
-    z = rng.standard_normal((c, n, n)) + 1j * rng.standard_normal((c, n, n))
-    turned["q"][...] = np.moveaxis(np.linalg.qr(z)[0], 0, -1)
-    xi = rng.standard_normal((c, n * n + n))
-    for st in (state, turned):
-        assert np.all(kernel.attempt(st, idx, 1e-3, xi, frac) == ens.OK)
-    np.testing.assert_array_equal(turned["sigma"], state["sigma"])
-    assert np.max(np.abs(_disk_points(turned) - _disk_points(state))) > 1e-3
+        st = step_matrix_flow(st, 2.0, 1e-3, rng.standard_normal(n * n + n))
+    for _ in range(4):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        turned = init_matrix_state(st.sigma_cache, np.linalg.qr(z)[0], st.t)
+        xi = rng.standard_normal(n * n + n)
+        moved, moved_turned = (step_matrix_flow(s, 2.0, 1e-3, xi) for s in (st, turned))
+        np.testing.assert_array_equal(moved_turned.sigma_cache, moved.sigma_cache)
+        assert np.max(np.abs(moved_turned.r - moved.r)) > 1e-3
 
 
 def test_frame_stays_unitary_over_long_runs():
-    # Q' = Q V accumulates one product per accepted step with no
-    # re-orthonormalization; after 10^4 steps Q is still unitary
-    n, c = 3, 4
+    # the single-state step's Q' = Q V accumulates one product per step with
+    # no re-orthonormalization; after 10^4 steps Q is still unitary, and it
+    # has moved
+    n = 3
     rng = np.random.default_rng(680)
-    kernel = MatrixKernel(np.array([0.5, 1.0, 1.5]), 2.0, 1e-6)
-    state = kernel.init(c)
-    idx, frac = np.arange(c), np.ones(c)
-    accepted = 0
+    st = init_matrix_state(np.array([0.5, 1.0, 1.5]))
     for _ in range(10_000):
-        status = kernel.attempt(state, idx, 1e-4, rng.standard_normal((c, n * n + n)), frac)
-        accepted += np.count_nonzero(status == ens.OK)
-    assert accepted > 0.99 * 10_000 * c
-    q = np.moveaxis(state["q"], -1, 0)
-    assert np.max(np.abs(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(n))) < 1e-12
+        st = step_matrix_flow(st, 2.0, 1e-4, rng.standard_normal(n * n + n))
+    q = st.q_cache
+    assert np.max(np.abs(q.conj().T @ q - np.eye(n))) < 1e-12
+    assert np.max(np.abs(np.abs(q) - np.eye(n))) > 1e-2
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -183,34 +170,36 @@ def test_path_subset_steps_as_in_the_full_batch(n):
     kernel = MatrixKernel(np.linspace(0.5, 0.5 * n, n), 2.0, 1e-6)
     full = kernel.init(c)
     kernel.attempt(full, np.arange(c), 1e-3, rng.standard_normal((c, n * n + n)), np.ones(c))
-    part = {key: val.copy(order="K") for key, val in full.items()}
+    part = full.copy(order="K")
     xi = rng.standard_normal((c, n * n + n))
     idx = np.array([1, 4, 5, 10])
     kernel.attempt(full, np.arange(c), 1e-3, xi, np.ones(c))
     kernel.attempt(part, idx, 1e-3, xi[idx], np.ones(idx.size))
-    for key in full:
-        assert part[key].strides == full[key].strides
-        np.testing.assert_array_equal(part[key][..., idx], full[key][..., idx])
+    assert part.strides == full.strides
+    np.testing.assert_array_equal(part[:, idx], full[:, idx])
     rest = np.setdiff1d(np.arange(c), idx)
-    assert not np.any(part["sigma"][:, rest] == full["sigma"][:, rest])
+    assert not np.any(part[:, rest] == full[:, rest])
 
 
 def test_conjugation_invariance_of_radial_law():
-    # starting frame Q0 must not change the law of sigma
+    # sigma' is computed from sigma and the draws alone, so the starting
+    # frame changes no bit of sigma: not in the ensemble, where q0 does not
+    # reach the kernel, nor in a single-state step from (sigma, Q0)
+    # against one from (sigma, I) on the same draws
     rng = np.random.default_rng(123)
     w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q0 = unitary_exp(0.5 * (w - w.conj().T))
-    kw = dict(n=2, beta=2.0, sigma0=(1.0, 2.0), t_final=0.2, dt=1e-3,
-              n_paths=1500, sample_times=(0.2,))
-    ens_i = simulate_matrix_paths(SimConfig(scheme="matrix", seed=400, **kw), threads=2)
-    ens_q = simulate_matrix_paths(
-        SimConfig(scheme="matrix", seed=401, q0=q0, **kw), threads=2
-    )
-    for k in range(2):
-        res = ks_two_sample(
-            ens_i.samples[:, -1, k], ens_q.samples[:, -1, k], alpha=0.005
-        )
-        assert not res.reject
+    kw = dict(scheme="matrix", n=2, beta=2.0, sigma0=(1.0, 2.0), t_final=0.05, dt=1e-3,
+              n_paths=40, seed=400)
+    plain = simulate_matrix_paths(SimConfig(**kw))
+    np.testing.assert_array_equal(simulate_matrix_paths(SimConfig(q0=q0, **kw)).samples,
+                                  plain.samples)
+    st, st_q = init_matrix_state((1.0, 2.0)), init_matrix_state((1.0, 2.0), q0)
+    for _ in range(20):
+        xi = rng.standard_normal(6)
+        st, st_q = step_matrix_flow(st, 2.0, 1e-3, xi), step_matrix_flow(st_q, 2.0, 1e-3, xi)
+        np.testing.assert_array_equal(st_q.sigma_cache, st.sigma_cache)
+    assert np.max(np.abs(st_q.r - st.r)) > 1e-3
 
 
 def test_chart_stepper_matches_matrix_law():
