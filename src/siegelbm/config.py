@@ -11,6 +11,7 @@ Validation reports the first failing field by name.  Schemes:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +103,20 @@ class SimConfig:
         }
 
 
+def _is_finite_number(v) -> bool:
+    """A JSON number other than NaN or +-Infinity (json reads both, and
+    reads a literal past the float range, such as 1e400, as infinity)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _validate_sigma0(scheme: str, n: int, raw) -> np.ndarray:
     if not isinstance(raw, (list, tuple)) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
     ):
         _fail("sigma0", "must be a list of numbers")
     arr = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        _fail("sigma0", "entries must be finite")
     if scheme in ("sphere-point", "sphere-radius"):
         if arr.size != 1:
             _fail("sigma0", "sphere schemes take a single initial radius")
@@ -152,11 +161,11 @@ def config_from_dict(raw: dict) -> SimConfig:
     sigma0 = _validate_sigma0(scheme, n, raw.get("sigma0"))
 
     t_final = raw.get("t_final")
-    if not isinstance(t_final, (int, float)) or isinstance(t_final, bool) or t_final <= 0:
-        _fail("t_final", "must be a positive number")
+    if not _is_finite_number(t_final) or t_final <= 0:
+        _fail("t_final", "must be a finite positive number")
     dt = raw.get("dt")
-    if not isinstance(dt, (int, float)) or isinstance(dt, bool) or dt <= 0 or dt > t_final:
-        _fail("dt", "must be a positive number no larger than t_final")
+    if not _is_finite_number(dt) or dt <= 0 or dt > t_final:
+        _fail("dt", "must be a finite positive number no larger than t_final")
     n_steps = round(t_final / dt)  # SimConfig checks that t_final is a multiple of dt
 
     n_paths = raw.get("n_paths")
@@ -167,8 +176,8 @@ def config_from_dict(raw: dict) -> SimConfig:
         _fail("seed", "must be a nonnegative 63-bit integer")
 
     gap_floor = raw.get("gap_floor", 1e-6)
-    if not isinstance(gap_floor, (int, float)) or isinstance(gap_floor, bool) or gap_floor <= 0:
-        _fail("gap_floor", "must be a positive number")
+    if not _is_finite_number(gap_floor) or gap_floor <= 0:
+        _fail("gap_floor", "must be a finite positive number")
 
     # SimConfig checks that the times lie on the dt grid within [0, t_final]
     sample_arg = raw.get("sample_times")
@@ -180,8 +189,8 @@ def config_from_dict(raw: dict) -> SimConfig:
         sample_times = tuple(j * dt for j in (*range(0, n_steps + 1, sample_arg), n_steps))
     elif isinstance(sample_arg, (list, tuple)):
         for t in sample_arg:
-            if not isinstance(t, (int, float)) or isinstance(t, bool):
-                _fail("sample_times", f"time {t!r} outside [0, t_final]")
+            if not _is_finite_number(t):
+                _fail("sample_times", f"time {t!r} is not a finite number")
         if not sample_arg:
             _fail("sample_times", "list must be nonempty")
         sample_times = tuple(sample_arg)

@@ -81,6 +81,31 @@ def raise_rejection(status: int) -> None:
         raise error(message)
 
 
+def take(a: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+    """a.take(index, axis) of a path-last array, axis 0 or the paths (-1),
+    in a's memory order: over path-major memory it is taken from the
+    contiguous path-first view, since take copies any other input to C
+    order first."""
+    if a.flags.c_contiguous:
+        return a.take(index, axis)
+    return np.moveaxis(np.moveaxis(a, -1, 0).take(index, 0 if axis == -1 else axis + 1), 0, -1)
+
+
+def gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Paths idx (ascending) of a path-last array; a itself when idx holds
+    every path, so a kernel steps a full batch without a copy."""
+    return a if idx.size == a.shape[-1] else take(a, idx, -1)
+
+
+def store(state: np.ndarray, idx: np.ndarray, vals: np.ndarray, ok: np.ndarray) -> None:
+    """state[..., idx[ok]] = vals[..., ok] for ascending idx, the kernels'
+    store of accepted proposals: one masked copy when idx holds every path."""
+    if idx.size == state.shape[-1]:
+        np.copyto(state, vals, where=ok)
+    else:
+        state[..., idx[ok]] = take(vals, np.flatnonzero(ok), -1)
+
+
 def path_generator(seed: int, scheme: str, path_index: int, retry: bool = False):
     """Generator for one path's noise stream (Philox, explicitly keyed)."""
     tag = (int(retry) << 60) | (SCHEME_IDS[scheme] << 48) | path_index
@@ -328,8 +353,9 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         arrive(np.arange(c))
         act = np.arange(c)
         while act.size:
-            xi = noise.take(row.take(act), axis=0)
-            sub = frac.take(act)
+            # while every path is live, act is arange(c) and gather copies nothing
+            xi = noise.take(gather(row, act), axis=0)
+            sub = gather(frac, act)
             status = kernel.attempt(state, act, h, xi, sub)
             off = np.flatnonzero((status != OK) | (sub < 1.0))
             stay = off
@@ -340,7 +366,7 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             # stopped, is taken back and reaches no event
             step += 1
             row += 1
-            reached = event.take(step.take(act))
+            reached = event.take(gather(step, act))
             left = False
             if stay.size:
                 back = act[stay]

@@ -14,8 +14,6 @@ n (n+1) (2n+1) / 6 at every chamber point.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import DegenerateSpectrum, OutOfChamber
@@ -38,33 +36,30 @@ def _sum_lead(t: np.ndarray) -> np.ndarray:
     return acc
 
 
-@functools.lru_cache(maxsize=64)
-def _signs(n: int, ndim: int) -> np.ndarray:
-    """(n, n) signs, +1 where i <= j and -1 below, broadcast over the path
-    axes of an (n, ...) coordinate array of ndim axes."""
-    i = np.arange(n)
-    sign = np.where(i[:, None] <= i, 1.0, -1.0).reshape((n, n) + (1,) * (ndim - 1))
-    sign.setflags(write=False)  # shared by every caller
-    return sign
-
-
 def _half_roots(x: np.ndarray) -> np.ndarray:
     """The half-roots of the coordinates x (n, ...) as one C-ordered (n, n, ...)
     table: x_j on the diagonal, (x_j - x_i) / 2 above it and (x_i + x_j) / 2
-    below it, each rounded once (halving is exact)."""
+    below it, each rounded once (halving is exact), filled row by row."""
     h = np.multiply(0.5, x, order="C")
-    t = _signs(x.shape[0], x.ndim).swapaxes(0, 1) * h[:, None]
-    t += h
+    t = np.empty((len(h),) + h.shape, h.dtype)
+    for i, hi in enumerate(h):
+        np.add(h[: i + 1], hi, out=t[i, : i + 1])
+        np.subtract(h[i + 1 :], hi, out=t[i, i + 1 :])
     return t
 
 
 def _pair_scatter(table: np.ndarray) -> np.ndarray:
     """Coordinate j of an (n, n, ...) pair table gets table[i, j] + table[j, i]
     from each partner i <= j and table[i, j] - table[j, i] from each i > j,
-    in order of i: each root's term goes to its coordinates with its signs."""
-    terms = _signs(table.shape[0], table.ndim - 1) * table.swapaxes(0, 1)
-    terms += table
-    return _sum_lead(terms)
+    summed in order of i: each root's term goes to its coordinates with its
+    signs.  Row i's terms are formed in one (n, ...) buffer."""
+    acc = table[0] + table[:, 0]
+    row = np.empty_like(acc)
+    for i in range(1, len(table)):
+        np.subtract(table[i, :i], table[:i, i], out=row[:i])
+        np.add(table[i, i:], table[i:, i], out=row[i:])
+        acc += row
+    return acc
 
 
 def _entropy_raw(sigma: np.ndarray) -> np.ndarray:

@@ -94,10 +94,15 @@ class SpectralCoord:
 
 
 def in_chamber(sigma, floor: float, positive: bool = True):
-    """Rows of sigma (..., n) whose gaps all exceed floor and, if positive,
-    whose first coordinate does too: the open chamber shrunk by floor."""
-    ok = np.all(np.diff(sigma, axis=-1) > floor, axis=-1)
-    return ok & (sigma[..., 0] > floor) if positive else ok
+    """Rows of sigma (..., n) that are finite, whose gaps all exceed floor
+    and, if positive, whose first coordinate does too: the open chamber
+    shrunk by floor.  One coordinate at a time, so on the (c, n) view of a
+    path-last (n, c) state each step reads contiguous rows.  Once every gap
+    has passed, a NaN or an infinity can only sit at an end."""
+    ok = sigma[..., 0] > floor if positive else np.isfinite(sigma[..., 0])
+    for k in range(1, sigma.shape[-1]):
+        ok &= sigma[..., k] - sigma[..., k - 1] > floor
+    return ok & np.isfinite(sigma[..., -1])
 
 
 def _right_divide(a, b):

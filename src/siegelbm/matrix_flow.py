@@ -123,31 +123,6 @@ def _empty(n: int, shape: tuple, dtype=complex) -> np.ndarray:
     return np.moveaxis(np.empty(shape[-1:] + shape[:-1], dtype), 0, -1)
 
 
-def _take(a: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
-    """a.take(index, axis) of a path-last array, axis 0 or the paths (-1),
-    in a's memory order: over path-major memory it is taken from the
-    contiguous path-first view, since take copies any other input to C
-    order first."""
-    if a.flags.c_contiguous:
-        return a.take(index, axis)
-    return np.moveaxis(np.moveaxis(a, -1, 0).take(index, 0 if axis == -1 else axis + 1), 0, -1)
-
-
-def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Paths idx (ascending) of a path-last array; a itself when idx holds
-    every path."""
-    return a if idx.size == a.shape[-1] else _take(a, idx, -1)
-
-
-def _scatter(a: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """a[..., idx] = vals for ascending idx, one plain copy when idx holds
-    every path."""
-    if idx.size == a.shape[-1]:
-        a[...] = vals
-    else:
-        a[..., idx] = vals
-
-
 @lru_cache(maxsize=None)
 def _noise_index(n: int) -> np.ndarray:
     """Read-only (n, n) map from each entry of X to its value's row in
@@ -178,7 +153,7 @@ def _noise_matrix(xi: np.ndarray, n: int, beta: float) -> np.ndarray:
     vals = np.empty_like(xt, dtype=complex, shape=(n + p, xi.shape[0]))
     vals[:n] = _noise_coef(beta) * xt[n * n :] + 1j * xt[:n]
     vals[n:] = (xt[n + p : n + 2 * p] + 1j * xt[n : n + p]) / np.sqrt(2.0)
-    return _take(vals, _noise_index(n), 0)
+    return ens.take(vals, _noise_index(n), 0)
 
 
 def _congruence(q: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -224,7 +199,7 @@ def _predict(sig: np.ndarray, e: np.ndarray):
     dom_ok, sig_star = _chart(mu + ed.real)
     far = np.flatnonzero(~first)
     if far.size:
-        moved = _take(e, far, -1)
+        moved = ens.take(e, far, -1)
         moved[diag, diag] += mu[:, far]
         v, dom_ok[far], sig_star[:, far] = _refactor(moved)
         u[..., far] = v * np.where(v.diagonal(axis1=0, axis2=1).T.real < 0, -1.0, 1.0)
@@ -280,9 +255,8 @@ class MatrixKernel:
         return state.T
 
     def attempt(self, state: np.ndarray, idx, h: float, xi, frac) -> np.ndarray:
-        _, sig_new, status = _step(_gather(state, idx), h * frac, xi, self.beta, self.floor)
-        ok = np.flatnonzero(status == ens.OK)
-        _scatter(state, idx[ok], _gather(sig_new, ok))
+        _, sig_new, status = _step(ens.gather(state, idx), h * frac, xi, self.beta, self.floor)
+        ens.store(state, idx, sig_new, status == ens.OK)
         return status
 
 

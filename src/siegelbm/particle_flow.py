@@ -66,7 +66,7 @@ class _RadialKernel:
         return self._step(state, idx, h * frac, xi)
 
     def _chamber_ok(self, prop: np.ndarray, positive: bool = True) -> np.ndarray:
-        return in_chamber(prop.T, self.floor, positive) & np.all(np.isfinite(prop), axis=0)
+        return in_chamber(prop.T, self.floor, positive)
 
     @staticmethod
     def _accept(state, idx, prop, ok, frozen=None, reject=ens.REJECT_CHAMBER) -> np.ndarray:
@@ -75,7 +75,7 @@ class _RadialKernel:
         status = np.where(ok, ens.OK, reject)
         if frozen is not None:
             status[frozen] = ens.FREEZE
-        state[:, idx[ok]] = prop.compress(ok, axis=1)
+        ens.store(state, idx, prop, ok)
         return status
 
 
@@ -87,13 +87,18 @@ class ParticleKernel(_RadialKernel):
         self.cutoff = cutoff
 
     def _step(self, state, idx, h, xi):
-        sig = state.take(idx, axis=1)
-        move = 0.5 * _gradient_raw(sig.T).T * h + self.noise_coef * np.sqrt(h) * xi.T
+        sig = ens.gather(state, idx)
+        # prop = sig + eta * ((1/2) grad S * h + (coef * sqrt(h)) * xi), in place
+        prop = _gradient_raw(sig.T).T
+        prop *= 0.5
+        prop *= h
+        prop += self.noise_coef * np.sqrt(h) * xi.T
         if self.cutoff is None:
-            prop = sig + move
+            prop += sig
             return self._accept(state, idx, prop, self._chamber_ok(prop))
         eta = np.asarray(cutoff_eta(sig.T, *self.cutoff))
-        prop = sig + eta * move
+        prop *= eta
+        prop += sig
         frozen = eta == 0.0
         return self._accept(state, idx, prop, self._chamber_ok(prop) & ~frozen, frozen)
 
@@ -106,7 +111,7 @@ class MeanCurvatureKernel(_RadialKernel):
         self.noise_dim = 0
 
     def _step(self, state, idx, h, xi):
-        prop = _rk4_step(state.take(idx, axis=1), h)
+        prop = _rk4_step(ens.gather(state, idx), h)
         return self._accept(state, idx, prop, self._chamber_ok(prop))
 
 
@@ -114,7 +119,7 @@ class DysonKernel(_RadialKernel):
     """Euler-Maruyama for the flat squared-radial analogue on the real line."""
 
     def _step(self, state, idx, h, xi):
-        lam = state.take(idx, axis=1)
+        lam = ens.gather(state, idx)
         prop = lam + _dyson_raw(lam.T).T * h + self.noise_coef * np.sqrt(h) * xi.T
         return self._accept(state, idx, prop, self._chamber_ok(prop, positive=False))
 
@@ -137,7 +142,7 @@ class SpherePointKernel(_RadialKernel):
         return _norm(state)[:, None]
 
     def _step(self, state, idx, h, xi):
-        z = state.take(idx, axis=1)
+        z = ens.gather(state, idx)
         zh = z / _norm(z)
         db = np.sqrt(h) * xi.T
         rad = _sum_lead(zh * db)
@@ -154,10 +159,9 @@ class SphereRadiusKernel(_RadialKernel):
         self.n = n
 
     def _step(self, state, idx, h, xi):
-        r = state.take(idx, axis=1)
+        r = ens.gather(state, idx)
         prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi.T
-        ok = in_chamber(prop.T, self.floor)
-        return self._accept(state, idx, prop, ok, reject=ens.REJECT_ORIGIN)
+        return self._accept(state, idx, prop, self._chamber_ok(prop), reject=ens.REJECT_ORIGIN)
 
 
 def _norm(z: np.ndarray) -> np.ndarray:

@@ -133,6 +133,47 @@ def test_simulate_config_errors(tmp_path, capsys, patch, fieldname):
     assert err.startswith(f"config error: {fieldname}:")
 
 
+# json reads NaN, Infinity and -Infinity as floats; each is refused by name
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize(
+    "fieldname, patch",
+    [
+        pytest.param("sigma0", lambda v: [0.8, v], id="sigma0-last"),
+        pytest.param("sigma0", lambda v: [v, 1.6], id="sigma0-first"),
+        pytest.param("gap_floor", lambda v: v, id="gap_floor"),
+        pytest.param("t_final", lambda v: v, id="t_final"),
+        pytest.param("dt", lambda v: v, id="dt"),
+        pytest.param("sample_times", lambda v: [0.0, v], id="sample_times"),
+    ],
+)
+def test_simulate_refuses_non_finite_numbers(tmp_path, capsys, fieldname, patch, value):
+    raw = {
+        "n": 2,
+        "beta": 2.0,
+        "sigma0": [0.8, 1.6],
+        "t_final": 0.05,
+        "dt": 0.01,
+        "n_paths": 4,
+        "seed": 1,
+        "scheme": "particle",
+        fieldname: patch(value),
+    }
+    with pytest.raises(ConfigInvalid, match=f"^{fieldname}:"):
+        config_from_dict(raw)
+    cfg = _write(tmp_path, "cfg.json", raw)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {fieldname}:")
+
+
+def test_infinite_beta_stays_legal(tmp_path):
+    # 1e400 is past the float range: json reads it as infinity
+    p = tmp_path / "cfg.json"
+    p.write_text('{"n": 1, "beta": 1e400, "sigma0": [1.0], "t_final": 0.01, "dt": 0.01,'
+                 ' "n_paths": 1, "seed": 0, "scheme": "particle"}')
+    assert config_from_dict(json.loads(p.read_text())).beta == np.inf
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_simulate_rejects_malformed_json(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

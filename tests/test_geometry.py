@@ -26,6 +26,7 @@ from siegelbm import (
     takagi_of_disk,
     unitary_exp,
 )
+from siegelbm.geometry import in_chamber
 
 
 def _random_half_point(rng, n):
@@ -51,6 +52,60 @@ def test_point_validation():
         SpectralCoord(sigma=np.array([2.0, 1.0]))
     with pytest.raises(OutOfChamber):
         SpectralCoord(sigma=np.array([0.0, 1.0]))
+
+
+def _explicit_in_chamber(sigma, floor, positive):
+    """(every gap > floor) & (first > floor, if positive) & all finite."""
+    with np.errstate(invalid="ignore"):
+        ok = np.all(np.diff(sigma, axis=-1) > floor, axis=-1)
+    ok &= np.all(np.isfinite(sigma), axis=-1)
+    return ok & (sigma[..., 0] > floor) if positive else ok
+
+
+@pytest.mark.parametrize("positive", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_in_chamber_matches_the_explicit_formula(n, positive):
+    rng = np.random.default_rng(40 + n)
+    floor = 0.25
+    # ascending rows whose gaps and first entry sit near the floor, many exactly on it
+    steps = rng.choice([0.2, 0.25, 0.3, 1.0], size=(400, n), p=[0.05, 0.1, 0.1, 0.75])
+    sig = np.cumsum(steps, axis=1) - rng.choice([0.0, 1.0], size=(400, 1), p=[0.8, 0.2])
+    rows = np.arange(400)
+    # one nonfinite entry in a fifth of the rows: NaN anywhere, +-inf at either end
+    bad = rng.choice(rows, 80, replace=False)
+    for r, kind in zip(bad, rng.integers(0, 5, size=80)):
+        if kind == 0:
+            sig[r, rng.integers(n)] = np.nan
+        else:
+            sig[r, 0 if kind < 3 else -1] = np.inf if kind % 2 else -np.inf
+    expected = _explicit_in_chamber(sig, floor, positive)
+    lead = np.ascontiguousarray(sig.T)  # the path-last (n, c) layout of a kernel's state
+    for layout in (sig, lead.T):
+        got = in_chamber(layout, floor, positive)
+        assert got.dtype == bool and np.array_equal(got, expected)
+    # both answers, and a refusal that only finiteness gives
+    assert expected.any() and not expected.all()
+    ends_pass = np.all(np.diff(sig, axis=-1) > floor, axis=-1)
+    if positive:
+        ends_pass &= sig[:, 0] > floor
+    assert (ends_pass & ~expected).any()
+
+
+def test_in_chamber_refuses_nonfinite_ends_and_a_gap_on_the_floor():
+    inf, nan = np.inf, np.nan
+    for row, positive in [
+        ([1.0, inf], True), ([inf], True), ([1.0, 2.0, inf], False), ([-inf, 1.0], False),
+        ([-inf], False), ([nan], False), ([1.0, nan, 3.0], False), ([nan, 1.0], True),
+        ([0.5, 1.0], True), ([0.0, 0.5], False),  # a gap equal to the floor 0.5
+        ([0.5, 1.5], True),  # the first coordinate equal to the floor
+    ]:
+        assert not in_chamber(np.array(row), 0.5, positive), row
+    assert in_chamber(np.array([-1e300, 1e300]), 0.5, False)
+    assert in_chamber(np.array([0.75, 1.5]), 0.5, True)
+    with pytest.raises(OutOfChamber):
+        SpectralCoord(sigma=np.array([1.0, np.inf]))
+    with pytest.raises(OutOfChamber):
+        sigma_to_lambda(np.array([1.0, np.inf]))
 
 
 def test_cayley_example():

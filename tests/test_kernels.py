@@ -359,3 +359,51 @@ def test_coordinate_leading_helpers_match_the_references(n, rows):
         np.testing.assert_allclose(new, expected, rtol=1e-10)
     assert _same_bits(_dyson_raw(np.cosh(lead).T), _dyson_raw(np.cosh(sig)))
     np.testing.assert_allclose(_dyson_raw(np.cosh(sig)), reference_dyson_raw(np.cosh(sig)), rtol=1e-10)
+
+
+def _columns(rng, kind, n, c):
+    """Start states (n, c) that put some paths next to a wall or the origin."""
+    if kind == "sphere-point":
+        z = rng.standard_normal((n, c))
+        return z * rng.uniform(0.26, 0.4, size=c) / np.linalg.norm(z, axis=0)
+    if kind == "sphere-radius":
+        return rng.uniform(0.01, 0.3, size=(1, c))
+    sig = np.ascontiguousarray(_chamber(rng, n, c, 3.0, -8.0).T)
+    return sig - 1.0 if kind == "dyson" else sig
+
+
+_BATCH_KERNELS = {
+    "particle": (lambda s: ParticleKernel(s, 2.0, 1e-6), {ensemble.REJECT_CHAMBER}),
+    "particle-cutoff": (lambda s: ParticleKernel(s, 0.5, 1e-6, (5.0, 5.0)),
+                        {ensemble.REJECT_CHAMBER, ensemble.FREEZE}),
+    "mean-curvature": (lambda s: MeanCurvatureKernel(s, np.inf, 1e-6), {ensemble.REJECT_CHAMBER}),
+    "dyson": (lambda s: DysonKernel(s, 2.0, 1e-6), {ensemble.REJECT_CHAMBER}),
+    "sphere-point": (lambda s: SpherePointKernel([0.3], 2.0, 0.25, 3), {ensemble.REJECT_ORIGIN}),
+    "sphere-radius": (lambda s: SphereRadiusKernel([0.1], 2.0, 1e-6, 3), {ensemble.REJECT_ORIGIN}),
+}
+
+
+# an attempt over every path of a chunk takes no gather and stores with one
+# masked copy; over a subset it gathers and scatters: the same draws give
+# the same bits and statuses on the shared paths, and leave the rest alone
+@pytest.mark.parametrize("kind", sorted(_BATCH_KERNELS))
+def test_full_batch_store_matches_a_gathered_subset(kind):
+    make, rejects = _BATCH_KERNELS[kind]
+    rng = np.random.default_rng(700)
+    n, c = 3, 64
+    start = _columns(rng, kind, n, c)
+    kernel = make(start[:, 0])
+    xi = 3.0 * rng.standard_normal((c, kernel.noise_dim))
+    frac = rng.choice([1.0, 0.5, 0.125], size=c)
+    full = start.copy()
+    status = kernel.attempt(full, np.arange(c), 1e-2, xi, frac)
+    sub = np.flatnonzero(rng.random(c) < 0.6)
+    part = start.copy()
+    status_sub = kernel.attempt(part, sub, 1e-2, xi[sub], frac[sub])
+    np.testing.assert_array_equal(status_sub, status[sub])
+    assert _same_bits(part[:, sub], full[:, sub])
+    rest = np.setdiff1d(np.arange(c), sub)
+    assert _same_bits(part[:, rest], start[:, rest])
+    assert _same_bits(full[:, status != ensemble.OK], start[:, status != ensemble.OK])
+    assert not _same_bits(full[:, status == ensemble.OK], start[:, status == ensemble.OK])
+    assert set(status_sub.tolist()) == {ensemble.OK} | rejects

@@ -262,3 +262,60 @@ def test_one_path_equals_its_row_of_a_batch(n):
         for p in (0, 1, 511, 1023):
             for one in (*_layouts(f, sig[p : p + 1]), f(sig[p])):
                 assert np.asarray(one).reshape(-1).tobytes() == np.asarray(batch[0][p]).reshape(-1).tobytes()
+
+
+def _sign_table_half_roots(x):
+    """The half-root table built from an (n, n) sign table, as it was before
+    the row-by-row fill: signs * x_i / 2 + x_j / 2."""
+    n = x.shape[0]
+    i = np.arange(n)
+    sign = np.where(i[:, None] <= i, 1.0, -1.0).reshape((n, n) + (1,) * (x.ndim - 1))
+    h = np.multiply(0.5, x, order="C")
+    t = sign.swapaxes(0, 1) * h[:, None]
+    t += h
+    return t
+
+
+def _sign_table_pair_scatter(table):
+    """The pair scatter through a second (n, n, ...) table of signed terms,
+    summed over its leading axis one term after another."""
+    n = table.shape[0]
+    i = np.arange(n)
+    sign = np.where(i[:, None] <= i, 1.0, -1.0).reshape((n, n) + (1,) * (table.ndim - 2))
+    terms = sign * table.swapaxes(0, 1)
+    terms += table
+    acc = terms[0]
+    for k in range(1, n):
+        acc = acc + terms[k]
+    return acc
+
+
+def _path_last_stack(rng, n):
+    """(c, n) view of a path-last (n, c) array: wide and near-colliding
+    chamber points, sigma up to 700, and rows with an exact collision."""
+    sig = np.concatenate([_chamber(rng, n, 64, top, low) for top in (3.0, 700.0) for low in (-12.0, -3.0)])
+    if n > 1:
+        k = rng.integers(0, n - 1, size=32)
+        sig[np.arange(32), k + 1] = sig[np.arange(32), k]
+    return np.ascontiguousarray(sig.T).T
+
+
+# the row-by-row table and scatter give the bits of the sign-table ones they
+# replaced, nonfinite entries included
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row_fill_matches_the_sign_table_bit_for_bit(n, unvalidated, monkeypatch):
+    sig = _path_last_stack(np.random.default_rng(600 + n), n)
+    lam = np.cosh(sig)
+
+    def outputs():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return [_entropy_raw(sig), _gradient_raw(sig), entropy_laplacian(sig), _dyson_raw(lam)]
+
+    new = outputs()
+    monkeypatch.setattr(entropy_mod, "_half_roots", _sign_table_half_roots)
+    monkeypatch.setattr(entropy_mod, "_pair_scatter", _sign_table_pair_scatter)
+    for a, b in zip(new, outputs()):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(np.isfinite(a), np.isfinite(b))
+        assert np.array_equal(a, b, equal_nan=True)
+    assert n == 1 or not np.isfinite(new[1]).all()
