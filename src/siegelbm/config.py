@@ -110,13 +110,9 @@ def _is_finite_number(v) -> bool:
 
 
 def _validate_sigma0(scheme: str, n: int, raw) -> np.ndarray:
-    if not isinstance(raw, (list, tuple)) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
-        _fail("sigma0", "must be a list of numbers")
+    if not isinstance(raw, (list, tuple)) or not all(_is_finite_number(v) for v in raw):
+        _fail("sigma0", "must be a list of finite numbers")
     arr = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        _fail("sigma0", "entries must be finite")
     if scheme in ("sphere-point", "sphere-radius"):
         if arr.size != 1:
             _fail("sigma0", "sphere schemes take a single initial radius")
