@@ -64,11 +64,16 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
+        for name in ("t_final", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                _fail(name, "must be a finite number")
         if self.n_steps < 1 or abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
             _fail("dt", "t_final must be an integer multiple of dt")
         # sample times become the ascending distinct times of the dt grid
         idx = set()
         for t in self.sample_times:
+            if not math.isfinite(t):
+                _fail("sample_times", f"time {t!r} is not a finite number")
             j = round(float(t) / self.dt)
             if t < 0 or j > self.n_steps:
                 _fail("sample_times", f"time {t!r} outside [0, t_final]")

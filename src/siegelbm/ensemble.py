@@ -14,17 +14,32 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import ChamberExit, ConfigInvalid, DomainExit, OriginHit
+from .errors import ChamberExit, ConfigInvalid, DomainExit, OriginHit, RecordInvalid
 
 _CHUNK = 512  # paths per chunk for a kernel that releases the interpreter lock
 _INLINE_CHUNK = 1024  # paths per chunk for a kernel that holds it
 _NOISE_BYTES = 1 << 22  # bound on one chunk's primary noise buffer
 _HALVING_UNITS = 1024  # step-halving floor is h / 2**10
-_WRITE_BLOCK = 64  # paths formatted per json.dumps call in write_jsonl
+_WRITE_BLOCK = 64  # paths formatted per block in write_jsonl
 _READ_BYTES = 1 << 18  # size hint for one batch of lines in read_jsonl
+# float.__repr__ writes the infinities as inf, json.dumps as Infinity
+_JSON_INF = {"inf": "Infinity", "-inf": "-Infinity"}
+_STOPPED = ('], "stopped": false}\n', '], "stopped": true}\n')
+# read_jsonl splits a batch at both brackets of every sigma list.  Between
+# two lists, commas and newlines become spaces and every other ASCII
+# character but those of a number goes, which leaves three words per
+# record: the path, the t and the "ee" of "stopped" and its flag.
+_BRACKETS = str.maketrans("[]", "\x1e\x1e")
+_WORDS = str.maketrans(
+    {c: " " if c in ",\n" else None for c in map(chr, range(128)) if c not in "0123456789.eE+-"}
+)
+# what is left of a sigma list's text once its numbers go: the separators
+_DROP_NUMBERS = str.maketrans("", "", "0123456789.eE+-Infinity")
 
 SCHEME_IDS = {
     "matrix": 1,
@@ -106,11 +121,28 @@ def store(state: np.ndarray, idx: np.ndarray, vals: np.ndarray, ok: np.ndarray) 
         state[..., idx[ok]] = take(vals, np.flatnonzero(ok), -1)
 
 
+@cache
+def _philox_key_type():
+    """A seed sequence whose state is the Philox key it holds.  Philox
+    built from it has the state and draws of Philox(key=key) without first
+    seeding a SeedSequence from operating-system entropy it then throws
+    away.  Made on first use, so numpy.random is imported on first use."""
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: tuple):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # Philox asks for its key as two 64-bit words
+            return np.array(self.key, dtype=np.uint64)
+
+    return PhiloxKey
+
+
 def path_generator(seed: int, scheme: str, path_index: int, retry: bool = False):
     """Generator for one path's noise stream (Philox, explicitly keyed)."""
     tag = (int(retry) << 60) | (SCHEME_IDS[scheme] << 48) | path_index
-    key = np.array([seed, tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_philox_key_type()((seed, tag))))
 
 
 @dataclass
@@ -163,15 +195,29 @@ def _meta_from_json(obj: dict) -> dict:
     return out
 
 
+def _records(paths, heads, rows, stopped) -> str:
+    """Record lines of trajectories.jsonl, one per item of each argument:
+    the path number's text, its head ', "t": <t>, "sigma": [', the sigma
+    row's text and the stopped flag.  write_jsonl writes these lines and
+    read_jsonl checks every batch it reads against them."""
+    ends = map(_STOPPED.__getitem__, stopped)
+    return "".join(chain.from_iterable(zip(repeat('{"path": '), paths, heads, rows, ends)))
+
+
 def write_jsonl(ens: PathEnsemble, path: str):
     """One header line with metadata, then one record per path per sample
-    time in path-major order.  A record is stopped once t >= stopped_at,
-    and a record whose sample holds a NaN carries an empty sigma list;
-    byte content is a pure function of the ensemble.
+    time in path-major order, each on its own line in the fixed layout
 
-    Records are formatted and written in blocks of paths: one json.dumps
-    call formats every sample row of a block (the same float repr as a
-    per-record dumps), so memory is bounded by one block.
+        {"path": 3, "t": 0.25, "sigma": [0.81, 1.6], "stopped": false}
+
+    A record is stopped once t >= stopped_at, and a record whose sample
+    holds a NaN carries an empty sigma list.  Every float is written as
+    json.dumps writes it (its repr, and Infinity or -Infinity), so byte
+    content is a pure function of the ensemble.
+
+    Records are formatted and written in blocks of paths, so memory is
+    bounded by one block: one float repr per value, the rows joined from
+    them, and pieces made once per file for the rest of each record.
     """
     header = {
         "meta": _meta_to_json(ens.meta),
@@ -180,29 +226,41 @@ def write_jsonl(ens: PathEnsemble, path: str):
         "stop_reason": list(ens.stop_reason),
         "rejections": [int(r) for r in ens.rejections],
     }
-    dim = ens.samples.shape[2]
-    t_str = [json.dumps(float(t)) for t in ens.times]
+    n_times, dim = ens.samples.shape[1:]
+    heads = [f', "t": {json.dumps(float(t))}, "sigma": [' for t in ens.times]
     # comparisons with a NaN stop time are False: a path that never stopped
-    flag = np.where(ens.times[None, :] >= ens.stopped_at[:, None], "true", "false")
+    stopped = ens.times[None, :] >= ens.stopped_at[:, None]
     empty = np.isnan(ens.samples).any(axis=2)
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         for lo in range(0, ens.n_paths, _WRITE_BLOCK):
             hi = min(lo + _WRITE_BLOCK, ens.n_paths)
-            # rows holding a NaN are formatted too, then replaced by []
-            rows = json.dumps(ens.samples[lo:hi].reshape(-1, dim).tolist())[2:-2].split("], [")
-            blank = empty[lo:hi].ravel().tolist()
-            flags = flag[lo:hi].ravel().tolist()
-            keys = [(p, t) for p in range(lo, hi) for t in t_str]
-            fh.write("".join(
-                f'{{"path": {p}, "t": {t}, "sigma": [{"" if e else r}], "stopped": {f}}}\n'
-                for (p, t), r, e, f in zip(keys, rows, blank, flags)
-            ))
+            block = ens.samples[lo:hi]
+            vals = list(map(float.__repr__, block.ravel().tolist()))
+            if np.isinf(block).any():
+                vals = [_JSON_INF.get(v, v) for v in vals]
+            rows = vals if dim == 1 else list(map(", ".join, zip(*[iter(vals)] * dim)))
+            # rows holding a NaN are formatted too, then emptied
+            for i in np.flatnonzero(empty[lo:hi]).tolist():
+                rows[i] = ""
+            paths = chain.from_iterable(repeat(str(p), n_times) for p in range(lo, hi))
+            fh.write(_records(paths, heads * (hi - lo), rows, stopped[lo:hi].ravel().tolist()))
 
 
 def read_jsonl(path: str) -> PathEnsemble:
-    """Inverse of write_jsonl.  Lines are parsed in bounded batches, one
-    json.loads call per batch, so memory does not grow with the file."""
+    """Inverse of write_jsonl.  The header is read with json; the records
+    are read in batches of whole lines, so memory does not grow with the
+    file, and each batch must be in write_jsonl's layout.
+
+    One pass over a batch pulls out the path, t and sigma text of every
+    record.  The path and t texts map to their indices by exact match (t
+    as json.dumps writes the header's time), the batch must equal the
+    records rebuilt from those texts with the stopped flags the header's
+    stop times give, and every sigma list holds dim numbers or none.  The
+    numbers of a batch become floats in one numpy conversion, so each
+    reads back exactly.  A line that breaks any of this raises
+    RecordInvalid, which names the line.
+    """
     with open(path) as fh:
         header = json.loads(fh.readline())
         meta = _meta_from_json(header["meta"])
@@ -215,13 +273,62 @@ def read_jsonl(path: str) -> PathEnsemble:
         n_paths = len(reasons)
         dim = int(meta["dim"])
         samples = np.full((n_paths, times.size, dim), np.nan)
-        t_index = {float(t): j for j, t in enumerate(times)}
-        while lines := fh.readlines(_READ_BYTES):
-            recs = [r for r in json.loads("[" + ",".join(lines) + "]") if r["sigma"]]
-            if recs:
-                samples[
-                    [r["path"] for r in recs], [t_index[r["t"]] for r in recs]
-                ] = [r["sigma"] for r in recs]
+        t_text = [json.dumps(float(t)) for t in times]
+        t_index = {t: j for j, t in enumerate(t_text)}
+        p_index = {str(p): p for p in range(n_paths)}
+        heads = [f', "t": {t}, "sigma": [' for t in t_text]
+
+        def parse(text: str):
+            # (records, paths, time indices, rows) of the nonempty sigma
+            # lists in text; KeyError or ValueError off the layout
+            parts = text.translate(_BRACKETS).split("\x1e")
+            n = len(parts) // 2
+            sigma = parts[1::2]
+            # between two sigma lists only the path, t and "ee" words remain
+            words = "".join(parts[::2]).translate(_WORDS).split()
+            if len(words) != 3 * n:
+                raise ValueError("not three words per record")
+            p = np.fromiter(map(p_index.__getitem__, words[::3]), np.int64, n)
+            j = np.fromiter(map(t_index.__getitem__, words[1::3]), np.int64, n)
+            flags = (times[j] >= stopped_at[p]).tolist()
+            rebuilt = _records(words[::3], map(heads.__getitem__, j.tolist()), sigma, flags)
+            # the last line of a file may lack its newline
+            if rebuilt != text and rebuilt[:-1] != text:
+                raise ValueError("not in the layout")
+            rows = list(filter(None, sigma))
+            full = np.fromiter(map(bool, sigma), bool, n)
+            vals = np.empty((0, dim))
+            if rows:
+                if set(map(str.count, rows, repeat(", "))) != {dim - 1}:
+                    raise ValueError(f"a sigma list without {dim} entries")
+                joined = ", ".join(rows)
+                if joined.translate(_DROP_NUMBERS) != ", " * (dim * len(rows) - 1):
+                    raise ValueError("a sigma entry that is not a number")
+                # np.fromstring rounds as float() and json do
+                vals = np.fromstring(joined, sep=",")
+                if vals.size != dim * len(rows):
+                    raise ValueError("a sigma entry that is not a number")
+                vals = vals.reshape(-1, dim)
+            return n, p[full], j[full], vals
+
+        line = 2  # of the first record in the batch
+        while text := fh.read(_READ_BYTES):
+            text += fh.readline()
+            try:
+                n, p, j, vals = parse(text)
+            except (KeyError, ValueError):
+                # every check holds line by line, so some line fails alone
+                lines = text.split("\n")
+                for k, bad in enumerate(lines[:-1] if text.endswith("\n") else lines):
+                    try:
+                        parse(bad + "\n")
+                    except (KeyError, ValueError):
+                        break
+                raise RecordInvalid(
+                    f"{path}, line {line + k}: not a record in write_jsonl's layout: {bad[:200]!r}"
+                ) from None
+            samples[p, j] = vals
+            line += n
     return PathEnsemble(
         meta=meta,
         times=times,

@@ -55,3 +55,7 @@ class ShapeMismatch(SiegelError):
 
 class ConfigInvalid(SiegelError):
     """A simulation configuration failed validation."""
+
+
+class RecordInvalid(SiegelError):
+    """A trajectories.jsonl line is not a record in write_jsonl's layout."""

@@ -100,8 +100,10 @@ def in_chamber(sigma, floor: float, positive: bool = True):
     path-last (n, c) state each step reads contiguous rows.  Once every gap
     has passed, a NaN or an infinity can only sit at an end."""
     ok = sigma[..., 0] > floor if positive else np.isfinite(sigma[..., 0])
-    for k in range(1, sigma.shape[-1]):
-        ok &= sigma[..., k] - sigma[..., k - 1] > floor
+    # two adjacent infinities of one sign have a NaN gap, which is refused
+    with np.errstate(invalid="ignore"):
+        for k in range(1, sigma.shape[-1]):
+            ok &= sigma[..., k] - sigma[..., k - 1] > floor
     return ok & np.isfinite(sigma[..., -1])
 
 

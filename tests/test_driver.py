@@ -233,6 +233,26 @@ def test_simulation_records_stop_reason(case):
         assert np.any(np.round(units) % ensemble._HALVING_UNITS != 0)
 
 
+def _philox_state(gen):
+    s = gen.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), s["buffer"].tolist(),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+@pytest.mark.parametrize("retry", [False, True])
+@pytest.mark.parametrize("path_index", [0, 2**48 - 1])
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+def test_path_generator_is_the_keyed_philox(seed, path_index, retry):
+    # keyed through a seed sequence that seeds nothing from the operating
+    # system: the state and the draws of Philox(key=[seed, tag])
+    tag = (int(retry) << 60) | (ensemble.SCHEME_IDS["particle"] << 48) | path_index
+    want = np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
+    got = ensemble.path_generator(seed, "particle", path_index, retry)
+    assert _philox_state(got) == _philox_state(want)
+    np.testing.assert_array_equal(got.standard_normal(10_000), want.standard_normal(10_000))
+    assert _philox_state(got) == _philox_state(want)
+
+
 def test_sample_times_are_checked_on_construction():
     # a time past t_final or off the dt grid is refused however the config
     # is built, directly or through dataclasses.replace
@@ -247,6 +267,19 @@ def test_sample_times_are_checked_on_construction():
     with pytest.raises(ConfigInvalid, match="sample_times: .*dt grid"):
         replace(cfg, dt=2e-3)
     assert cfg.sample_times == (0.0, 0.005, 0.01)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["t_final", "dt", "sample_times"])
+def test_non_finite_times_are_refused_on_construction(field, value):
+    # round() used to raise a raw ValueError (NaN) or OverflowError (inf)
+    kwargs = dict(n=2, beta=2.0, sigma0=[0.8, 1.6], t_final=0.05, dt=0.01, n_paths=4, seed=1,
+                  scheme="particle")
+    new = {field: (0.0, value) if field == "sample_times" else value}
+    with pytest.raises(ConfigInvalid, match=f"^{field}: "):
+        SimConfig(**{**kwargs, **new})
+    with pytest.raises(ConfigInvalid, match=f"^{field}: "):
+        replace(SimConfig(**kwargs), **new)
 
 
 def test_t_final_off_the_dt_grid_is_refused_on_construction():

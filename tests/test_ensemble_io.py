@@ -1,12 +1,15 @@
 """Byte-level checks of trajectories.jsonl: the block writer against a
-per-record reference writer, and the block reader against both."""
+per-record reference writer, the block reader against both, and the
+reader's refusal of lines off the writer's layout."""
 import json
+import re
 
 import numpy as np
 import pytest
 
 from siegelbm import PathEnsemble, ensembles_equal, read_jsonl, write_jsonl
 from siegelbm.ensemble import _WRITE_BLOCK, _meta_to_json
+from siegelbm.errors import RecordInvalid
 
 
 def reference_write_jsonl(ens: PathEnsemble, path: str):
@@ -33,12 +36,12 @@ def reference_write_jsonl(ens: PathEnsemble, path: str):
 _TIMES = np.arange(6) * 0.1
 
 
-def _ensemble(n_paths, dim=2, beta=2.0, seed=0):
+def _ensemble(n_paths, dim=2, beta=2.0, seed=0, times=_TIMES):
     rng = np.random.default_rng(seed)
-    samples = np.cumsum(rng.uniform(0.1, 2.0, size=(n_paths, _TIMES.size, dim)), axis=-1)
+    samples = np.cumsum(rng.uniform(0.1, 2.0, size=(n_paths, times.size, dim)), axis=-1)
     return PathEnsemble(
         meta={"scheme": "particle", "n": dim, "beta": beta, "dim": dim, "seed": seed},
-        times=_TIMES.copy(),
+        times=times.copy(),
         samples=samples,
         stopped_at=np.full(n_paths, np.nan),
         stop_reason=[None] * n_paths,
@@ -80,6 +83,14 @@ def _special_values():
     return ens
 
 
+def _entries(*values):
+    """Two paths, each with one sample row made of values (dim = their count)."""
+    ens = _ensemble(2, dim=len(values))
+    ens.samples[0, 1] = values
+    ens.samples[1, 3] = values[::-1]
+    return ens
+
+
 def _partial_nan_row():
     ens = _ensemble(2)
     ens.samples[0, 4, 1] = np.nan
@@ -105,6 +116,14 @@ CASES = {
     "one-path": lambda: _mixed_block(1),
     "block-minus-one": lambda: _mixed_block(_WRITE_BLOCK - 1),
     "block-plus-one": lambda: _mixed_block(_WRITE_BLOCK + 1),
+    # json.dumps writes Infinity where float.__repr__ writes inf
+    "infinities": lambda: _entries(np.inf, -np.inf, 1.0),
+    "infinity-dim-1": lambda: _entries(-np.inf),
+    "extreme-magnitudes": lambda: _entries(5e-324, 1.7976931348623157e308, -5e-324),
+    # the two sides of each switch between positional and exponent reprs
+    "repr-switch-large": lambda: _entries(9999999999999998.0, 1e16),
+    "repr-switch-small": lambda: _entries(1e-05, 0.0001),
+    "one-sample-time": lambda: _ensemble(3, times=np.array([0.25])),
 }
 
 
@@ -147,3 +166,71 @@ def test_reader_batches_join_up(tmp_path, monkeypatch):
     ens = _mixed_block(_WRITE_BLOCK + 1)
     write_jsonl(ens, tmp_path / "t.jsonl")
     assert ensembles_equal(read_jsonl(tmp_path / "t.jsonl"), ens)
+
+
+# edits that take a record line off the writer's layout
+_EDITS = {
+    "no-open-bracket": lambda line: line.replace('"sigma": [', '"sigma": '),
+    "no-close-bracket": lambda line: line.replace('], "stopped"', ', "stopped"'),
+    "renamed-sigma": lambda line: line.replace('"sigma"', '"sigmas"'),
+    "renamed-t": lambda line: line.replace('"t"', '"time"'),
+    "unknown-path": lambda line: re.sub(r'"path": \d+', '"path": 99999', line),
+    "t-off-header": lambda line: re.sub(r'"t": ([^,]+)', r'"t": \g<1>1', line),
+    "flipped-flag": lambda line: line.replace("false", "TRUE").replace("true", "false").replace("TRUE", "true"),
+    "nan-entry": lambda line: re.sub(r'"sigma": \[[^,\]]+', '"sigma": [NaN', line),
+    "cut-number": lambda line: re.sub(r'"sigma": \[[^,\]]+', '"sigma": [1e+', line),
+    "short-sigma": lambda line: re.sub(r'"sigma": \[[^,\]]+, ', '"sigma": [', line),
+    "blank": lambda line: "",
+    "trailing-space": lambda line: line + " ",
+    "space-in-sigma": lambda line: line.replace('"sigma": [', '"sigma": [ '),
+}
+
+
+def _edit_one_record(path, edit):
+    """Apply edit to a middle record with a nonempty sigma list, of two
+    entries or more where there are such; the record's line number, or
+    None if the edit leaves the line as it is."""
+    lines = path.read_text().splitlines()
+    full = [k for k in range(1, len(lines)) if '"sigma": []' not in lines[k]]
+    pairs = [k for k in full if ", " in lines[k].split("[")[1]]
+    candidates = pairs or full
+    k = candidates[len(candidates) // 2]
+    edited = _EDITS[edit](lines[k])
+    if edited == lines[k]:
+        return None
+    lines[k] = edited
+    path.write_text("\n".join(lines) + "\n")
+    return k + 1
+
+
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reader_names_a_line_off_the_layout(tmp_path, case, edit):
+    write_jsonl(CASES[case](), tmp_path / "t.jsonl")
+    line = _edit_one_record(tmp_path / "t.jsonl", edit)
+    if line is None:
+        pytest.skip("a one-entry sigma list cannot lose an entry and keep its brackets")
+    with pytest.raises(RecordInvalid, match=f"line {line}: "):
+        read_jsonl(tmp_path / "t.jsonl")
+
+
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+def test_reader_names_the_line_across_batches(tmp_path, monkeypatch, edit):
+    # a batch hint smaller than one record makes every line its own batch
+    monkeypatch.setattr("siegelbm.ensemble._READ_BYTES", 16)
+    write_jsonl(_mixed_block(_WRITE_BLOCK + 1), tmp_path / "t.jsonl")
+    line = _edit_one_record(tmp_path / "t.jsonl", edit)
+    with pytest.raises(RecordInvalid, match=f"line {line}: "):
+        read_jsonl(tmp_path / "t.jsonl")
+
+
+def test_reader_refuses_an_entry_moved_between_records(tmp_path):
+    # one sigma list short of an entry and a later one long by it: the
+    # batch still holds dim numbers per record, but its rows would shift
+    write_jsonl(_ensemble(3), tmp_path / "t.jsonl")
+    lines = (tmp_path / "t.jsonl").read_text().splitlines()
+    lines[2] = re.sub(r'"sigma": \[[^,\]]+, ', '"sigma": [', lines[2])
+    lines[5] = lines[5].replace('"sigma": [', '"sigma": [1.0, ')
+    (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordInvalid, match="line 3: "):
+        read_jsonl(tmp_path / "t.jsonl")

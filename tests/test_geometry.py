@@ -1,4 +1,6 @@
 """Tests for the half-space/disk geometry layer."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,22 @@ def test_in_chamber_matches_the_explicit_formula(n, positive):
     if positive:
         ends_pass &= sig[:, 0] > floor
     assert (ends_pass & ~expected).any()
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_in_chamber_refuses_same_sign_infinities_without_a_warning(positive):
+    # inf - inf is a NaN gap: the row is refused, and no RuntimeWarning is raised
+    inf = np.inf
+    sig = np.array([
+        [1.0, inf, inf], [-inf, -inf, 1.0], [inf, inf, inf], [-inf, -inf, -inf],
+        [1.0, 2.0, inf], [-inf, 1.0, 2.0], [1.0, 2.0, 3.0],
+    ])
+    expected = _explicit_in_chamber(sig, 0.25, positive)
+    assert expected[-1] and not expected[:4].any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for layout in (sig, np.ascontiguousarray(sig.T).T):
+            assert np.array_equal(in_chamber(layout, 0.25, positive), expected)
 
 
 def test_in_chamber_refuses_nonfinite_ends_and_a_gap_on_the_floor():
