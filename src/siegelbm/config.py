@@ -19,7 +19,6 @@ import numpy as np
 from .entropy import cutoff_eta
 from .errors import ConfigInvalid
 from .geometry import _DOMAIN_EDGE
-from .linalg import matrix_from_json
 
 SCHEMES = ("matrix", "particle", "mean-curvature", "dyson", "sphere-point", "sphere-radius")
 
@@ -35,7 +34,6 @@ _KNOWN_KEYS = {
     "sample_times",
     "cutoff",
     "gap_floor",
-    "q0",
 }
 
 _DEFAULT_CUTOFF = (50.0, 50.0)
@@ -60,13 +58,16 @@ class SimConfig:
     sample_times: tuple = ()
     cutoff: tuple | None = None  # resolved (k, K) or None
     gap_floor: float = 1e-6
-    q0: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
         for name in ("t_final", "dt"):
             if not math.isfinite(getattr(self, name)):
                 _fail(name, "must be a finite number")
+        if self.dt <= 0:
+            _fail("dt", "must be a positive number")
+        if self.n_paths < 1:
+            _fail("n_paths", "must be a positive integer")
         if self.n_steps < 1 or abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
             _fail("dt", "t_final must be an integer multiple of dt")
         # sample times become the ascending distinct times of the dt grid
@@ -216,20 +217,6 @@ def config_from_dict(raw: dict) -> SimConfig:
     if cutoff is not None and cutoff_eta(sigma0, *cutoff) == 0:
         _fail("cutoff", "eta is 0 at sigma0, outside the cutoff's support, so no path would move")
 
-    q0_raw = raw.get("q0")
-    q0 = None
-    if q0_raw is not None:
-        if scheme != "matrix":
-            _fail("q0", "only the matrix scheme takes an initial unitary")
-        try:
-            q0 = matrix_from_json(q0_raw)
-        except Exception:
-            _fail("q0", "must be a nested list of (re, im) pairs")
-        if q0.shape != (n, n):
-            _fail("q0", f"must be {n} x {n}")
-        if np.linalg.norm(q0.conj().T @ q0 - np.eye(n)) > 1e-10:
-            _fail("q0", "must be unitary to 1e-10")
-
     return SimConfig(
         n=n,
         beta=beta,
@@ -242,5 +229,4 @@ def config_from_dict(raw: dict) -> SimConfig:
         sample_times=sample_times,
         cutoff=cutoff,
         gap_floor=float(gap_floor),
-        q0=q0,
     )

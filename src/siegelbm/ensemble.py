@@ -96,20 +96,10 @@ def raise_rejection(status: int) -> None:
         raise error(message)
 
 
-def take(a: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
-    """a.take(index, axis) of a path-last array, axis 0 or the paths (-1),
-    in a's memory order: over path-major memory it is taken from the
-    contiguous path-first view, since take copies any other input to C
-    order first."""
-    if a.flags.c_contiguous:
-        return a.take(index, axis)
-    return np.moveaxis(np.moveaxis(a, -1, 0).take(index, 0 if axis == -1 else axis + 1), 0, -1)
-
-
 def gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Paths idx (ascending) of a path-last array; a itself when idx holds
     every path, so a kernel steps a full batch without a copy."""
-    return a if idx.size == a.shape[-1] else take(a, idx, -1)
+    return a if idx.size == a.shape[-1] else a.take(idx, -1)
 
 
 def store(state: np.ndarray, idx: np.ndarray, vals: np.ndarray, ok: np.ndarray) -> None:
@@ -118,7 +108,7 @@ def store(state: np.ndarray, idx: np.ndarray, vals: np.ndarray, ok: np.ndarray) 
     if idx.size == state.shape[-1]:
         np.copyto(state, vals, where=ok)
     else:
-        state[..., idx[ok]] = take(vals, np.flatnonzero(ok), -1)
+        state[..., idx[ok]] = vals.take(np.flatnonzero(ok), -1)
 
 
 @cache

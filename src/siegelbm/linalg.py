@@ -24,14 +24,13 @@ from .errors import (
 _CLUSTER_GAP = 1e-6
 _ZERO_TOL = 1e-12
 # Largest inner dimension at which a stacked product is summed elementwise
-# over k instead of one BLAS call per matrix; the matrix step holds its
-# arrays C-ordered path-last up to it and over path-major memory above it
-# (matrix_flow._empty).  For 512 complex products, elementwise over C-ordered
-# path-last stacks against matmul over path-major ones: 30 against 292 ns per
-# matrix at n = 2, 70 against 305 ns at n = 3, 163 against 321 ns at n = 4 and
-# 1,810 against 434 ns at n = 8 (means of two timeit minima).  A whole n = 4
-# step on 512 paths was faster C-ordered too (3.5 against 4.0 ms, its eigh's
-# copy included), but n = 4 stays on matmul: no benchmark workload runs it.
+# over k instead of one BLAS call per matrix.  For 512 complex products over
+# C-ordered path-last stacks, the matrix step's one layout, elementwise
+# against matmul: 21-28 against 264-418 ns per matrix at n = 2, 130-168
+# against 326-626 ns at n = 4 and 1,824-2,321 against 741-1,028 ns at n = 8
+# (timeit minima of five runs, one BLAS thread, 2-vCPU Xeon).  A whole n = 4
+# step on 512 paths took 2.30-2.73 ms summed elementwise against 2.40-2.51 ms
+# on matmul, no clear gain, and no benchmark workload runs n = 4.
 _ELEMENTWISE_MAX_N = 3
 
 

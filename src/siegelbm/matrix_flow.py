@@ -49,16 +49,13 @@ leaves the disk (some singular value reaching one) or whose corrected point
 leaves the ordered chamber (sigma gap at or below the floor) are rejected.
 
 Layout: the state and every array of a step are path-last, sigma as
-(n, paths) and matrices as (n, n, paths), and the draws are read transposed.
-At n <= 3 the arrays are C-ordered, so each numpy call of a step, an
-elementwise 2x2 product included, is one contiguous loop over the paths.
-Path-major, (paths, n, n), numpy would run each such call as one loop of
-length n per path, and per-call overhead, not arithmetic, would bound the
-step.
-Above n = 3 the same path-last shapes sit over path-major memory, so
-np.moveaxis(a, -1, 0) hands matmul and eigvalsh a contiguous stack of
-matrices without a copy.  The memory order is chosen from n where arrays are
-allocated (_empty); every other array follows its input.
+(n, paths) and matrices as (n, n, paths), and the draws are read transposed,
+as in the radial kernels.  The state and the arrays a step allocates are
+C-ordered at every n, so each elementwise numpy call of a step, a 2x2
+product included, is one contiguous loop over the paths; path-major, numpy
+would run it as one loop of length n per path, and per-call overhead, not
+arithmetic, would bound the step.  matmul and eigvalsh take the stacks in
+whatever order they come.
 
 Gaussian layout per step (n^2 + n draws): first the n diagonal orbit
 directions, then the two off-diagonal families in lexicographic (k, l)
@@ -84,7 +81,7 @@ from .linalg import (
     unitary_algebra_basis,
     unitary_exp,
 )
-from .particle_flow import _noise_coef
+from .particle_flow import _RadialKernel, _noise_coef
 
 # Largest off-diagonal predictor rotation |K_kl| taken from first order; rows
 # at or past it are factorized exactly (see _predict).
@@ -112,17 +109,6 @@ def init_matrix_state(sigma0, q0=None, t: float = 0.0) -> MatrixFlowState:
     return MatrixFlowState(r=r, sigma_cache=sigma0, q_cache=q, t=t)
 
 
-def _empty(n: int, shape: tuple, dtype=complex) -> np.ndarray:
-    """Uninitialized path-last array (..., paths) for the step at matrix size
-    n: C-ordered up to _ELEMENTWISE_MAX_N, where every op of the step is then
-    one contiguous loop over the paths, and over path-major memory above it,
-    where np.moveaxis(a, -1, 0) is the contiguous stack that matmul and
-    eigvalsh want."""
-    if n <= _ELEMENTWISE_MAX_N:
-        return np.empty(shape, dtype)
-    return np.moveaxis(np.empty(shape[-1:] + shape[:-1], dtype), 0, -1)
-
-
 @lru_cache(maxsize=None)
 def _noise_index(n: int) -> np.ndarray:
     """Read-only (n, n) map from each entry of X to its value's row in
@@ -148,12 +134,11 @@ def _noise_matrix(xi: np.ndarray, n: int, beta: float) -> np.ndarray:
     The draws are read transposed, one row per noise field, and the
     n + n(n-1)/2 distinct values are placed by one take (_noise_index)."""
     p = n * (n - 1) // 2
-    xt = _empty(n, xi.shape[::-1], float)
-    xt[...] = xi.T
-    vals = np.empty_like(xt, dtype=complex, shape=(n + p, xi.shape[0]))
+    xt = np.ascontiguousarray(xi.T)
+    vals = np.empty((n + p, xi.shape[0]), complex)
     vals[:n] = _noise_coef(beta) * xt[n * n :] + 1j * xt[:n]
     vals[n:] = (xt[n + p : n + 2 * p] + 1j * xt[n : n + p]) / np.sqrt(2.0)
-    return ens.take(vals, _noise_index(n), 0)
+    return vals.take(_noise_index(n), 0)
 
 
 def _congruence(q: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -164,14 +149,6 @@ def _chart(mu: np.ndarray):
     """Whether each path's singular values (n, paths) stay clear of the disk
     edge, and sigma = 2 artanh(mu)."""
     return mu[-1] < 1.0 - _DOMAIN_EDGE, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
-
-
-def _refactor(r: np.ndarray):
-    """Takagi frame of a path-last stack of disk points (column signs not
-    fixed), whether each stays clear of the disk edge, and its
-    sigma = 2 artanh(mu)."""
-    q, mu = _takagi_batch(r.transpose(2, 0, 1))
-    return (q.transpose(1, 2, 0), *_chart(mu.T))
 
 
 def _predict(sig: np.ndarray, e: np.ndarray):
@@ -199,9 +176,12 @@ def _predict(sig: np.ndarray, e: np.ndarray):
     dom_ok, sig_star = _chart(mu + ed.real)
     far = np.flatnonzero(~first)
     if far.size:
-        moved = ens.take(e, far, -1)
+        moved = e.take(far, -1)
         moved[diag, diag] += mu[:, far]
-        v, dom_ok[far], sig_star[:, far] = _refactor(moved)
+        # the Takagi frame of the path-first stack, column signs not fixed
+        q, mu_far = _takagi_batch(moved.transpose(2, 0, 1))
+        v = q.transpose(1, 2, 0)
+        dom_ok[far], sig_star[:, far] = _chart(mu_far.T)
         u[..., far] = v * np.where(v.diagonal(axis1=0, axis2=1).T.real < 0, -1.0, 1.0)
     return u, dom_ok, sig_star
 
@@ -231,31 +211,22 @@ def _step(sig: np.ndarray, h, xi: np.ndarray, beta: float, floor: float):
     return a, sig_new, status
 
 
-class MatrixKernel:
-    """Batched disk-coordinate stepping of path-last sigma (n, paths).  The
-    frame Q of R = Q diag(tanh(sigma/2)) Q^T reaches no sigma, so it is not
-    held.  Above _ELEMENTWISE_MAX_N a step's time is in LAPACK eigvalsh and
-    BLAS matmul, which release the interpreter lock; up to it, in short
-    path-last numpy calls that hold it."""
+class MatrixKernel(_RadialKernel):
+    """Batched disk-coordinate stepping of sigma on the radial kernels'
+    protocol.  The frame Q of R = Q diag(tanh(sigma/2)) Q^T reaches no
+    sigma, so it is not held.  Above _ELEMENTWISE_MAX_N a step's time is in
+    LAPACK eigvalsh and BLAS matmul, which release the interpreter lock; up
+    to it, in short path-last numpy calls that hold it."""
 
     def __init__(self, sigma0, beta: float, gap_floor: float):
-        self.sigma0 = np.asarray(sigma0, dtype=float)
+        super().__init__(sigma0, beta, gap_floor)
+        n = self.obs_dim
         self.beta = beta
-        self.floor = gap_floor
-        n = self.sigma0.size
-        self.noise_dim, self.obs_dim = n * n + n, n
+        self.noise_dim = n * n + n
         self.releases_gil = n > _ELEMENTWISE_MAX_N
 
-    def init(self, c: int) -> np.ndarray:
-        state = _empty(self.obs_dim, (self.obs_dim, c), float)
-        state[...] = self.sigma0[:, None]
-        return state
-
-    def observe(self, state: np.ndarray) -> np.ndarray:
-        return state.T
-
-    def attempt(self, state: np.ndarray, idx, h: float, xi, frac) -> np.ndarray:
-        _, sig_new, status = _step(ens.gather(state, idx), h * frac, xi, self.beta, self.floor)
+    def _step(self, state, idx, h, xi):
+        _, sig_new, status = _step(ens.gather(state, idx), h, xi, self.beta, self.floor)
         ens.store(state, idx, sig_new, status == ens.OK)
         return status
 

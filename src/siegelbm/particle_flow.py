@@ -41,11 +41,11 @@ def _noise_coef(beta: float) -> float:
 
 
 class _RadialKernel:
-    """Kernel protocol shared by the particle-type schemes: the state holds
-    one column of coordinates per path, (n, c), so every operation of a step
-    is one contiguous loop over paths, and is observed transposed, one row
-    per path.  Subclasses propose a move in _step() and settle it with
-    _accept()."""
+    """Kernel protocol shared by every scheme, the matrix scheme's included:
+    the state is a C-ordered array with one column of coordinates per path,
+    (n, c), so every operation of a step is one contiguous loop over paths,
+    and is observed transposed, one row per path.  Subclasses propose a move
+    in _step() and store what they accept (_accept())."""
 
     releases_gil = False  # small numpy calls per step: the interpreter lock bounds it
 

@@ -61,8 +61,7 @@ _SIGNATURES = {
     "SimConfig": (
         "(n: 'int', beta: 'float', sigma0: 'np.ndarray', t_final: 'float', dt: 'float', "
         "n_paths: 'int', seed: 'int', scheme: 'str', sample_times: 'tuple' = (), "
-        "cutoff: 'tuple | None' = None, gap_floor: 'float' = 1e-06, "
-        "q0: 'np.ndarray | None' = None) -> None"
+        "cutoff: 'tuple | None' = None, gap_floor: 'float' = 1e-06) -> None"
     ),
     "SingularShift": "raises SiegelError",
     "SpectralCoord": "(sigma: 'np.ndarray') -> None",

@@ -113,6 +113,8 @@ def test_simulate_threads_byte_identical(tmp_path):
         # outside the cutoff's support: S(sigma0) = -10.9 is below -2k = -4
         ({"sigma0": [0.05, 0.1], "cutoff": {"k": 2.0, "K": 2.0}}, "cutoff"),
         ({"sample_times": [0.0, 0.0504]}, "sample_times"),
+        # no starting frame: the matrix ensemble holds sigma alone
+        ({"scheme": "matrix", "q0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "q0"),
     ],
 )
 def test_simulate_config_errors(tmp_path, capsys, patch, fieldname):

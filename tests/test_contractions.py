@@ -25,7 +25,6 @@ from siegelbm.matrix_flow import (
     _noise_index,
     _noise_matrix,
     _predict,
-    _refactor,
 )
 from siegelbm.particle_flow import _noise_coef
 
@@ -299,7 +298,7 @@ def test_raw_predictor_frame_aligns_like_canonical_frame(n):
     assert abs(e[3, 0, 1].real) >= _FIRST_ORDER_MAX * (mu[3, 1] - mu[3, 0])
     moved = e[3:4].copy()
     moved[:, np.arange(n), np.arange(n)] += mu[3:4]
-    raw = _pf(_refactor(_pl(moved))[0])
+    raw = _takagi_batch(moved)[0]
     canonical = _canonical_column_signs(raw)
 
     def aligned(v):

@@ -282,6 +282,18 @@ def test_non_finite_times_are_refused_on_construction(field, value):
         replace(SimConfig(**kwargs), **new)
 
 
+@pytest.mark.parametrize("field, value", [("dt", 0.0), ("dt", -1e-3), ("n_paths", 0), ("n_paths", -1)])
+def test_zero_step_and_empty_ensemble_are_refused_on_construction(field, value):
+    # dt = 0 used to raise a raw ZeroDivisionError from n_steps, n_paths = -1
+    # a raw ValueError from np.full, and n_paths = 0 ran an empty ensemble
+    kwargs = dict(n=2, beta=2.0, sigma0=[0.8, 1.6], t_final=0.05, dt=0.01, n_paths=4, seed=1,
+                  scheme="particle")
+    with pytest.raises(ConfigInvalid, match=f"^{field}: must be a positive"):
+        SimConfig(**{**kwargs, field: value})
+    with pytest.raises(ConfigInvalid, match=f"^{field}: must be a positive"):
+        replace(SimConfig(**kwargs), **{field: value})
+
+
 def test_t_final_off_the_dt_grid_is_refused_on_construction():
     # 10.5 steps used to run 10 and record [0, 0.01] without a word
     kwargs = dict(n=1, beta=2.0, sigma0=[1.0], dt=1e-3, n_paths=2, seed=1, scheme="particle")
