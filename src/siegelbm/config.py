@@ -2,7 +2,7 @@
 
 Validation reports the first failing field by name.  Schemes:
 
-  matrix          disk-model matrix integrator (predictor-corrector)
+  matrix          disk-model matrix integrator (Ito-Euler; Heun at beta = inf)
   particle        radial interacting-particle integrator (Euler-Maruyama)
   mean-curvature  deterministic radial flow (classical RK4)
   dyson           squared-radial flat-space analogue

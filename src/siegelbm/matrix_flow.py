@@ -1,28 +1,43 @@
 """Matrix-level flow in disk coordinates.
 
-One step from R = Q diag(tanh(sigma/2)) Q^T:
+A step from R = Q diag(mu) Q^T, mu = tanh(sigma/2), is written in the frame
+Q: the moved point is R' = Q A' Q^T, so sigma' = 2 artanh(mu') takes only
+the singular values mu' of A', which is built from sigma and the draws.
+The frame Q reaches no sigma, and the ensemble kernel holds sigma alone.
+The single-state step keeps Q; it takes sigma' and the status as the
+kernel does, then factorizes A' = V diag(mu') V^T and sets Q' = Q V.
 
-  (i)  Stratonovich predictor-corrector (Heun) for all noise fields: the
-       n^2 orbit directions at unit rate and the n radial directions at
-       rate sqrt(2/beta).  In the Q-frame the assembled noise is the complex
-       symmetric G = S X S, S = diag((1 + cosh sigma)^-1/2), with X built
-       once per step from the draws alone, so each increment is the
-       congruence (Q S) X (Q S)^T and stays symmetric by construction.
-  (ii) The radial correction produced by the orbit directions, an explicit
-       Euler term h * sum_k d_k(sigma) L_k evaluated at the base point,
-       with d the normal drift (half the entropy gradient).
+The noise drives the n^2 orbit directions at unit rate and the n radial
+directions at rate sqrt(2/beta).  In the Q-frame it is the complex
+symmetric G = S X S, S = diag((1 + cosh sigma)^-1/2), with X built once per
+step from the draws alone (_noise_matrix), so each increment is the
+congruence (Q S) X (Q S)^T.
 
-The ensemble kernel holds sigma alone.  With mu = tanh(sigma/2), the moved
-point written in the frame is R' = Q A' Q^T, so sigma' = 2 artanh(mu')
-takes only the singular values mu' of A', which is built from sigma and the
-draws: the frame Q reaches no sigma.  The single-state step keeps Q; it
-takes sigma' and the status as the kernel does, then factorizes
-A' = V diag(mu') V^T and sets Q' = Q V.
+Finite beta: one Ito-Euler step,
 
-The corrector needs the predicted point's frame and sigma* only to first
-order, so they come from a first-order Takagi perturbation of diag(mu)
-rather than a second factorization (_predict).  With the predictor's move
-written in the frame, E = sqrt(h) S X S (complex symmetric):
+  A' = diag(mu) + sqrt(h) S X S + h (1/2 - 1/beta) diag(mu S^2).
+
+At beta = 2 the radial generator is 1/8 of the radial part of the
+Laplace-Beltrami operator on Sp(2n, R)/U(n) (Helgason, Groups and Geometric
+Analysis, ch. II), so the matrix process is Brownian motion on the Siegel
+disk.  The disk is Kaehler, so in R that motion has no drift.  Another beta
+adds (1/beta - 1/2) times the sum of the squared radial fields, whose drift
+(1/4 - 1/(2 beta)) (R - R conj(R) R) is a polynomial in R; in the frame it
+is the diagonal above, with mu (1 - mu^2) = 2 mu S^2 and no 1 - mu^2
+cancellation.  The step needs no entropy gradient, no predictor and no
+second congruence.  By Weyl's inequality each singular value moves by at
+most |sqrt(h) S X S| + O(h), whatever the gaps, and a singular value is
+never negative: a path that meets a chamber wall is reflected by it.
+
+beta = inf: sigma is deterministic there, and the Ito step would spread
+each path like sqrt(h), since it cancels the orbit noise's radial part in
+the mean only.  So the step is Stratonovich Heun for the orbit noise plus
+the radial correction it produces, an explicit Euler term
+h diag(S^2 grad S / 2) with grad S the entropy gradient.  The corrector
+needs the predicted point's frame and sigma* only to first order, so they
+come from a first-order Takagi perturbation of diag(mu) rather than a
+second factorization (_predict).  With the predictor's move written in the
+frame, E = sqrt(h) S X S (complex symmetric):
 
   mu*_k = mu_k + Re E_kk
   u     = diag(e^{i theta}) + K,   theta_k = Im E_kk / (2 mu_k),
@@ -32,21 +47,22 @@ u lies on the identity's sign sheet by construction.  A row whose largest
 off-diagonal |K_kl| reaches _FIRST_ORDER_MAX (a near-collision, where first
 order breaks down) falls back to the full factorization of diag(mu) + E
 and takes its frame as u, each column's sign set so that Re u_jj >= 0.
-
 The corrected point in the frame is
 
   A' = diag(mu) + (sqrt(h)/2) (S X S + (u S*) X (u S*)^T) + h diag(S^2 grad S / 2),
 
-with S* = diag((1 + cosh sigma*)^-1/2), symmetrized.  Its singular values
-(linalg._singular_values) are the closed form of A' itself at n = 2, which
-keeps mu_1's relative accuracy at the chamber wall, and above it the square
-roots of LAPACK's eigvalsh of A'^H A', with no eigenvectors.  A step takes
-two stacked products, the corrector's (u S*) X (u S*)^T, and at n >= 3
-A'^H A' as a third, each through linalg._matmul: a batched matmul above
-n = 3, and at n <= 3 an elementwise sum over the inner index, which skips
-numpy's per-matrix BLAS call.  Steps whose predicted or corrected point
-leaves the disk (some singular value reaching one) or whose corrected point
-leaves the ordered chamber (sigma gap at or below the floor) are rejected.
+with S* = diag((1 + cosh sigma*)^-1/2), symmetrized.
+
+The singular values of A' (linalg._singular_values) are the closed form of
+A' itself at n = 2, which keeps mu_1's relative accuracy at the chamber
+wall, and above it the square roots of LAPACK's eigvalsh of A'^H A', with no
+eigenvectors.  Stacked products go through linalg._matmul: a batched matmul
+above n = 3, and at n <= 3 an elementwise sum over the inner index, which
+skips numpy's per-matrix BLAS call.  At finite beta the only one is A'^H A'
+at n >= 3; the Heun step adds the corrector's (u S*) X (u S*)^T.  A step
+is rejected when its moved point leaves the disk (some singular value
+reaching one) or the ordered chamber (sigma gap at or below the floor); the
+Heun step also rejects a predicted point that leaves the disk.
 
 Layout: the state and every array of a step are path-last, sigma as
 (n, paths) and matrices as (n, n, paths), and the draws are read transposed,
@@ -187,13 +203,36 @@ def _predict(sig: np.ndarray, e: np.ndarray):
 
 
 def _step(sig: np.ndarray, h, xi: np.ndarray, beta: float, floor: float):
-    """The moved point A' in the base frame (symmetrized), sigma' from its
-    singular values and each path's status, from path-last sigma (n, paths)."""
-    sq = np.sqrt(h)
+    """The moved point A' in the base frame (exactly symmetric), sigma' from
+    its singular values and each path's status, from path-last sigma
+    (n, paths): the Ito-Euler step at finite beta, Heun at beta = inf."""
     n = sig.shape[0]
     x = _noise_matrix(xi, n, beta)
     s2 = 1.0 / (1.0 + np.cosh(sig))
     s = np.sqrt(s2)
+    mu = np.tanh(0.5 * sig)
+    if np.isinf(beta):
+        a, dom_ok = _heun(sig, h, x, s, s2, mu)
+    else:
+        # sqrt(h) S X S in X's memory, the products s_k s_l formed first so
+        # that a is symmetric to the bit, then diag(mu) and the drift
+        # h (1/2 - 1/beta) diag(mu S^2)
+        a = x
+        a *= np.sqrt(h) * (s[:, None] * s)
+        a[np.arange(n), np.arange(n)] += mu + (h * (0.5 - 1.0 / beta)) * mu * s2
+        dom_ok = True
+    dom_new, sig_new = _chart(_singular_values(a))
+    status = np.full(sig.shape[1], ens.OK, dtype=np.int64)
+    status[~in_chamber(sig_new.T, floor)] = ens.REJECT_CHAMBER
+    status[~(dom_ok & dom_new)] = ens.REJECT_DOMAIN
+    return a, sig_new, status
+
+
+def _heun(sig, h, x, s, s2, mu):
+    """The beta = inf step's moved point A' (symmetrized) and the
+    predictor's disk-edge flag (module docstring)."""
+    sq = np.sqrt(h)
+    n = sig.shape[0]
     # the predictor's move in the frame, Q^H dR conj(Q) = sqrt(h) S X S
     e = sq * (s[:, None] * x * s)
     u, dom_ok, sig_star = _predict(sig, e)
@@ -202,13 +241,8 @@ def _step(sig: np.ndarray, h, xi: np.ndarray, beta: float, floor: float):
     # the drift h diag(S^2 grad S / 2)
     a = 0.5 * (e + sq * _congruence(u, x))
     diag = np.arange(n)
-    a[diag, diag] += np.tanh(0.5 * sig) + (0.5 * h) * s2 * _gradient_raw(sig.T).T
-    a = 0.5 * (a + a.swapaxes(0, 1))
-    dom_new, sig_new = _chart(_singular_values(a))
-    status = np.full(sig.shape[1], ens.OK, dtype=np.int64)
-    status[~in_chamber(sig_new.T, floor)] = ens.REJECT_CHAMBER
-    status[~(dom_ok & dom_new)] = ens.REJECT_DOMAIN
-    return a, sig_new, status
+    a[diag, diag] += mu + (0.5 * h) * s2 * _gradient_raw(sig.T).T
+    return 0.5 * (a + a.swapaxes(0, 1)), dom_ok
 
 
 class MatrixKernel(_RadialKernel):
@@ -234,7 +268,8 @@ class MatrixKernel(_RadialKernel):
 def step_matrix_flow(
     state: MatrixFlowState, beta: float, h: float, gaussians, gap_floor: float = 1e-6
 ) -> MatrixFlowState:
-    """One predictor-corrector step for a single state.
+    """One step for a single state: Ito-Euler at finite beta, Heun at
+    beta = inf (module docstring).
 
     sigma' and the status come from the ensemble kernel's step; the frame
     then moves by the Takagi frame V of the moved point, Q' = Q V.

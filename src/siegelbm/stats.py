@@ -88,6 +88,13 @@ def _stop_fraction_test(stopped_a: int, paths_a: int, stopped_b: int, paths_b: i
     }
 
 
+def exact_sum_cosh_mean(sigma0, beta: float, t: float) -> float:
+    """E[sum cosh sigma_t] = e^{(n/2 + 1/beta) t} sum cosh sigma_0, exact for
+    the radial process at every beta (1/beta = 0 at beta = inf)."""
+    sigma0 = np.asarray(sigma0, dtype=float)
+    return float(np.sum(np.cosh(sigma0)) * np.exp((sigma0.size / 2.0 + 1.0 / beta) * t))
+
+
 def _mean_se(values: np.ndarray):
     m = values.shape[0]
     mean = float(np.mean(values))

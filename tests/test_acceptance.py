@@ -29,6 +29,7 @@ from siegelbm import (
     write_jsonl,
 )
 from siegelbm.cli import _random_chamber, _random_disk_point, _random_half_point
+from siegelbm.stats import exact_sum_cosh_mean
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -155,7 +156,7 @@ def test_criterion_06_cosh_moment_growth():
             ens = simulate_particle_paths(cfg, threads=4)
             alive = ens.alive_mask(ens.times.size - 1)
             sc = np.sum(np.cosh(ens.samples[alive, -1, :]), axis=-1)
-            target = np.sum(np.cosh(sig0[n])) * np.exp((n / 2 + 1 / beta) * t_final)
+            target = exact_sum_cosh_mean(sig0[n], beta, t_final)
             if np.isinf(beta):
                 rel = abs(float(np.mean(sc)) - target) / target
                 details.append(f"n={n} b=inf rel={rel:.1e}")

@@ -5,10 +5,12 @@ The reference functions below are the earlier formulations, kept verbatim:
 the per-sigma noise assembly G, the congruence Q G Q^T, the drift lift
 Q diag(d) Q^T and the Takagi phase diagonal, each a three-operand einsum.
 The first-order predictor is written out per row and per entry in
-_ref_predict, and _ref_attempt moves the disk point R itself; the kernel
-holds sigma alone, so the frame is taken from single-state steps.  The
-references hold one path per leading index; the step holds the paths last,
-so its inputs and outputs pass through _pl and _pf.
+_ref_predict, and _ref_attempt, the beta = inf Heun step, and
+_ref_ito_attempt, the finite-beta Ito-Euler step, move the disk point R
+itself; the kernel holds sigma alone, so the frame is taken from
+single-state steps.  The references hold one path per leading index; the
+step holds the paths last, so its inputs and outputs pass through _pl and
+_pf.
 """
 import numpy as np
 import pytest
@@ -142,7 +144,8 @@ def _ref_predict(r, q, sig, dr):
 
 
 def _ref_attempt(kernel, state, idx, h, xi):
-    """MatrixKernel.attempt as it was built from the reference forms."""
+    """MatrixKernel.attempt at beta = inf as it was built from the reference
+    forms."""
     r, q, sig = state["r"][idx], state["q"][idx], state["sigma"][idx]
     sq = np.sqrt(h)
 
@@ -157,6 +160,22 @@ def _ref_attempt(kernel, state, idx, h, xi):
     status = np.full(len(idx), ens.OK, dtype=np.int64)
     status[~in_chamber(sig_new, kernel.floor)] = ens.REJECT_CHAMBER
     status[~(dom_ok & dom_new)] = ens.REJECT_DOMAIN
+    return status, r_new, q_new, sig_new
+
+
+def _ref_ito_attempt(kernel, state, idx, h, xi):
+    """MatrixKernel.attempt at finite beta, frame-free and one path at a
+    time: R' = R + sqrt(h) Q G Q^T + h (1/4 - 1/(2 beta)) (R - R conj(R) R),
+    factorized exactly."""
+    beta = kernel.beta
+    r_new = np.empty_like(state["r"][idx])
+    for p, (r, q, sig, x) in enumerate(zip(state["r"][idx], state["q"][idx], state["sigma"][idx], xi)):
+        g = _ref_noise_matrix(sig[None], x[None], beta)[0]
+        r_new[p] = r + np.sqrt(h) * q @ g @ q.T + h * (0.25 - 0.5 / beta) * (r - r @ r.conj() @ r)
+    q_new, dom_new, sig_new = _ref_refactor(r_new)
+    status = np.full(len(idx), ens.OK, dtype=np.int64)
+    status[~in_chamber(sig_new, kernel.floor)] = ens.REJECT_CHAMBER
+    status[~dom_new] = ens.REJECT_DOMAIN
     return status, r_new, q_new, sig_new
 
 
@@ -238,13 +257,13 @@ def test_takagi_phase_diagonal_matches_three_operand_einsum(n):
     _close(_canonical_column_signs(q), q_ref)
 
 
-def _single_steps(singles, xi):
+def _single_steps(singles, xi, beta):
     """step_matrix_flow on each single state with its row of draws; a state
     whose step is rejected stays as it is."""
     out = []
     for st, x in zip(singles, xi):
         try:
-            st = step_matrix_flow(st, 2.0, 1e-3, x)
+            st = step_matrix_flow(st, beta, 1e-3, x)
         except (ChamberExit, DomainExit):
             pass
         out.append(st)
@@ -256,16 +275,15 @@ def _reference_state(singles):
             for key, attr in (("r", "r"), ("q", "q_cache"), ("sigma", "sigma_cache"))}
 
 
-@pytest.mark.parametrize("n", _NS)
-def test_kernel_step_matches_three_operand_formulation(n):
+def _check_against_reference(n, beta, ref_attempt, seed):
     # the kernel holds sigma alone; the reference moves the disk point R
     # itself, from the frame and sigma of single-state steps taken alongside
     # on the same draws.  The single-state step leaves the frame's column
     # signs as the factorization gives them; the reference fixes them, so q
     # is compared with signs canonical
-    rng = np.random.default_rng(640 + n)
+    rng = np.random.default_rng(seed)
     sigma0 = np.linspace(0.5, 0.5 * n, n)
-    kernel = MatrixKernel(sigma0, 2.0, 1e-6)
+    kernel = MatrixKernel(sigma0, beta, 1e-6)
     state = kernel.init(_C)
     singles = [init_matrix_state(sigma0)] * _C
     idx = np.arange(_C)
@@ -273,15 +291,29 @@ def test_kernel_step_matches_three_operand_formulation(n):
         xi = rng.standard_normal((_C, n * n + n))
         before = _reference_state(singles)
         np.testing.assert_array_equal(before["sigma"], _pf(state))
-        status, r_ref, q_ref, sig_ref = _ref_attempt(kernel, before, idx, 1e-3, xi)
+        status, r_ref, q_ref, sig_ref = ref_attempt(kernel, before, idx, 1e-3, xi)
         np.testing.assert_array_equal(kernel.attempt(state, idx, 1e-3, xi, np.ones(_C)), status)
         assert np.all(status == ens.OK)
-        singles = _single_steps(singles, xi)
+        singles = _single_steps(singles, xi, beta)
         after = _reference_state(singles)
         np.testing.assert_allclose(_pf(state), sig_ref, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(after["sigma"], _pf(state))
         _close(after["r"], r_ref)
         _close(_canonical_column_signs(after["q"]), q_ref)
+
+
+@pytest.mark.parametrize("n", _NS)
+def test_kernel_step_matches_three_operand_formulation(n):
+    # beta = inf, where the kernel still takes the Heun step
+    _check_against_reference(n, np.inf, _ref_attempt, 640 + n)
+
+
+@pytest.mark.parametrize("n", _NS)
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+def test_kernel_step_matches_frame_free_ito_step(n, beta):
+    # finite beta: the in-frame step against R' built from R itself, whose
+    # drift is the polynomial R - R conj(R) R rather than diag(mu S^2)
+    _check_against_reference(n, beta, _ref_ito_attempt, 740 + n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -313,13 +345,13 @@ def test_raw_predictor_frame_aligns_like_canonical_frame(n):
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_kernel_step_matches_reference_at_a_near_collision(n):
-    # the top two sigma start 1e-3 apart, so the predictor falls back to the
-    # exact factorization on nearly every path: of diag(mu) + E in the step,
-    # of the moved disk point R + dR in the reference
+    # the top two sigma start 1e-3 apart, so the beta = inf predictor falls
+    # back to the exact factorization on nearly every path: of diag(mu) + E
+    # in the step, of the moved disk point R + dR in the reference
     rng = np.random.default_rng(645 + n)
     sigma0 = np.linspace(0.5, 0.5 * n, n)
     sigma0[-1] = sigma0[-2] + 1e-3
-    kernel = MatrixKernel(sigma0, 2.0, 1e-6)
+    kernel = MatrixKernel(sigma0, np.inf, 1e-6)
     state = kernel.init(_C)
     idx = np.arange(_C)
     xi = rng.standard_normal((_C, n * n + n))
@@ -329,7 +361,7 @@ def test_kernel_step_matches_reference_at_a_near_collision(n):
     ok = status == ens.OK
     assert np.count_nonzero(ok) > _C // 2
     np.testing.assert_allclose(_pf(state)[ok], sig_ref[ok], rtol=1e-12, atol=0)
-    after = _reference_state(_single_steps(singles, xi))
+    after = _reference_state(_single_steps(singles, xi, np.inf))
     np.testing.assert_array_equal(after["sigma"], _pf(state))
     _close(after["r"][ok], r_ref[ok])
     _close(_canonical_column_signs(after["q"][ok]), q_ref[ok])

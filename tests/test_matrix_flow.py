@@ -18,8 +18,10 @@ from siegelbm import (
     step_takagi_chart,
     unitary_exp,
 )
-from siegelbm.ensemble import path_generator
+from siegelbm import matrix_flow
+from siegelbm.ensemble import OK, path_generator
 from siegelbm.matrix_flow import MatrixKernel, _noise_matrix
+from siegelbm.stats import exact_sum_cosh_mean
 
 
 def test_init_matrix_state():
@@ -57,23 +59,91 @@ def test_step_preserves_structure():
 
 
 def test_step_single_step_consistency():
-    # one radial-only step minus (drift + noise) leaves a remainder that
-    # shrinks faster than h (measured ~h^1.5, ratio ~8 per 4x refinement)
-    beta, sig0 = 2.0, 1.2
+    # beta = inf, where the step is still Heun's and sigma' is a function of
+    # the orbit draws alone: one step minus the Euler drift leaves a
+    # remainder that shrinks like h^2 (measured ratio 15.9-16.3 per 4x
+    # refinement), and the radial draw changes nothing
+    sig0 = 1.2
+    drift = normal_drift(np.array([sig0]))[0]
     for xi in (1.5, -0.7):
         res = []
         for h in (16e-3, 4e-3, 1e-3):
             st = init_matrix_state(np.array([sig0]))
-            out = step_matrix_flow(st, beta, h, np.array([0.0, xi]))
-            pred = (
-                sig0
-                + h * normal_drift(np.array([sig0]))[0]
-                + np.sqrt(2.0 / beta) * np.sqrt(h) * xi
-            )
-            res.append(abs(out.sigma_cache[0] - pred))
-        assert res[-1] < 2e-5
-        assert 5.5 < res[0] / res[1] < 12.0
-        assert 5.5 < res[1] / res[2] < 12.0
+            out = step_matrix_flow(st, np.inf, h, np.array([xi, 0.3]))
+            other = step_matrix_flow(st, np.inf, h, np.array([xi, -2.0]))
+            np.testing.assert_array_equal(other.sigma_cache, out.sigma_cache)
+            res.append(abs(out.sigma_cache[0] - sig0 - h * drift))
+        assert res[-1] < 1e-6
+        assert 13.0 < res[0] / res[1] < 19.0
+        assert 13.0 < res[1] / res[2] < 19.0
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("sig0", [0.3, 1.2])
+def test_ito_step_weak_consistency(beta, sig0):
+    # n = 1 at finite beta: the step's mean and variance over both draws,
+    # by 20-node Gauss-Hermite quadrature in each, against the radial law's
+    # drift (1/2) coth sigma and variance 2/beta.  Both errors shrink like
+    # h^2 (measured ratio 12.7-19.7 per 4x refinement); at h = 16e-3 the
+    # outer nodes leave the disk
+    nodes, weights = np.polynomial.hermite_e.hermegauss(20)
+    weights = np.outer(weights, weights).ravel() / np.sum(weights) ** 2
+    xi = np.stack([np.repeat(nodes, nodes.size), np.tile(nodes, nodes.size)], axis=1)
+    paths = np.arange(xi.shape[0])
+    mean_err, var_err = [], []
+    for h in (4e-3, 1e-3, 2.5e-4):
+        kernel = MatrixKernel([sig0], beta, 1e-6)
+        state = kernel.init(paths.size)
+        status = kernel.attempt(state, paths, h, xi, np.ones(paths.size))
+        assert np.all(status == OK)
+        mean = weights @ state[0]
+        mean_err.append(mean - sig0 - 0.5 * h / np.tanh(sig0))
+        var_err.append(weights @ (state[0] - mean) ** 2 - 2.0 * h / beta)
+    for err in (mean_err, var_err):
+        assert 10.0 < err[0] / err[1] < 25.0
+        assert 10.0 < err[1] / err[2] < 25.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_finite_beta_step_needs_no_predictor_congruence_or_gradient(n, monkeypatch):
+    # at finite beta the kernel step is the Ito-Euler step alone; at
+    # beta = inf it is still Heun's, which reaches every patched name
+    def refuse(*args, **kwargs):
+        raise AssertionError("called at finite beta")
+
+    for name in ("_predict", "_congruence", "_gradient_raw"):
+        monkeypatch.setattr(matrix_flow, name, refuse)
+    rng = np.random.default_rng(690 + n)
+    sigma0 = np.linspace(0.5, 0.5 * n, n)
+    xi = rng.standard_normal((16, n * n + n))
+    for beta in (1.0, 2.0, 4.0):
+        kernel = MatrixKernel(sigma0, beta, 1e-6)
+        state = kernel.init(16)
+        status = kernel.attempt(state, np.arange(16), 1e-3, xi, np.ones(16))
+        assert np.all(status == OK)
+        assert np.all(state != sigma0[:, None])
+    kernel = MatrixKernel(sigma0, np.inf, 1e-6)
+    with pytest.raises(AssertionError, match="finite beta"):
+        kernel.attempt(kernel.init(16), np.arange(16), 1e-3, xi, np.ones(16))
+
+
+@pytest.mark.parametrize(
+    "n, beta, sigma0, t_final, seed",
+    [(3, 2.0, (0.1, 0.2, 0.3), 0.25, 2101), (2, 1.0, (0.1, 0.2), 0.5, 2102)],
+    ids=["n3-beta2", "n2-beta1"],
+)
+def test_near_wall_cosh_moment(n, beta, sigma0, t_final, seed):
+    # every coordinate starts near a chamber wall; E[sum cosh sigma_t] over
+    # 10^4 paths at dt = 1e-3 against its exact value.  The Ito-Euler step
+    # reads z = -0.60 and +1.44 here, the Heun step it replaced +5.15 and
+    # +4.56; the singular values keep the walls, so no path stops
+    cfg = SimConfig(scheme="matrix", n=n, beta=beta, sigma0=sigma0, t_final=t_final,
+                    dt=1e-3, n_paths=10_000, seed=seed, sample_times=(t_final,))
+    res = simulate_matrix_paths(cfg, threads=2)
+    assert np.all(np.isnan(res.stopped_at))
+    sc = np.sum(np.cosh(res.samples[:, -1, :]), axis=-1)
+    z = (sc.mean() - exact_sum_cosh_mean(sigma0, beta, t_final)) / (sc.std(ddof=1) / np.sqrt(sc.size))
+    assert abs(z) <= 4.0
 
 
 def test_step_domain_exit():

@@ -16,6 +16,7 @@ from siegelbm import (
     step_particles,
     step_sphere_point,
 )
+from siegelbm.stats import exact_sum_cosh_mean
 
 
 def _closed_form_radial(sigma0: float, t: float) -> float:
@@ -129,7 +130,7 @@ def test_radial_moment_growth():
     res = simulate_particle_paths(cfg, threads=2)
     live = np.isnan(res.stopped_at)
     sc = np.sum(np.cosh(res.samples[live, -1, :]), axis=1)
-    target = np.sum(np.cosh(sig0)) * np.exp((n / 2 + 1 / beta) * t_final)
+    target = exact_sum_cosh_mean(sig0, beta, t_final)
     z = (sc.mean() - target) / (sc.std(ddof=1) / np.sqrt(live.sum()))
     assert abs(z) < 4.0
 

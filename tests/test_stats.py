@@ -10,6 +10,7 @@ from siegelbm import (
     ks_two_sample,
     moment_report,
 )
+from siegelbm.stats import exact_sum_cosh_mean
 
 
 def _ensemble(samples, beta=2.0, times=None, stopped_at=None, reasons=None):
@@ -254,3 +255,15 @@ def test_moment_report_empty_growth():
     rep = moment_report(_ensemble(samples, times=[0.0]))
     assert "growth" not in rep
     assert rep["rejections"] == 0
+
+
+def test_exact_sum_cosh_mean():
+    # e^{(n/2 + 1/beta) t} sum cosh sigma_0; at beta = inf and n = 1 it is
+    # the deterministic flow's cosh sigma_t = cosh sigma_0 e^{t/2}
+    assert exact_sum_cosh_mean([1.0], np.inf, 0.5) == pytest.approx(np.cosh(1.0) * np.exp(0.25), rel=1e-15)
+    assert exact_sum_cosh_mean((0.1, 0.2), 1.0, 0.5) == pytest.approx(
+        (np.cosh(0.1) + np.cosh(0.2)) * np.exp(1.0), rel=1e-15
+    )
+    assert exact_sum_cosh_mean(np.array([0.5, 1.0, 1.5]), 2.0, 0.0) == pytest.approx(
+        np.sum(np.cosh([0.5, 1.0, 1.5])), rel=1e-15
+    )
