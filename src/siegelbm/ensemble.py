@@ -19,6 +19,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .config import _is_integer
 from .errors import ChamberExit, ConfigInvalid, DomainExit, OriginHit, RecordInvalid
 
 _CHUNK = 512  # paths per chunk for a kernel that releases the interpreter lock
@@ -68,8 +69,8 @@ REJECTIONS = {
 
 
 def check_threads(threads: int) -> None:
-    """Refuse a worker count below one."""
-    if threads < 1:
+    """Refuse a worker count that is not an integer of at least one."""
+    if not (_is_integer(threads) and threads >= 1):
         raise ConfigInvalid(f"threads: must be a positive integer, got {threads}")
 
 

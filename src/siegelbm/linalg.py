@@ -46,7 +46,7 @@ class TakagiFactors:
     mu: np.ndarray
 
     def __post_init__(self):
-        n = self.q.shape[0]
+        n = self.mu.size
         if self.q.shape != (n, n) or self.mu.shape != (n,):
             raise ShapeMismatch("q must be square and mu of matching length")
         if np.any(self.mu < -1e-12) or np.any(np.diff(self.mu) < -1e-10):

@@ -91,6 +91,7 @@ from .errors import OutOfChamber
 from .geometry import _DOMAIN_EDGE, SpectralCoord, _disk_sigma, in_chamber
 from .linalg import (
     _ELEMENTWISE_MAX_N,
+    TakagiFactors,
     _matmul,
     _singular_values,
     _takagi_batch,
@@ -118,11 +119,9 @@ def init_matrix_state(sigma0, q0=None, t: float = 0.0) -> MatrixFlowState:
     sigma0 = np.asarray(getattr(sigma0, "sigma", sigma0), dtype=float)
     if not in_chamber(sigma0, 0.0):
         raise OutOfChamber("sigma0 must be strictly positive and ascending")
-    n = sigma0.size
-    q = np.eye(n, dtype=complex) if q0 is None else np.asarray(q0, dtype=complex)
-    mu = np.tanh(0.5 * sigma0)
-    r = (q * mu) @ q.T
-    return MatrixFlowState(r=r, sigma_cache=sigma0, q_cache=q, t=t)
+    q = np.eye(sigma0.size, dtype=complex) if q0 is None else np.asarray(q0, dtype=complex)
+    factors = TakagiFactors(q, np.tanh(0.5 * sigma0))  # q square, matching and unitary
+    return MatrixFlowState(r=factors.reconstruct(), sigma_cache=sigma0, q_cache=q, t=t)
 
 
 @lru_cache(maxsize=None)

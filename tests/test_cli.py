@@ -3,12 +3,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from siegelbm import ConfigInvalid, config_from_dict, ensembles_equal, read_jsonl, simulate_particle_paths
+from siegelbm import (
+    ConfigInvalid,
+    SimConfig,
+    config_from_dict,
+    ensembles_equal,
+    read_jsonl,
+    simulate_particle_paths,
+)
 from siegelbm.cli import __version__, _check_comparable, check_identities, main
 
 
@@ -98,73 +106,93 @@ def test_simulate_threads_byte_identical(tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize(
-    "patch, fieldname",
-    [
-        ({"n": 0}, "n"),
-        ({"beta": -1.0}, "beta"),
-        ({"scheme": "warp"}, "scheme"),
-        ({"sigma0": [1.6, 0.8]}, "sigma0"),
-        ({"dt": 0.007}, "dt"),
-        ({"bogus": 1}, "bogus"),
-        ({"cutoff": {"k": 1.0, "K": 1.0}, "scheme": "matrix"}, "cutoff"),
-        # above the matrix scheme's disk chart ceiling 2 artanh(1 - 1e-12) ~ 28.32
-        ({"scheme": "matrix", "sigma0": [20.0, 28.5]}, "sigma0"),
-        # outside the cutoff's support: S(sigma0) = -10.9 is below -2k = -4
-        ({"sigma0": [0.05, 0.1], "cutoff": {"k": 2.0, "K": 2.0}}, "cutoff"),
-        ({"sample_times": [0.0, 0.0504]}, "sample_times"),
-        # no starting frame: the matrix ensemble holds sigma alone
-        ({"scheme": "matrix", "q0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "q0"),
-    ],
-)
+_BASE = {
+    "n": 2,
+    "beta": 2.0,
+    "sigma0": [0.8, 1.6],
+    "t_final": 0.05,
+    "dt": 0.01,
+    "n_paths": 4,
+    "seed": 1,
+    "scheme": "particle",
+}
+
+_CONFIG_ERRORS = [
+    ({"n": 0}, "n"),
+    ({"beta": -1.0}, "beta"),
+    ({"scheme": "warp"}, "scheme"),
+    ({"sigma0": [1.6, 0.8]}, "sigma0"),
+    ({"dt": 0.007}, "dt"),
+    ({"bogus": 1}, "bogus"),
+    ({"cutoff": {"k": 1.0, "K": 1.0}, "scheme": "matrix"}, "cutoff"),
+    # above the matrix scheme's disk chart ceiling 2 artanh(1 - 1e-12) ~ 28.32
+    ({"scheme": "matrix", "sigma0": [20.0, 28.5]}, "sigma0"),
+    # outside the cutoff's support: S(sigma0) = -10.9 is below -2k = -4
+    ({"sigma0": [0.05, 0.1], "cutoff": {"k": 2.0, "K": 2.0}}, "cutoff"),
+    ({"sample_times": [0.0, 0.0504]}, "sample_times"),
+    # no starting frame: the matrix ensemble holds sigma alone
+    ({"scheme": "matrix", "q0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "q0"),
+]
+# the fields that only a JSON file can hold
+_JSON_ONLY = {"bogus", "q0"}
+
+
+@pytest.mark.parametrize("patch, fieldname", _CONFIG_ERRORS)
 def test_simulate_config_errors(tmp_path, capsys, patch, fieldname):
-    raw = {
-        "n": 2,
-        "beta": 2.0,
-        "sigma0": [0.8, 1.6],
-        "t_final": 0.05,
-        "dt": 0.01,
-        "n_paths": 4,
-        "seed": 1,
-        "scheme": "particle",
-    }
-    raw.update(patch)
-    cfg = _write(tmp_path, "cfg.json", raw)
+    cfg = _write(tmp_path, "cfg.json", {**_BASE, **patch})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {fieldname}:")
 
 
 # json reads NaN, Infinity and -Infinity as floats; each is refused by name
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
-@pytest.mark.parametrize(
-    "fieldname, patch",
-    [
-        pytest.param("sigma0", lambda v: [0.8, v], id="sigma0-last"),
-        pytest.param("sigma0", lambda v: [v, 1.6], id="sigma0-first"),
-        pytest.param("gap_floor", lambda v: v, id="gap_floor"),
-        pytest.param("t_final", lambda v: v, id="t_final"),
-        pytest.param("dt", lambda v: v, id="dt"),
-        pytest.param("sample_times", lambda v: [0.0, v], id="sample_times"),
-    ],
-)
+_NON_FINITE_VALUES = [float("nan"), float("inf"), float("-inf")]
+_NON_FINITE_FIELDS = [
+    pytest.param("sigma0", lambda v: [0.8, v], id="sigma0-last"),
+    pytest.param("sigma0", lambda v: [v, 1.6], id="sigma0-first"),
+    pytest.param("gap_floor", lambda v: v, id="gap_floor"),
+    pytest.param("t_final", lambda v: v, id="t_final"),
+    pytest.param("dt", lambda v: v, id="dt"),
+    pytest.param("sample_times", lambda v: [0.0, v], id="sample_times"),
+]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE_VALUES, ids=str)
+@pytest.mark.parametrize("fieldname, patch", _NON_FINITE_FIELDS)
 def test_simulate_refuses_non_finite_numbers(tmp_path, capsys, fieldname, patch, value):
-    raw = {
-        "n": 2,
-        "beta": 2.0,
-        "sigma0": [0.8, 1.6],
-        "t_final": 0.05,
-        "dt": 0.01,
-        "n_paths": 4,
-        "seed": 1,
-        "scheme": "particle",
-        fieldname: patch(value),
-    }
+    raw = {**_BASE, fieldname: patch(value)}
     with pytest.raises(ConfigInvalid, match=f"^{fieldname}:"):
         config_from_dict(raw)
     cfg = _write(tmp_path, "cfg.json", raw)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {fieldname}:")
+
+
+def _library_form(patch: dict) -> dict:
+    """A JSON patch as SimConfig keyword arguments: a cutoff object becomes
+    its (k, K) pair."""
+    cutoff = patch.get("cutoff")
+    return {**patch, "cutoff": (cutoff["k"], cutoff["K"])} if cutoff else patch
+
+
+@pytest.mark.parametrize(
+    "patch, fieldname",
+    [case for case in _CONFIG_ERRORS if case[1] not in _JSON_ONLY]
+    + [
+        pytest.param({fieldname: make(value)}, fieldname, id=f"{field.id}-{value}")
+        for field in _NON_FINITE_FIELDS
+        for fieldname, make in [field.values]
+        for value in _NON_FINITE_VALUES
+    ],
+)
+def test_sim_config_refuses_what_the_cli_refuses(patch, fieldname):
+    # one validator: a config built in code, or changed by replace, is
+    # refused on the same field as the same config read from JSON
+    kwargs = _library_form(patch)
+    with pytest.raises(ConfigInvalid, match=f"^{fieldname}: "):
+        SimConfig(**{**_BASE, **kwargs})
+    with pytest.raises(ConfigInvalid, match=f"^{fieldname}: "):
+        replace(SimConfig(**_BASE), **kwargs)
 
 
 def test_infinite_beta_stays_legal(tmp_path):

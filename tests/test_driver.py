@@ -88,6 +88,14 @@ def test_rejects_threads_below_one(scheme, threads):
         _simulate(cfg, threads=threads)
 
 
+@pytest.mark.parametrize("threads", [True, 2.5, "2", None], ids=repr)
+def test_rejects_threads_that_are_not_integers(threads):
+    # 2.5 used to start a pool of 2.5 workers, None to raise a raw TypeError
+    cfg = _config("matrix", 4, (0.5, 1.0, 1.5, 2.0), 4)
+    with pytest.raises(ConfigInvalid, match="^threads: must be a positive integer"):
+        simulate_matrix_paths(cfg, threads=threads)
+
+
 class _PoolUsed(RuntimeError):
     pass
 
@@ -280,6 +288,19 @@ def test_non_finite_times_are_refused_on_construction(field, value):
         SimConfig(**{**kwargs, **new})
     with pytest.raises(ConfigInvalid, match=f"^{field}: "):
         replace(SimConfig(**kwargs), **new)
+
+
+def test_numpy_scalars_write_the_same_trajectories(tmp_path):
+    # numpy integers used to run the whole ensemble and then fail in
+    # write_jsonl with a raw TypeError; SimConfig stores Python numbers
+    kwargs = dict(n=2, beta=2.0, sigma0=[0.8, 1.6], scheme="particle", sample_times=(0.0, 0.01))
+    plain = SimConfig(**kwargs, t_final=0.02, dt=1e-3, n_paths=6, seed=5)
+    scalars = SimConfig(**kwargs, t_final=np.float64(0.02), dt=np.float64(1e-3),
+                        n_paths=np.int64(6), seed=np.int64(5))
+    assert [type(scalars.n_paths), type(scalars.seed), type(scalars.dt)] == [int, int, float]
+    for name, cfg in (("plain", plain), ("scalars", scalars)):
+        ensemble.write_jsonl(simulate_particle_paths(cfg), tmp_path / f"{name}.jsonl")
+    assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "scalars.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("field, value", [("dt", 0.0), ("dt", -1e-3), ("n_paths", 0), ("n_paths", -1)])

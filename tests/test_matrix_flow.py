@@ -6,6 +6,7 @@ from siegelbm import (
     ChamberExit,
     DomainExit,
     OutOfChamber,
+    ShapeMismatch,
     SimConfig,
     ensembles_equal,
     extract_sigma,
@@ -31,6 +32,17 @@ def test_init_matrix_state():
     assert st.t == 0.0
     with pytest.raises(OutOfChamber):
         init_matrix_state(np.array([2.0, 1.0]))
+
+
+def test_init_matrix_state_refuses_a_frame_that_is_not_unitary_and_square():
+    # diag(2, 1) used to give an r off the disk that kept stepping, a 3 x 3
+    # frame for two sigma a raw numpy broadcast error, and a scalar frame a
+    # raw IndexError
+    with pytest.raises(ValueError, match="q is not unitary"):
+        init_matrix_state((1.0, 2.0), np.diag([2.0, 1.0]))
+    for q0 in (np.eye(3), 1.0):
+        with pytest.raises(ShapeMismatch):
+            init_matrix_state((1.0, 2.0), q0)
 
 
 def test_step_zero_h():
