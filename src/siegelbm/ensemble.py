@@ -1,5 +1,8 @@
-"""Path ensembles, deterministic per-path noise streams, and the shared
-integrator driver with reject-and-halve step control.
+"""Path ensembles, deterministic per-path noise streams, the kernel protocol
+every scheme subclasses (_Kernel) and the shared integrator driver with
+reject-and-halve step control.  A kernel's _step only proposes; the
+protocol's attempt() alone gathers a chunk's paths and stores what it
+accepts.
 
 Every path owns a counter-based generator keyed by (master seed, scheme,
 purpose, path index), so results are independent of chunking and thread
@@ -21,6 +24,7 @@ import numpy as np
 
 from .config import _is_integer
 from .errors import ChamberExit, ConfigInvalid, DomainExit, OriginHit, RecordInvalid
+from .geometry import in_chamber
 
 _CHUNK = 512  # paths per chunk for a kernel that releases the interpreter lock
 _INLINE_CHUNK = 1024  # paths per chunk for a kernel that holds it
@@ -104,12 +108,58 @@ def gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def store(state: np.ndarray, idx: np.ndarray, vals: np.ndarray, ok: np.ndarray) -> None:
-    """state[..., idx[ok]] = vals[..., ok] for ascending idx, the kernels'
+    """state[..., idx[ok]] = vals[..., ok] for ascending idx, _Kernel.attempt's
     store of accepted proposals: one masked copy when idx holds every path."""
     if idx.size == state.shape[-1]:
         np.copyto(state, vals, where=ok)
     else:
         state[..., idx[ok]] = vals.take(np.flatnonzero(ok), -1)
+
+
+def _noise_coef(beta: float) -> float:
+    """Rate sqrt(2/beta) of the radial noise; zero in the beta = inf limit."""
+    return 0.0 if np.isinf(beta) else float(np.sqrt(2.0 / beta))
+
+
+class _Kernel:
+    """Kernel protocol shared by every scheme: the state is a C-ordered
+    array with one column of coordinates per path, (n, c), so every
+    operation of a step is one contiguous loop over paths, and is observed
+    transposed, one row per path.  A subclass proposes a move in
+    _step(x, h, xi), with x the gathered paths' state, h their step sizes
+    and xi their draws, and returns (proposal, status) without writing x;
+    attempt() stores the proposals whose status is OK."""
+
+    releases_gil = False  # small numpy calls per step: the interpreter lock bounds it
+
+    def __init__(self, sigma0, beta: float, gap_floor: float):
+        self.sigma0 = np.asarray(sigma0, dtype=float)
+        self.noise_coef = _noise_coef(beta)
+        self.floor = gap_floor
+        self.noise_dim = self.obs_dim = self.sigma0.size
+
+    def init(self, c: int) -> np.ndarray:
+        return np.tile(self.sigma0[:, None], (1, c))
+
+    def observe(self, state: np.ndarray) -> np.ndarray:
+        return state.T
+
+    def attempt(self, state, idx, h, xi, frac):
+        # a (c,) step size broadcasts against the (n, c) state
+        prop, status = self._step(gather(state, idx), h * frac, xi)
+        store(state, idx, prop, status == OK)
+        return status
+
+    def _chamber_ok(self, prop: np.ndarray, positive: bool = True) -> np.ndarray:
+        return in_chamber(prop.T, self.floor, positive)
+
+    @staticmethod
+    def _accept(ok, frozen=None, reject=REJECT_CHAMBER) -> np.ndarray:
+        """Status OK where ok, reject elsewhere and FREEZE where frozen."""
+        status = np.where(ok, OK, reject)
+        if frozen is not None:
+            status[frozen] = FREEZE
+        return status
 
 
 @cache
@@ -383,7 +433,6 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         event[::block] = True
         event[steps] = True
         step = np.zeros(c, dtype=np.int64)  # full steps taken
-        row = np.arange(c) * block  # noise row of the current (sub)step
         alive = np.ones(c, dtype=bool)
         # each path's current (sub)step as a fraction of h, below one
         # exactly while the path is inside a refinement; ladder holds the
@@ -405,7 +454,7 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             # the path's current noise row.
             units = ladder.pop(i, _HALVING_UNITS)
             du = int(frac[i] * _HALVING_UNITS)  # exact: a power of two
-            r = row[i]
+            r = i * block + step[i] % block
             if st == OK:
                 units -= du
                 if units == 0:
@@ -440,10 +489,8 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             alive[paths[end]] = False
             start = (s % block == 0) & ~end
             if start.any():
-                first = paths[start]
-                row[first] = first * block
                 if gens:
-                    for i, si in zip(first, s[start]):
+                    for i, si in zip(paths[start], s[start]):
                         r = i * block
                         gens[i].standard_normal(out=noise[r : r + min(block, steps - si)])
             return end.any()
@@ -452,7 +499,7 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         act = np.arange(c)
         while act.size:
             # while every path is live, act is arange(c) and gather copies nothing
-            xi = noise.take(gather(row, act), axis=0)
+            xi = noise.take(gather(step, act) % block + act * block, axis=0)
             sub = gather(frac, act)
             status = kernel.attempt(state, act, h, xi, sub)
             off = np.flatnonzero((status != OK) | (sub < 1.0))
@@ -463,13 +510,11 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             # every path's counters move on; a path still refining, or
             # stopped, is taken back and reaches no event
             step += 1
-            row += 1
             reached = event.take(gather(step, act))
             left = False
             if stay.size:
                 back = act[stay]
                 step[back] -= 1
-                row[back] -= 1
                 reached[stay] = False
                 left = not alive.take(back).all()
             if reached.any():

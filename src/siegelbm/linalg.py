@@ -223,39 +223,32 @@ def _fix_cluster(a, q, mu, lo, hi):
 
 
 def _takagi_batch(a: np.ndarray):
-    """Takagi factorization of a stack (..., n, n) of complex symmetric
-    matrices.  No symmetry validation; callers guarantee the input.  Column
-    signs are not fixed (takagi_decompose fixes them).
+    """Takagi factorization of a path-last stack (n, n, ...) of complex
+    symmetric matrices, like _matmul, _singular_values and _takagi2: q
+    (n, n, ...) unitary and mu (n, ...) ascending, in a's memory order.  No
+    symmetry validation; callers guarantee the input.  Column signs are not
+    fixed (takagi_decompose fixes them).
 
-    The work runs on the path-last view (n, n, ...) of a, and q and mu come
-    back as (..., n, n) and (..., n) views of path-last results.  At n = 2 it
-    is the closed form _takagi2 of a itself.  Otherwise mu comes from
-    LAPACK's spectrum of a^H a, which squares the condition number (a small
-    mu_1 carries a relative error near eps (mu_n / mu_1)^2), and each column
-    of conj(eigenvectors) is turned by a phase.  Runs of near-equal mu are
-    then re-solved exactly (_fix_cluster).
+    At n = 2 it is the closed form _takagi2 of a itself.  Otherwise mu comes
+    from LAPACK's spectrum of a^H a, which squares the condition number (a
+    small mu_1 carries a relative error near eps (mu_n / mu_1)^2), and each
+    column of conj(eigenvectors) is turned by a phase.  Runs of near-equal
+    mu are then re-solved exactly (_fix_cluster).
     """
     a = np.asarray(a, dtype=complex)
-    n = a.shape[-1]
-    if n == 0:
-        return np.zeros(a.shape, complex), np.zeros(a.shape[:-1])
-    # the path-last views of q and mu, and their inverses, as axis orders
-    last = (a.ndim - 2, a.ndim - 1) + tuple(range(a.ndim - 2))
-    first = tuple(range(2, a.ndim)) + (0, 1)
-    mu_last = (a.ndim - 2,) + tuple(range(a.ndim - 2))
-    mu_first = tuple(range(1, a.ndim - 1)) + (0,)
-    al = a.transpose(last)
+    n = a.shape[0]
     if n == 2:
-        q, mu = _takagi2(al)
+        q, mu = _takagi2(a)
     else:
-        w, v = np.linalg.eigh(_matmul(al.conj().swapaxes(0, 1), al).transpose(first))
+        h = _matmul(a.conj().swapaxes(0, 1), a)
+        w, v = np.linalg.eigh(np.moveaxis(h, (0, 1), (-2, -1)))
         # eigh returns path-first arrays; the rest runs in a's memory order
-        mu, vecs = np.empty_like(al[0], dtype=float), np.empty_like(al)
-        mu[...] = np.sqrt(np.clip(w, 0.0, None)).transpose(mu_last)
-        vecs[...] = v.transpose(last)
+        mu, vecs = np.empty_like(a[0], dtype=float), np.empty_like(a)
+        mu[...] = np.sqrt(np.clip(np.moveaxis(w, -1, 0), 0.0, None))
+        vecs[...] = np.moveaxis(v, (-2, -1), (0, 1))
         # with qt = conj(vecs), the diagonal of qt^H a conj(qt) = vecs^T a vecs
         # is mu * e^{i phi}
-        d = np.einsum("rj...,rj...->j...", vecs, _matmul(al, vecs))
+        d = np.einsum("rj...,rj...->j...", vecs, _matmul(a, vecs))
         phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
         q = vecs.conj() * phase
     # re-solve each run of near-equal singular values in place
@@ -266,9 +259,9 @@ def _takagi_batch(a: np.ndarray):
         for k in range(n):
             if k == n - 1 or not near[(k,) + i]:
                 if k > lo:
-                    _fix_cluster(al[at], q[at], mu[at], lo, k + 1)
+                    _fix_cluster(a[at], q[at], mu[at], lo, k + 1)
                 lo = k + 1
-    return q.transpose(first), mu.transpose(mu_first)
+    return q, mu
 
 
 def takagi_decompose(a: np.ndarray, tol: float = 1e-10) -> TakagiFactors:
@@ -284,8 +277,8 @@ def takagi_decompose(a: np.ndarray, tol: float = 1e-10) -> TakagiFactors:
     Raises NotSymmetric if ||a - a.T|| > tol * max(1, ||a||).
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch("expected a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ShapeMismatch("expected a nonempty square matrix")
     if _norm(a - a.T) > tol * max(1.0, _norm(a)):
         raise NotSymmetric("matrix is not complex symmetric within tolerance")
     try:

@@ -98,7 +98,6 @@ from .linalg import (
     unitary_algebra_basis,
     unitary_exp,
 )
-from .particle_flow import _RadialKernel, _noise_coef
 
 # Largest off-diagonal predictor rotation |K_kl| taken from first order; rows
 # at or past it are factorized exactly (see _predict).
@@ -151,7 +150,7 @@ def _noise_matrix(xi: np.ndarray, n: int, beta: float) -> np.ndarray:
     p = n * (n - 1) // 2
     xt = np.ascontiguousarray(xi.T)
     vals = np.empty((n + p, xi.shape[0]), complex)
-    vals[:n] = _noise_coef(beta) * xt[n * n :] + 1j * xt[:n]
+    vals[:n] = ens._noise_coef(beta) * xt[n * n :] + 1j * xt[:n]
     vals[n:] = (xt[n + p : n + 2 * p] + 1j * xt[n : n + p]) / np.sqrt(2.0)
     return vals.take(_noise_index(n), 0)
 
@@ -193,10 +192,8 @@ def _predict(sig: np.ndarray, e: np.ndarray):
     if far.size:
         moved = e.take(far, -1)
         moved[diag, diag] += mu[:, far]
-        # the Takagi frame of the path-first stack, column signs not fixed
-        q, mu_far = _takagi_batch(moved.transpose(2, 0, 1))
-        v = q.transpose(1, 2, 0)
-        dom_ok[far], sig_star[:, far] = _chart(mu_far.T)
+        v, mu_far = _takagi_batch(moved)  # column signs not fixed
+        dom_ok[far], sig_star[:, far] = _chart(mu_far)
         u[..., far] = v * np.where(v.diagonal(axis1=0, axis2=1).T.real < 0, -1.0, 1.0)
     return u, dom_ok, sig_star
 
@@ -244,8 +241,8 @@ def _heun(sig, h, x, s, s2, mu):
     return 0.5 * (a + a.swapaxes(0, 1)), dom_ok
 
 
-class MatrixKernel(_RadialKernel):
-    """Batched disk-coordinate stepping of sigma on the radial kernels'
+class MatrixKernel(ens._Kernel):
+    """Batched disk-coordinate stepping of sigma on the ensemble's kernel
     protocol.  The frame Q of R = Q diag(tanh(sigma/2)) Q^T reaches no
     sigma, so it is not held.  Above _ELEMENTWISE_MAX_N a step's time is in
     LAPACK eigvalsh and BLAS matmul, which release the interpreter lock; up
@@ -258,10 +255,8 @@ class MatrixKernel(_RadialKernel):
         self.noise_dim = n * n + n
         self.releases_gil = n > _ELEMENTWISE_MAX_N
 
-    def _step(self, state, idx, h, xi):
-        _, sig_new, status = _step(ens.gather(state, idx), h, xi, self.beta, self.floor)
-        ens.store(state, idx, sig_new, status == ens.OK)
-        return status
+    def _step(self, sig, h, xi):
+        return _step(sig, h, xi, self.beta, self.floor)[1:]
 
 
 def step_matrix_flow(
@@ -321,7 +316,7 @@ def step_takagi_chart(sigma, q, beta: float, h: float, gaussians):
     q = np.asarray(q, dtype=complex)
     n = sigma.size
     xi = ens.check_gaussians(gaussians, n * n + n)
-    noise = _noise_coef(beta) * np.sqrt(h) * xi[n * n :]
+    noise = ens._noise_coef(beta) * np.sqrt(h) * xi[n * n :]
     sig_new = sigma + 0.5 * h * entropy_gradient(sigma) + noise
     ks, ls = np.triu_indices(n, 1)
     rates = np.concatenate(

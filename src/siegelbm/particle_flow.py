@@ -10,6 +10,10 @@ and leaves the deterministic (mean-curvature) flow, integrated either by
 Euler-Maruyama inside the common driver or by classical RK4 for accuracy
 studies.  Companion models: the squared-radial flat analogue (dyson) and
 the flat sphere toy model in point-cloud or scalar-radius form.
+
+Each scheme is a kernel on ensemble._Kernel's protocol: its _step proposes
+a move for the paths the base class gathered and returns the proposal with
+each path's status, and the base class stores the accepted proposals.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ from . import ensemble as ens
 from .entropy import _dyson_raw, _gradient_raw, _sum_lead, cutoff_eta, entropy_gradient
 from .errors import OutOfChamber
 from .config import SimConfig
-from .geometry import in_chamber
 
 
 def siegel_drift(sigma) -> np.ndarray:
@@ -35,59 +38,14 @@ def dyson_drift(lam) -> np.ndarray:
     return _dyson_raw(lam)
 
 
-def _noise_coef(beta: float) -> float:
-    """Rate sqrt(2/beta) of the radial noise; zero in the beta = inf limit."""
-    return 0.0 if np.isinf(beta) else float(np.sqrt(2.0 / beta))
-
-
-class _RadialKernel:
-    """Kernel protocol shared by every scheme, the matrix scheme's included:
-    the state is a C-ordered array with one column of coordinates per path,
-    (n, c), so every operation of a step is one contiguous loop over paths,
-    and is observed transposed, one row per path.  Subclasses propose a move
-    in _step() and store what they accept (_accept())."""
-
-    releases_gil = False  # small numpy calls per step: the interpreter lock bounds it
-
-    def __init__(self, sigma0, beta: float, gap_floor: float):
-        self.sigma0 = np.asarray(sigma0, dtype=float)
-        self.noise_coef = _noise_coef(beta)
-        self.floor = gap_floor
-        self.noise_dim = self.obs_dim = self.sigma0.size
-
-    def init(self, c: int) -> np.ndarray:
-        return np.tile(self.sigma0[:, None], (1, c))
-
-    def observe(self, state: np.ndarray) -> np.ndarray:
-        return state.T
-
-    def attempt(self, state, idx, h, xi, frac):
-        # a (c,) step size broadcasts against the (n, c) state
-        return self._step(state, idx, h * frac, xi)
-
-    def _chamber_ok(self, prop: np.ndarray, positive: bool = True) -> np.ndarray:
-        return in_chamber(prop.T, self.floor, positive)
-
-    @staticmethod
-    def _accept(state, idx, prop, ok, frozen=None, reject=ens.REJECT_CHAMBER) -> np.ndarray:
-        """Store the proposals marked ok; the rest get the status reject
-        unless frozen."""
-        status = np.where(ok, ens.OK, reject)
-        if frozen is not None:
-            status[frozen] = ens.FREEZE
-        ens.store(state, idx, prop, ok)
-        return status
-
-
-class ParticleKernel(_RadialKernel):
+class ParticleKernel(ens._Kernel):
     """Euler-Maruyama step of the radial flow, optional entropy cutoff."""
 
     def __init__(self, sigma0, beta: float, gap_floor: float, cutoff=None):
         super().__init__(sigma0, beta, gap_floor)
         self.cutoff = cutoff
 
-    def _step(self, state, idx, h, xi):
-        sig = ens.gather(state, idx)
+    def _step(self, sig, h, xi):
         # prop = sig + eta * ((1/2) grad S * h + (coef * sqrt(h)) * xi), in place
         prop = _gradient_raw(sig.T).T
         prop *= 0.5
@@ -95,36 +53,34 @@ class ParticleKernel(_RadialKernel):
         prop += self.noise_coef * np.sqrt(h) * xi.T
         if self.cutoff is None:
             prop += sig
-            return self._accept(state, idx, prop, self._chamber_ok(prop))
+            return prop, self._accept(self._chamber_ok(prop))
         eta = np.asarray(cutoff_eta(sig.T, *self.cutoff))
         prop *= eta
         prop += sig
-        frozen = eta == 0.0
-        return self._accept(state, idx, prop, self._chamber_ok(prop) & ~frozen, frozen)
+        return prop, self._accept(self._chamber_ok(prop), eta == 0.0)
 
 
-class MeanCurvatureKernel(_RadialKernel):
+class MeanCurvatureKernel(ens._Kernel):
     """Classical RK4 on sigma' = (1/2) grad S; no noise."""
 
     def __init__(self, sigma0, beta: float, gap_floor: float):
         super().__init__(sigma0, beta, gap_floor)
         self.noise_dim = 0
 
-    def _step(self, state, idx, h, xi):
-        prop = _rk4_step(ens.gather(state, idx), h)
-        return self._accept(state, idx, prop, self._chamber_ok(prop))
+    def _step(self, sig, h, xi):
+        prop = _rk4_step(sig, h)
+        return prop, self._accept(self._chamber_ok(prop))
 
 
-class DysonKernel(_RadialKernel):
+class DysonKernel(ens._Kernel):
     """Euler-Maruyama for the flat squared-radial analogue on the real line."""
 
-    def _step(self, state, idx, h, xi):
-        lam = ens.gather(state, idx)
+    def _step(self, lam, h, xi):
         prop = lam + _dyson_raw(lam.T).T * h + self.noise_coef * np.sqrt(h) * xi.T
-        return self._accept(state, idx, prop, self._chamber_ok(prop, positive=False))
+        return prop, self._accept(self._chamber_ok(prop, positive=False))
 
 
-class SpherePointKernel(_RadialKernel):
+class SpherePointKernel(ens._Kernel):
     """Ambient point-cloud step: tangential noise at unit rate, radial noise
     scaled by sqrt(2/beta).  Euler-Maruyama; no drift term.  sigma0 holds
     the initial radius."""
@@ -141,27 +97,24 @@ class SpherePointKernel(_RadialKernel):
     def observe(self, state: np.ndarray) -> np.ndarray:
         return _norm(state)[:, None]
 
-    def _step(self, state, idx, h, xi):
-        z = ens.gather(state, idx)
+    def _step(self, z, h, xi):
         zh = z / _norm(z)
         db = np.sqrt(h) * xi.T
         rad = _sum_lead(zh * db)
         prop = z + db - zh * rad + self.noise_coef * zh * rad
-        ok = _norm(prop) > self.floor
-        return self._accept(state, idx, prop, ok, reject=ens.REJECT_ORIGIN)
+        return prop, self._accept(_norm(prop) > self.floor, reject=ens.REJECT_ORIGIN)
 
 
-class SphereRadiusKernel(_RadialKernel):
+class SphereRadiusKernel(ens._Kernel):
     """Scalar radius equation dr = (n-1)/(2r) dt + sqrt(2/beta) dB."""
 
     def __init__(self, sigma0, beta: float, gap_floor: float, n: int):
         super().__init__(sigma0, beta, gap_floor)
         self.n = n
 
-    def _step(self, state, idx, h, xi):
-        r = ens.gather(state, idx)
+    def _step(self, r, h, xi):
         prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi.T
-        return self._accept(state, idx, prop, self._chamber_ok(prop), reject=ens.REJECT_ORIGIN)
+        return prop, self._accept(self._chamber_ok(prop), reject=ens.REJECT_ORIGIN)
 
 
 def _norm(z: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ family holds level alpha.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,14 +29,7 @@ class KSResult:
     n_y: int
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "reject": self.reject,
-            "alpha": self.alpha,
-            "n_x": self.n_x,
-            "n_y": self.n_y,
-        }
+        return asdict(self)
 
 
 def ks_two_sample(x, y, alpha: float = 0.01) -> KSResult:

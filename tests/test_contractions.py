@@ -28,7 +28,7 @@ from siegelbm.matrix_flow import (
     _noise_matrix,
     _predict,
 )
-from siegelbm.particle_flow import _noise_coef
+from siegelbm.ensemble import _noise_coef
 
 _NS = range(1, 9)
 _C = 64  # stack depth
@@ -246,7 +246,7 @@ def test_takagi_phase_diagonal_matches_three_operand_einsum(n):
     a = a + np.swapaxes(a, -1, -2)
     vecs = np.linalg.eigh(np.swapaxes(a.conj(), -1, -2) @ a)[1]
     _close(np.einsum("...rj,...rj->...j", vecs, a @ vecs), _ref_phase_diagonal(a, vecs))
-    q, mu = _takagi_batch(a)
+    q, mu = map(_pf, _takagi_batch(_pl(a)))
     q_ref, mu_ref = _ref_takagi_batch(a.copy())
     if n > _ELEMENTWISE_MAX_N:
         np.testing.assert_array_equal(mu, mu_ref)
@@ -330,7 +330,7 @@ def test_raw_predictor_frame_aligns_like_canonical_frame(n):
     assert abs(e[3, 0, 1].real) >= _FIRST_ORDER_MAX * (mu[3, 1] - mu[3, 0])
     moved = e[3:4].copy()
     moved[:, np.arange(n), np.arange(n)] += mu[3:4]
-    raw = _takagi_batch(moved)[0]
+    raw = _pf(_takagi_batch(_pl(moved))[0])
     canonical = _canonical_column_signs(raw)
 
     def aligned(v):

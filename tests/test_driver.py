@@ -14,7 +14,7 @@ from siegelbm import (
     simulate_matrix_paths,
     simulate_particle_paths,
 )
-from siegelbm import ensemble
+from siegelbm import ensemble, matrix_flow
 from siegelbm.matrix_flow import MatrixKernel
 from siegelbm.particle_flow import _KERNELS, ParticleKernel
 from test_kernels import _LAYOUT_CASES
@@ -123,22 +123,30 @@ def test_matrix_chunks_reach_the_pool(monkeypatch):
 
 # matrix n=8 is where the step's contractions run as BLAS matmuls; at 8
 # terms numpy's own sum over one path's coordinates would switch to pairwise
-# order, so the particle-type sums over 8 coordinates must not depend on it
+# order, so the particle-type sums over 8 coordinates must not depend on it.
+# At beta = inf with sigma_7 and sigma_8 1e-3 apart the Heun predictor falls
+# back to the exact factorization on part of each chunk's paths.
 @pytest.mark.parametrize(
-    "scheme, n, sigma0",
+    "scheme, n, sigma0, beta",
     [
-        ("particle", 2, (1.0, 2.0)),
-        ("particle", 8, tuple(0.4 * np.arange(1, 9))),
-        ("sphere-point", 8, (0.5,)),
-        ("matrix", 2, (1.0, 2.0)),
-        ("matrix", 3, (0.5, 1.0, 1.5)),
-        ("matrix", 8, tuple(0.4 * np.arange(1, 9))),
+        ("particle", 2, (1.0, 2.0), 2.0),
+        ("particle", 8, tuple(0.4 * np.arange(1, 9)), 2.0),
+        ("sphere-point", 8, (0.5,), 2.0),
+        ("matrix", 2, (1.0, 2.0), 2.0),
+        ("matrix", 3, (0.5, 1.0, 1.5), 2.0),
+        ("matrix", 8, tuple(0.4 * np.arange(1, 9)), 2.0),
+        ("matrix", 8, tuple(0.4 * np.arange(1, 8)) + (2.8 + 1e-3,), np.inf),
     ],
-    ids=["particle", "particle-n8", "sphere-point-n8", "matrix", "matrix-n3", "matrix-n8"],
+    ids=["particle", "particle-n8", "sphere-point-n8", "matrix", "matrix-n3", "matrix-n8",
+         "matrix-n8-inf"],
 )
-def test_chunking_does_not_change_paths(monkeypatch, scheme, n, sigma0):
-    cfg = _config(scheme, n, sigma0, 40, seed=9)
+def test_chunking_does_not_change_paths(monkeypatch, scheme, n, sigma0, beta):
+    cfg = replace(_config(scheme, n, sigma0, 40, seed=9), beta=beta)
+    factorized = []
+    takagi = matrix_flow._takagi_batch
+    monkeypatch.setattr(matrix_flow, "_takagi_batch", lambda a: factorized.append(a) or takagi(a))
     reference = _simulate(cfg, threads=4)
+    assert bool(factorized) == np.isinf(beta)
     # the particle-type runs are inline, the matrix runs are on the pool;
     # 40 paths in chunks of 13 leave one path alone in the last chunk
     monkeypatch.setattr(ensemble, "_CHUNK", 13)

@@ -1,6 +1,6 @@
 """The single-state step functions and the ensemble driver run one kernel,
-and the coordinate-major particle-type kernels step exactly as the
-row-major ones they replaced."""
+the coordinate-major particle-type kernels step exactly as the row-major
+ones they replaced, and no kernel's step writes its input."""
 import numpy as np
 import pytest
 
@@ -19,7 +19,9 @@ from siegelbm import (
 from siegelbm import cutoff_eta, ensemble
 from siegelbm.ensemble import ensembles_equal, path_generator, run_ensemble
 from siegelbm.entropy import _dyson_raw, _entropy_raw, _gradient_raw
+from siegelbm import matrix_flow
 from siegelbm.geometry import in_chamber
+from siegelbm.matrix_flow import MatrixKernel
 from siegelbm.particle_flow import (
     _KERNELS,
     DysonKernel,
@@ -151,11 +153,6 @@ def _row_norm(z):
     return np.sqrt(_row_sum(z * z))[:, None]
 
 
-def _column(h):
-    """A per-path step size as a column against rows of coordinates."""
-    return h[:, None]
-
-
 def _reference_rk4(sig, h):
     k1 = 0.5 * _gradient_raw(sig)
     k2 = 0.5 * _gradient_raw(sig + 0.5 * h * k1)
@@ -165,7 +162,8 @@ def _reference_rk4(sig, h):
 
 
 class _RowMajor:
-    """The row-major state layout: one row of coordinates per path."""
+    """The row-major state layout: one row of coordinates per path, gathered
+    and stored by rows, with a per-path step size as a column."""
 
     def init(self, c):
         return np.tile(self.sigma0, (c, 1))
@@ -173,45 +171,38 @@ class _RowMajor:
     def observe(self, state):
         return state
 
-    def _chamber_ok(self, prop, positive=True):
-        return in_chamber(prop, self.floor, positive) & np.all(np.isfinite(prop), axis=-1)
-
-    @staticmethod
-    def _accept(state, idx, prop, ok, frozen=None, reject=ensemble.REJECT_CHAMBER):
-        status = np.where(ok, ensemble.OK, reject)
-        if frozen is not None:
-            status[frozen] = ensemble.FREEZE
+    def attempt(self, state, idx, h, xi, frac):
+        prop, status = self._step(state[idx], (h * frac)[:, None], xi)
+        ok = status == ensemble.OK
         state[idx[ok]] = prop[ok]
         return status
 
+    def _chamber_ok(self, prop, positive=True):
+        return in_chamber(prop, self.floor, positive) & np.all(np.isfinite(prop), axis=-1)
+
 
 class _RowParticle(_RowMajor, ParticleKernel):
-    def _step(self, state, idx, h, xi):
-        h = _column(h)
-        sig = state[idx]
+    def _step(self, sig, h, xi):
         if self.cutoff is not None:
             eta = cutoff_eta(sig, *self.cutoff)
         else:
-            eta = np.ones(len(idx))
+            eta = np.ones(len(sig))
         drift = 0.5 * _gradient_raw(sig)
         prop = sig + eta[:, None] * (drift * h + self.noise_coef * np.sqrt(h) * xi)
         frozen = eta == 0.0
-        return self._accept(state, idx, prop, self._chamber_ok(prop) & ~frozen, frozen)
+        return prop, self._accept(self._chamber_ok(prop) & ~frozen, frozen)
 
 
 class _RowMeanCurvature(_RowMajor, MeanCurvatureKernel):
-    def _step(self, state, idx, h, xi):
-        h = _column(h)
-        prop = _reference_rk4(state[idx], h)
-        return self._accept(state, idx, prop, self._chamber_ok(prop))
+    def _step(self, sig, h, xi):
+        prop = _reference_rk4(sig, h)
+        return prop, self._accept(self._chamber_ok(prop))
 
 
 class _RowDyson(_RowMajor, DysonKernel):
-    def _step(self, state, idx, h, xi):
-        h = _column(h)
-        lam = state[idx]
+    def _step(self, lam, h, xi):
         prop = lam + _dyson_raw(lam) * h + self.noise_coef * np.sqrt(h) * xi
-        return self._accept(state, idx, prop, self._chamber_ok(prop, positive=False))
+        return prop, self._accept(self._chamber_ok(prop, positive=False))
 
 
 class _RowSpherePoint(_RowMajor, SpherePointKernel):
@@ -223,24 +214,20 @@ class _RowSpherePoint(_RowMajor, SpherePointKernel):
     def observe(self, state):
         return _row_norm(state)
 
-    def _step(self, state, idx, h, xi):
-        h = _column(h)
-        z = state[idx]
+    def _step(self, z, h, xi):
         zh = z / _row_norm(z)
         db = np.sqrt(h) * xi
         rad = _row_sum(zh * db)[:, None]
         prop = z + db - zh * rad + self.noise_coef * zh * rad
         ok = _row_norm(prop)[:, 0] > self.floor
-        return self._accept(state, idx, prop, ok, reject=ensemble.REJECT_ORIGIN)
+        return prop, self._accept(ok, reject=ensemble.REJECT_ORIGIN)
 
 
 class _RowSphereRadius(_RowMajor, SphereRadiusKernel):
-    def _step(self, state, idx, h, xi):
-        h = _column(h)
-        r = state[idx]
+    def _step(self, r, h, xi):
         prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi
         ok = in_chamber(prop, self.floor)
-        return self._accept(state, idx, prop, ok, reject=ensemble.REJECT_ORIGIN)
+        return prop, self._accept(ok, reject=ensemble.REJECT_ORIGIN)
 
 
 _ROW_MAJOR = {
@@ -407,3 +394,37 @@ def test_full_batch_store_matches_a_gathered_subset(kind):
     assert _same_bits(full[:, status != ensemble.OK], start[:, status != ensemble.OK])
     assert not _same_bits(full[:, status == ensemble.OK], start[:, status == ensemble.OK])
     assert set(status_sub.tolist()) == {ensemble.OK} | rejects
+
+
+# (n, beta) of each matrix kernel
+_MATRIX_KERNELS = {
+    f"matrix-n{n}{suffix}": (n, beta)
+    for n in (2, 3, 8)
+    for beta, suffix in ((2.0, ""), (np.inf, "-inf"))
+}
+
+
+# a kernel's _step only proposes: it reads the gathered paths and the draws
+# and writes neither, so attempt() is the one writer of a chunk's state
+@pytest.mark.parametrize("kind", sorted(_BATCH_KERNELS) + sorted(_MATRIX_KERNELS))
+def test_step_does_not_write_its_input(monkeypatch, kind):
+    rng = np.random.default_rng(710)
+    if kind in _MATRIX_KERNELS:
+        n, beta = _MATRIX_KERNELS[kind]
+        start = _columns(rng, "matrix", n, 64)
+        start[-1] = start[-2] + 1e-3  # a near-collision: the beta = inf predictor falls back
+        kernel = MatrixKernel(start[:, 0], beta, 1e-6)
+    else:
+        start = _columns(rng, kind, 3, 64)
+        kernel = _BATCH_KERNELS[kind][0](start[:, 0])
+    c = start.shape[1]
+    x, xi = start.copy(), 3.0 * rng.standard_normal((c, kernel.noise_dim))
+    x.flags.writeable = xi.flags.writeable = False
+    draws = xi.copy()
+    factorized = []
+    takagi = matrix_flow._takagi_batch
+    monkeypatch.setattr(matrix_flow, "_takagi_batch", lambda a: factorized.append(a) or takagi(a))
+    prop, status = kernel._step(x, 1e-2 * rng.choice([1.0, 0.5, 0.125], size=c), xi)
+    assert _same_bits(x, start) and _same_bits(xi, draws)
+    assert prop.shape == start.shape and status.shape == (c,)
+    assert bool(factorized) == kind.endswith("-inf")

@@ -19,10 +19,11 @@ from siegelbm import (
 from siegelbm.linalg import _matmul, _singular_values, _takagi2, _takagi_batch
 
 
-def _takagi2_stack(a):
-    """_takagi2 on the path-last view of a stack (paths, 2, 2), its q and mu
-    returned path-first."""
-    q, mu = _takagi2(a.transpose(1, 2, 0))
+def _path_first(takagi, a):
+    """A path-last factorization (_takagi2 or _takagi_batch) on the
+    path-last view of a stack (paths, n, n), its q and mu returned
+    path-first."""
+    q, mu = takagi(a.transpose(1, 2, 0))
     return q.transpose(2, 0, 1), mu.T
 
 
@@ -105,6 +106,13 @@ def test_takagi_rejects_nonsymmetric():
         takagi_decompose(np.zeros((2, 3), complex))
 
 
+def test_takagi_refuses_an_empty_matrix():
+    # a 0x0 matrix used to reach argmax over an empty column and raise a raw
+    # ValueError
+    with pytest.raises(ShapeMismatch, match="nonempty square"):
+        takagi_decompose(np.zeros((0, 0), complex))
+
+
 def test_takagi_deterministic_output():
     rng = np.random.default_rng(8)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -123,7 +131,7 @@ def test_takagi_batch_matches_single():
     u = np.linalg.qr(rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))[0]
     a[2] = (u[0] * [0.2, 0.5, 0.5 + 1e-7]) @ u[0].T
     a[5] = (u[1] * [0.3, 0.3, 0.9]) @ u[1].T
-    q, mu = _takagi_batch(a)
+    q, mu = _path_first(_takagi_batch, a)
     np.testing.assert_allclose(mu[2], [0.2, 0.5, 0.5 + 1e-7], atol=1e-9)
     np.testing.assert_allclose(mu[5], [0.3, 0.3, 0.9], atol=1e-9)
     for i in range(8):
@@ -131,10 +139,15 @@ def test_takagi_batch_matches_single():
         np.testing.assert_allclose(mu[i], tf.mu, atol=1e-10)
         recon = (q[i] * mu[i]) @ q[i].T
         assert np.linalg.norm(recon - a[i]) < 1e-10 * max(1.0, np.linalg.norm(a[i]))
-    # two stack axes: the clustered rows are re-solved through the same views
-    q2, mu2 = _takagi_batch(a.reshape(2, 4, 3, 3))
-    np.testing.assert_array_equal(q2.reshape(q.shape), q)
-    np.testing.assert_array_equal(mu2.reshape(mu.shape), mu)
+    # a C-ordered path-last stack, and two stack axes: the clustered rows
+    # are re-solved through the same views
+    al = np.ascontiguousarray(a.transpose(1, 2, 0))
+    q1, mu1 = _takagi_batch(al)
+    np.testing.assert_array_equal(q1.transpose(2, 0, 1), q)
+    np.testing.assert_array_equal(mu1.T, mu)
+    q2, mu2 = _takagi_batch(al.reshape(3, 3, 2, 4))
+    np.testing.assert_array_equal(q2.reshape(q1.shape), q1)
+    np.testing.assert_array_equal(mu2.reshape(mu1.shape), mu1)
 
 
 def _check_takagi2(a, q, mu):
@@ -153,7 +166,7 @@ def test_takagi2_matches_svd_on_random_stacks():
     g = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
     a = g + np.swapaxes(g, -1, -2)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        q, mu = _takagi2_stack(a)
+        q, mu = _path_first(_takagi2, a)
     assert np.all(mu[:, 0] <= mu[:, 1])
     _check_takagi2(a, q, mu)
 
@@ -176,8 +189,8 @@ def test_takagi2_edge_rows():
         dtype=complex,
     )
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        q, mu = _takagi2_stack(a)
-        q_fixed, mu_fixed = _takagi_batch(a)
+        q, mu = _path_first(_takagi2, a)
+        q_fixed, mu_fixed = _path_first(_takagi_batch, a)
     np.testing.assert_array_equal(mu[:6], [[0, 0], [0.3, 0.3], [0.2, 0.5], [0.2, 0.5], [0.5, 0.5], [0.5, 1.0]])
     np.testing.assert_allclose(mu[6], [0.0, 0.7], rtol=1e-15, atol=1e-16)
     # the closed form leaves the columns of equal singular values to
@@ -212,7 +225,7 @@ def test_takagi_batch_small_singular_value_at_n2():
         q = np.linalg.qr(z)[0]
         mu = np.array(mu)
         a = (q * mu) @ np.swapaxes(q, -1, -2)
-        _, got = _takagi_batch(a)
+        _, got = _path_first(_takagi_batch, a)
         assert np.max(np.abs(got[:, 0] / mu[0] - 1.0)) <= bound
         np.testing.assert_allclose(got[:, 1], mu[1], rtol=1e-14)
 
@@ -226,7 +239,7 @@ def test_singular_values_at_n2_are_the_closed_form_bits():
     a[0] = 0.0
     a[1] = np.diag([0.3, 0.3])
     a[2] = [[0.0, 0.5], [0.5, 0.0]]
-    np.testing.assert_array_equal(_singular_values(a.transpose(1, 2, 0)).T, _takagi2_stack(a)[1])
+    np.testing.assert_array_equal(_singular_values(a.transpose(1, 2, 0)).T, _path_first(_takagi2, a)[1])
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -239,12 +252,12 @@ def test_singular_values_match_takagi_batch(n):
     mu = np.sort(rng.uniform(0.0, 0.99, (c, n)), axis=-1)
     if n > 1:
         mu[3, 1] = mu[3, 0] + 1e-9  # a clustered row
-    a = (q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)
-    expected = _takagi_batch(a)[1]
-    for stack in (a.transpose(1, 2, 0), np.ascontiguousarray(a.transpose(1, 2, 0))):
+    a = ((q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)).transpose(1, 2, 0)
+    for stack in (a, np.ascontiguousarray(a)):
+        expected = _takagi_batch(stack)[1]
         got = _singular_values(stack)
-        assert got.strides == np.empty_like(stack[0], dtype=float).strides
-        assert np.all(np.abs(got.T - expected) <= 1e-12 * expected[:, -1:])
+        assert got.strides == expected.strides == np.empty_like(stack[0], dtype=float).strides
+        assert np.all(np.abs(got - expected) <= 1e-12 * expected[-1])
 
 
 def test_hermitian_eigenvalues_char_poly():
