@@ -53,7 +53,6 @@ SCHEME_IDS = {
     "dyson": 4,
     "sphere-point": 5,
     "sphere-radius": 6,
-    "takagi-chart": 7,
 }
 
 # attempt() status codes

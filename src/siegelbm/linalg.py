@@ -18,10 +18,8 @@ from .errors import (
     ShapeMismatch,
 )
 
-# Relative gap below which singular values are treated as a degenerate
-# cluster.  Above this the per-column phase correction is accurate to
-# ~1e-10; below it the cluster is re-solved exactly (see _fix_cluster).
-_CLUSTER_GAP = 1e-6
+# Singular values at or below _ZERO_TOL (1 + mu_n) count as zero: a run of
+# two or more of them gets its Takagi columns from QR (see _takagi_batch).
 _ZERO_TOL = 1e-12
 # Largest inner dimension at which a stacked product is summed elementwise
 # over k instead of one BLAS call per matrix.  For 512 complex products over
@@ -98,22 +96,16 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def _unit(z: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """z / r where r > 0, else 1: the phase of z given r = |z|."""
-    return np.divide(z, r, out=np.ones_like(z), where=r > 0)
-
-
-def _singular_values2(a: np.ndarray):
+def _singular_values2(a: np.ndarray) -> np.ndarray:
     """Closed-form ascending singular values (2, ...) of a path-last stack
-    (2, 2, ...) of complex symmetric a = [[p, b], [b, s]], with the terms
-    _takagi2 reuses: w = conj(p) b + conj(b) s (the off-diagonal entry of
-    a^H a), |w|, d = (|p|^2 - |s|^2)/2, det a and |det a|.
+    (2, 2, ...) of complex symmetric a = [[p, b], [b, s]]:
 
         mu_2 = sqrt((|p|^2 + 2|b|^2 + |s|^2)/2 + hypot(d, |w|))
         mu_1 = |det a| / mu_2
 
-    so mu_1's relative error stays near eps mu_2 / mu_1, not the
-    eps (mu_2 / mu_1)^2 of the spectrum of a^H a."""
+    with w = conj(p) b + conj(b) s (the off-diagonal entry of a^H a) and
+    d = (|p|^2 - |s|^2)/2, so mu_1's relative error stays near
+    eps mu_2 / mu_1, not the eps (mu_2 / mu_1)^2 of the spectrum of a^H a."""
     p, b, s = a[0, 0], a[0, 1], a[1, 1]
     pp, bb, ss = _abs2(p), _abs2(b), _abs2(s)
     w = p.conj() * b + b.conj() * s
@@ -124,7 +116,7 @@ def _singular_values2(a: np.ndarray):
     det = p * s - b * b
     dabs = np.abs(det)
     np.divide(dabs, top, out=low, where=top > 0)
-    return mu, w, wabs, d, det, dabs
+    return mu
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
@@ -133,43 +125,12 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     _singular_values2 at n = 2, else the roots of LAPACK's eigvalsh of a^H a
     (a small mu_1 carries a relative error near eps (mu_n / mu_1)^2)."""
     if a.shape[0] == 2:
-        return _singular_values2(a)[0]
+        return _singular_values2(a)
     h = _matmul(a.conj().swapaxes(0, 1), a)
     w = np.linalg.eigvalsh(np.moveaxis(h, (0, 1), (-2, -1)))
     mu = np.empty_like(a[0], dtype=float)
     mu[...] = np.sqrt(np.clip(np.moveaxis(w, -1, 0), 0.0, None))
     return mu
-
-
-def _takagi2(a: np.ndarray):
-    """Takagi factorization of a path-last stack (2, 2, ...) of complex
-    symmetric matrices a = [[p, b], [b, s]] in closed form from a itself (q
-    unitary in a's memory order, mu (2, ...) ascending, from
-    _singular_values2); reads the diagonal and the upper entry only.
-
-    mu_2's column is x = conj(v) e^{i theta/2}, where
-    v = (cos t e^{i phi}, sin t) with t = atan2(|w|, (|p|^2 - |s|^2)/2) / 2
-    and e^{i phi} = w / |w| is the top eigenvector of a^H a and e^{i theta}
-    the phase of v^T a v.  mu_1's column (-conj(x_2), conj(x_1)) e^{i psi}
-    is orthogonal to x, and e^{2 i psi} = det a / |det a| makes its diagonal
-    entry of q^H a conj(q) real and nonnegative.  The phase of a zero is
-    taken as 1.  Columns of a degenerate pair are left to _fix_cluster.
-    """
-    p, b, s = a[0, 0], a[0, 1], a[1, 1]
-    mu, w, wabs, d, det, dabs = _singular_values2(a)
-    t = 0.5 * np.arctan2(wabs, d)
-    cos, sin = np.cos(t), np.sin(t)
-    v0 = cos * _unit(w, wabs)
-    g = p * v0 * v0 + (2.0 * sin) * b * v0 + (sin * sin) * s
-    half = np.sqrt(_unit(g, np.abs(g)))
-    turn = np.sqrt(_unit(det, dabs))
-    q = np.empty_like(a)
-    x0, x1 = q[0, 1, ...], q[1, 1, ...]
-    np.multiply(v0.conj(), half, out=x0)
-    np.multiply(sin, half, out=x1)
-    np.multiply(x1.conj(), -turn, out=q[0, 0, ...])
-    np.multiply(x0.conj(), turn, out=q[1, 0, ...])
-    return q, mu
 
 
 def _canonical_column_signs(q: np.ndarray) -> np.ndarray:
@@ -186,81 +147,40 @@ def _canonical_column_signs(q: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None, :], -q, q)
 
 
-def _coneig_block(b: np.ndarray):
-    """Takagi vectors of a small complex symmetric block via the real
-    symmetric embedding [[X, Y], [Y, -X]] of b = X + iY.
-
-    Eigenpairs (mu, [u; v]) with mu >= 0 give con-eigenvectors p = u + iv
-    satisfying b @ conj(p) = mu * p exactly (up to roundoff), with no loss
-    of accuracy at degenerate mu.
-    """
-    m = b.shape[0]
-    x, y = b.real, b.imag
-    emb = np.block([[x, y], [y, -x]])
-    w, vecs = np.linalg.eigh(emb)
-    mu = np.clip(w[m:], 0.0, None)
-    p = vecs[:m, m:] + 1j * vecs[m:, m:]
-    return mu, p
-
-
-def _fix_cluster(a, q, mu, lo, hi):
-    """Re-solve columns lo:hi of a phase-corrected Takagi candidate.
-
-    Within a degenerate cluster the eigenvectors of a^dagger a mix freely,
-    so the per-column phase correction cannot diagonalize the restriction.
-    The symmetric restriction b is re-factorized through _coneig_block,
-    which is exact for repeated singular values.  Near-zero clusters are
-    left as-is: any orthonormal basis of the near-kernel is valid.
-    """
-    scale = 1.0 + float(mu[-1])
-    if mu[hi - 1] <= _ZERO_TOL * scale:
-        return
-    qc = q[:, lo:hi]
-    b = qc.conj().T @ a @ qc.conj()
-    mu_c, p = _coneig_block(b)
-    q[:, lo:hi] = qc @ p
-    mu[lo:hi] = mu_c
-
-
 def _takagi_batch(a: np.ndarray):
     """Takagi factorization of a path-last stack (n, n, ...) of complex
-    symmetric matrices, like _matmul, _singular_values and _takagi2: q
-    (n, n, ...) unitary and mu (n, ...) ascending, in a's memory order.  No
-    symmetry validation; callers guarantee the input.  Column signs are not
-    fixed (takagi_decompose fixes them).
+    symmetric matrices (not checked): q (n, n, ...) unitary and mu (n, ...)
+    ascending, in a's memory order, column signs not fixed.
 
-    At n = 2 it is the closed form _takagi2 of a itself.  Otherwise mu comes
-    from LAPACK's spectrum of a^H a, which squares the condition number (a
-    small mu_1 carries a relative error near eps (mu_n / mu_1)^2), and each
-    column of conj(eigenvectors) is turned by a phase.  Runs of near-equal
-    mu are then re-solved exactly (_fix_cluster).
+    LAPACK's eigh of the real symmetric embedding [[X, Y], [Y, -X]] of
+    a = X + iY has eigenvalues +-mu.  An eigenvector [u; v] of +mu gives
+    p = u + iv with a conj(p) = mu p, and [-v; u] (i p) belongs to -mu, so
+    the columns of the top n are orthonormal at repeated mu too.  The two
+    meet only at mu = 0: two or more mu <= _ZERO_TOL (1 + mu_n) take an
+    orthonormal basis of the other columns' complement instead, by QR.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    if n == 2:
-        q, mu = _takagi2(a)
-    else:
-        h = _matmul(a.conj().swapaxes(0, 1), a)
-        w, v = np.linalg.eigh(np.moveaxis(h, (0, 1), (-2, -1)))
-        # eigh returns path-first arrays; the rest runs in a's memory order
-        mu, vecs = np.empty_like(a[0], dtype=float), np.empty_like(a)
-        mu[...] = np.sqrt(np.clip(np.moveaxis(w, -1, 0), 0.0, None))
-        vecs[...] = np.moveaxis(v, (-2, -1), (0, 1))
-        # with qt = conj(vecs), the diagonal of qt^H a conj(qt) = vecs^T a vecs
-        # is mu * e^{i phi}
-        d = np.einsum("rj...,rj...->j...", vecs, _matmul(a, vecs))
-        phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
-        q = vecs.conj() * phase
-    # re-solve each run of near-equal singular values in place
-    near = mu[1:] - mu[:-1] < _CLUSTER_GAP * (1.0 + mu[-1])
-    for i in map(tuple, np.argwhere(np.any(near, axis=0))):
-        at = (Ellipsis,) + i
-        lo = 0
-        for k in range(n):
-            if k == n - 1 or not near[(k,) + i]:
-                if k > lo:
-                    _fix_cluster(a[at], q[at], mu[at], lo, k + 1)
-                lo = k + 1
+    x = np.moveaxis(a, (0, 1), (-2, -1))
+    emb = np.empty(x.shape[:-2] + (2 * n, 2 * n))
+    emb[..., :n, :n] = x.real
+    emb[..., n:, n:] = -x.real
+    emb[..., :n, n:] = emb[..., n:, :n] = x.imag
+    w, vecs = np.linalg.eigh(emb)
+    top = np.clip(w[..., n:], 0.0, None)
+    p = vecs[..., :n, n:] + 1j * vecs[..., n:, n:]
+    zero = top <= _ZERO_TOL * (1.0 + top[..., -1:])
+    repeated = np.count_nonzero(zero, axis=-1) > 1
+    if np.any(repeated):
+        z, pr = zero[repeated][..., None, :], p[repeated]
+        # the other columns lead, so Q's trailing columns span their
+        # complement; a zeroed column leaves Q unitary
+        basis = np.linalg.qr(np.where(z, 0.0, pr)[..., ::-1])[0][..., ::-1]
+        p[repeated] = np.where(z, basis, pr)
+    # eigh returns path-first arrays; the results go out in a's memory order
+    q, mu = np.empty_like(a), np.empty_like(a[0], dtype=float)
+    q[...] = np.moveaxis(p, (-2, -1), (0, 1))
+    mu[...] = np.moveaxis(top, -1, 0)
     return q, mu
 
 
@@ -268,11 +188,12 @@ def takagi_decompose(a: np.ndarray, tol: float = 1e-10) -> TakagiFactors:
     """Takagi factorization a = q @ diag(mu) @ q.T of a complex symmetric
     matrix, with q unitary and mu the ascending singular values of a.
 
-    Computed in closed form at n = 2 (_takagi2), otherwise from the
-    Hermitian eigendecomposition of a^dagger a followed by a per-column
-    phase correction; degenerate singular-value clusters are re-solved
-    through a real symmetric embedding of the restricted block, which stays
-    exact when singular values collide.
+    Computed at every n from the eigendecomposition of the real symmetric
+    embedding [[Re a, Im a], [Im a, -Re a]] (_takagi_batch), which stays
+    exact when singular values collide; columns of a repeated zero singular
+    value are any orthonormal basis of the near-kernel.  Column signs are
+    canonical: the largest-modulus entry of each column has positive real
+    part.
 
     Raises NotSymmetric if ||a - a.T|| > tol * max(1, ||a||).
     """

@@ -2,9 +2,10 @@
 as a whole, against the three-operand einsum forms they replace.
 
 The reference functions below are the earlier formulations, kept verbatim:
-the per-sigma noise assembly G, the congruence Q G Q^T, the drift lift
-Q diag(d) Q^T and the Takagi phase diagonal, each a three-operand einsum.
-The first-order predictor is written out per row and per entry in
+the per-sigma noise assembly G, the congruence Q G Q^T and the drift lift
+Q diag(d) Q^T, each a three-operand einsum.  _ref_takagi_batch is an
+independent oracle that factorizes one matrix at a time through LAPACK's
+SVD.  The first-order predictor is written out per row and per entry in
 _ref_predict, and _ref_attempt, the beta = inf Heun step, and
 _ref_ito_attempt, the finite-beta Ito-Euler step, move the disk point R
 itself; the kernel holds sigma alone, so the frame is taken from
@@ -19,7 +20,7 @@ from siegelbm import ChamberExit, DomainExit, init_matrix_state, step_matrix_flo
 from siegelbm import ensemble as ens
 from siegelbm.entropy import _gradient_raw
 from siegelbm.geometry import in_chamber
-from siegelbm.linalg import _ELEMENTWISE_MAX_N, _canonical_column_signs, _fix_cluster, _takagi_batch
+from siegelbm.linalg import _canonical_column_signs, _takagi_batch
 from siegelbm.matrix_flow import (
     _FIRST_ORDER_MAX,
     MatrixKernel,
@@ -79,29 +80,16 @@ def _ref_lift(q, d):
     return np.einsum("pab,pb,pcb->pac", q, d, q)
 
 
-def _ref_phase_diagonal(a, vecs):
-    qt = vecs.conj()
-    return np.einsum("...rj,...rs,...sj->...j", qt.conj(), a, qt.conj())
-
-
 def _ref_takagi_batch(a):
-    """_takagi_batch with the three-operand phase diagonal, signs canonical."""
-    w, vecs = np.linalg.eigh(np.swapaxes(a.conj(), -1, -2) @ a)
-    mu = np.sqrt(np.clip(w, 0.0, None))
-    d = _ref_phase_diagonal(a, vecs)
-    phase = np.where(np.abs(d) > 1e-300, np.exp(0.5j * np.angle(d)), 1.0)
-    q = vecs.conj() * phase[..., None, :]
-    n = a.shape[-1]
-    for i in range(a.shape[0]):
-        near = np.diff(mu[i]) < 1e-6 * (1.0 + mu[i, -1])
-        j = 0
-        while j < n:
-            k = j
-            while k + 1 < n and near[k]:
-                k += 1
-            if k > j:
-                _fix_cluster(a[i], q[i], mu[i], j, k + 1)
-            j = k + 1
+    """Takagi factorization one matrix at a time from LAPACK's SVD
+    a = U diag(s) V^H, signs canonical, mu ascending.  A complex symmetric a
+    with distinct nonzero singular values has conj(V) = U D, D diagonal and
+    unitary, so a = (U D^1/2) diag(s) (U D^1/2)^T."""
+    q, mu = np.empty_like(a), np.empty(a.shape[:-1])
+    for i, m in enumerate(a):
+        u, s, vh = np.linalg.svd(m)
+        d = np.einsum("rj,jr->j", u.conj(), vh)
+        q[i], mu[i] = (u * np.sqrt(d))[:, ::-1], s[::-1]
     return _canonical_column_signs(q), mu
 
 
@@ -241,19 +229,13 @@ def test_drift_lift_matches_three_operand_einsum(n):
 
 @pytest.mark.parametrize("n", _NS)
 def test_takagi_phase_diagonal_matches_three_operand_einsum(n):
+    # the path-last factorization against the per-matrix SVD oracle
     rng = np.random.default_rng(630 + n)
     a = rng.standard_normal((_C, n, n)) + 1j * rng.standard_normal((_C, n, n))
     a = a + np.swapaxes(a, -1, -2)
-    vecs = np.linalg.eigh(np.swapaxes(a.conj(), -1, -2) @ a)[1]
-    _close(np.einsum("...rj,...rj->...j", vecs, a @ vecs), _ref_phase_diagonal(a, vecs))
     q, mu = map(_pf, _takagi_batch(_pl(a)))
-    q_ref, mu_ref = _ref_takagi_batch(a.copy())
-    if n > _ELEMENTWISE_MAX_N:
-        np.testing.assert_array_equal(mu, mu_ref)
-    else:
-        # at small n the products are summed elementwise, and at n = 2 the
-        # spectrum is closed-form, so mu differs from LAPACK's at roundoff
-        _close(mu, mu_ref)
+    q_ref, mu_ref = _ref_takagi_batch(a)
+    _close(mu, mu_ref)
     _close(_canonical_column_signs(q), q_ref)
 
 

@@ -15,6 +15,7 @@ from siegelbm import (
     simulate_particle_paths,
 )
 from siegelbm import ensemble, matrix_flow
+from siegelbm.config import SCHEMES
 from siegelbm.matrix_flow import MatrixKernel
 from siegelbm.particle_flow import _KERNELS, ParticleKernel
 from test_kernels import _LAYOUT_CASES
@@ -267,6 +268,14 @@ def test_path_generator_is_the_keyed_philox(seed, path_index, retry):
     assert _philox_state(got) == _philox_state(want)
     np.testing.assert_array_equal(got.standard_normal(10_000), want.standard_normal(10_000))
     assert _philox_state(got) == _philox_state(want)
+
+
+def test_every_scheme_has_its_noise_stream_id():
+    # one ID per scheme SimConfig accepts and no other; each keys a scheme's
+    # noise streams, so none may change
+    assert set(ensemble.SCHEME_IDS) == set(SCHEMES)
+    assert ensemble.SCHEME_IDS == {"matrix": 1, "particle": 2, "mean-curvature": 3, "dyson": 4,
+                                   "sphere-point": 5, "sphere-radius": 6}
 
 
 def test_sample_times_are_checked_on_construction():

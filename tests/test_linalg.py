@@ -16,14 +16,13 @@ from siegelbm import (
     unitary_algebra_basis,
     unitary_exp,
 )
-from siegelbm.linalg import _matmul, _singular_values, _takagi2, _takagi_batch
+from siegelbm.linalg import _matmul, _singular_values, _takagi_batch
 
 
-def _path_first(takagi, a):
-    """A path-last factorization (_takagi2 or _takagi_batch) on the
-    path-last view of a stack (paths, n, n), its q and mu returned
-    path-first."""
-    q, mu = takagi(a.transpose(1, 2, 0))
+def _path_first(a):
+    """_takagi_batch on the path-last view of a stack (paths, n, n), its q
+    and mu returned path-first."""
+    q, mu = _takagi_batch(a.transpose(1, 2, 0))
     return q.transpose(2, 0, 1), mu.T
 
 
@@ -44,6 +43,18 @@ def test_takagi_zero_matrix():
     np.testing.assert_allclose(tf.mu, 0.0, atol=1e-15)
     # any orthonormal basis is valid for the kernel; q must still be unitary
     np.testing.assert_allclose(tf.q.conj().T @ tf.q, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("n, rank", [(3, 1), (4, 2), (8, 6)])
+def test_takagi_of_a_rank_deficient_matrix(n, rank):
+    # a zero singular value repeated n - rank times: through a^H a it reads
+    # near 1e-8, and its columns came out far from orthonormal
+    rng = np.random.default_rng(950)
+    z = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    a = z @ z.T
+    tf = takagi_decompose(a)
+    assert np.linalg.norm(tf.q.conj().T @ tf.q - np.eye(n)) <= 1e-14
+    assert _takagi_residual(a, tf) <= 1e-14 * np.linalg.norm(a)
 
 
 def test_takagi_degenerate_offdiagonal():
@@ -131,7 +142,7 @@ def test_takagi_batch_matches_single():
     u = np.linalg.qr(rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))[0]
     a[2] = (u[0] * [0.2, 0.5, 0.5 + 1e-7]) @ u[0].T
     a[5] = (u[1] * [0.3, 0.3, 0.9]) @ u[1].T
-    q, mu = _path_first(_takagi_batch, a)
+    q, mu = _path_first(a)
     np.testing.assert_allclose(mu[2], [0.2, 0.5, 0.5 + 1e-7], atol=1e-9)
     np.testing.assert_allclose(mu[5], [0.3, 0.3, 0.9], atol=1e-9)
     for i in range(8):
@@ -139,8 +150,7 @@ def test_takagi_batch_matches_single():
         np.testing.assert_allclose(mu[i], tf.mu, atol=1e-10)
         recon = (q[i] * mu[i]) @ q[i].T
         assert np.linalg.norm(recon - a[i]) < 1e-10 * max(1.0, np.linalg.norm(a[i]))
-    # a C-ordered path-last stack, and two stack axes: the clustered rows
-    # are re-solved through the same views
+    # a C-ordered path-last stack, and two stack axes: the same bits
     al = np.ascontiguousarray(a.transpose(1, 2, 0))
     q1, mu1 = _takagi_batch(al)
     np.testing.assert_array_equal(q1.transpose(2, 0, 1), q)
@@ -166,7 +176,7 @@ def test_takagi2_matches_svd_on_random_stacks():
     g = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
     a = g + np.swapaxes(g, -1, -2)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        q, mu = _path_first(_takagi2, a)
+        q, mu = _path_first(a)
     assert np.all(mu[:, 0] <= mu[:, 1])
     _check_takagi2(a, q, mu)
 
@@ -189,16 +199,12 @@ def test_takagi2_edge_rows():
         dtype=complex,
     )
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        q, mu = _path_first(_takagi2, a)
-        q_fixed, mu_fixed = _path_first(_takagi_batch, a)
-    np.testing.assert_array_equal(mu[:6], [[0, 0], [0.3, 0.3], [0.2, 0.5], [0.2, 0.5], [0.5, 0.5], [0.5, 1.0]])
-    np.testing.assert_allclose(mu[6], [0.0, 0.7], rtol=1e-15, atol=1e-16)
-    # the closed form leaves the columns of equal singular values to
-    # _fix_cluster; every other row is already a Takagi factorization
-    np.testing.assert_allclose(mu_fixed, mu, rtol=1e-15, atol=1e-16)
-    generic = [0, 2, 3, 5, 6]
-    _check_takagi2(a[generic], q[generic], mu[generic])
-    _check_takagi2(a, q_fixed, mu_fixed)
+        closed = _singular_values(a.transpose(1, 2, 0)).T
+        q, mu = _path_first(a)
+    np.testing.assert_array_equal(closed[:6], [[0, 0], [0.3, 0.3], [0.2, 0.5], [0.2, 0.5], [0.5, 0.5], [0.5, 1.0]])
+    np.testing.assert_allclose(closed[6], [0.0, 0.7], rtol=1e-15, atol=1e-16)
+    np.testing.assert_allclose(mu, closed, rtol=1e-15, atol=1e-16)
+    _check_takagi2(a, q, mu)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -215,37 +221,45 @@ def test_matmul_matches_operator(n):
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
 
-def test_takagi_batch_small_singular_value_at_n2():
-    # the closed form reads mu_1 = |det a| / mu_2 off a itself, so its
-    # relative error stays near eps mu_2 / mu_1; through a^H a it would be
-    # near eps (mu_2 / mu_1)^2 (1e-4 at (1e-6, 0.9), no digit at 1e-9)
-    for mu, bound in (((1e-6, 0.9), 1e-9), ((1e-9, 0.5), 1e-6)):
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_takagi_batch_small_singular_value(n):
+    # eigh of the real embedding reads mu_1 with an absolute error near
+    # eps mu_n, and the closed form at n = 2 reads mu_1 = |det a| / mu_2 off
+    # a itself, so the relative error of mu_1 stays near eps mu_n / mu_1;
+    # through a^H a it would be near eps (mu_n / mu_1)^2 (1e-4 at
+    # (1e-6, 0.9), no digit at 1e-9)
+    for (low, top), bound in (((1e-6, 0.9), 1e-9), ((1e-9, 0.5), 1e-6)):
         rng = np.random.default_rng(920)
-        z = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+        z = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
         q = np.linalg.qr(z)[0]
-        mu = np.array(mu)
+        mu = np.concatenate(([low], top * np.arange(1, n) / (n - 1)))
         a = (q * mu) @ np.swapaxes(q, -1, -2)
-        _, got = _path_first(_takagi_batch, a)
-        assert np.max(np.abs(got[:, 0] / mu[0] - 1.0)) <= bound
-        np.testing.assert_allclose(got[:, 1], mu[1], rtol=1e-14)
+        found = [_path_first(a)[1]]
+        if n == 2:
+            found.append(_singular_values(a.transpose(1, 2, 0)).T)
+        for got in found:
+            assert np.max(np.abs(got[:, 0] / low - 1.0)) <= bound
+            np.testing.assert_allclose(got[:, -1], top, rtol=1e-14)
 
 
 def test_singular_values_at_n2_are_the_closed_form_bits():
-    # _takagi2 takes its mu from the same closed form, rows with a zero or a
-    # repeated singular value included
+    # the closed form against LAPACK's SVD, rows with a zero or a repeated
+    # singular value included
     rng = np.random.default_rng(930)
     a = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
     a = a + np.swapaxes(a, -1, -2)
     a[0] = 0.0
     a[1] = np.diag([0.3, 0.3])
     a[2] = [[0.0, 0.5], [0.5, 0.0]]
-    np.testing.assert_array_equal(_singular_values(a.transpose(1, 2, 0)).T, _path_first(_takagi2, a)[1])
+    sv = np.linalg.svd(a, compute_uv=False)[:, ::-1]
+    scale = 1e-14 * np.linalg.norm(a, axis=(-2, -1))
+    assert np.all(np.abs(_singular_values(a.transpose(1, 2, 0)).T - sv) <= scale[:, None])
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_singular_values_match_takagi_batch(n):
-    # sqrt(eigvalsh(a^H a)) against the full factorization's mu, whose
-    # clustered runs are re-solved exactly; both path-last memory orders
+    # sqrt(eigvalsh(a^H a)) against the full factorization's mu, which stays
+    # exact in a cluster; both path-last memory orders
     rng = np.random.default_rng(940 + n)
     c = 32
     q = np.linalg.qr(rng.standard_normal((c, n, n)) + 1j * rng.standard_normal((c, n, n)))[0]
