@@ -4,7 +4,8 @@
 from JSON alike, and names the first failing one; `config_from_dict` only
 reads the JSON forms.  Schemes:
 
-  matrix          disk-model matrix integrator (Ito-Euler; Heun at beta = inf)
+  matrix          disk-model matrix integrator (Ito-Euler; at beta = inf
+                  sigma takes the mean-curvature step)
   particle        radial interacting-particle integrator (Euler-Maruyama)
   mean-curvature  deterministic radial flow (classical RK4)
   dyson           squared-radial flat-space analogue

@@ -1,8 +1,8 @@
 """Matrix-level flow in disk coordinates.
 
 A step from R = Q diag(mu) Q^T, mu = tanh(sigma/2), is written in the frame
-Q: the moved point is R' = Q A' Q^T, so sigma' = 2 artanh(mu') takes only
-the singular values mu' of A', which is built from sigma and the draws.
+Q: the moved point is R' = Q A' Q^T, built from sigma and the draws, and at
+finite beta sigma' = 2 artanh(mu') takes only the singular values mu' of A'.
 The frame Q reaches no sigma, and the ensemble kernel holds sigma alone.
 The single-state step keeps Q; it takes sigma' and the status as the
 kernel does, then factorizes A' = V diag(mu') V^T and sets Q' = Q V.
@@ -24,45 +24,34 @@ disk.  The disk is Kaehler, so in R that motion has no drift.  Another beta
 adds (1/beta - 1/2) times the sum of the squared radial fields, whose drift
 (1/4 - 1/(2 beta)) (R - R conj(R) R) is a polynomial in R; in the frame it
 is the diagonal above, with mu (1 - mu^2) = 2 mu S^2 and no 1 - mu^2
-cancellation.  The step needs no entropy gradient, no predictor and no
-second congruence.  By Weyl's inequality each singular value moves by at
-most |sqrt(h) S X S| + O(h), whatever the gaps, and a singular value is
-never negative: a path that meets a chamber wall is reflected by it.
+cancellation, so the step needs no entropy gradient.  By Weyl's
+inequality each singular value moves by at most |sqrt(h) S X S| + O(h),
+whatever the gaps, and a singular value is never negative: a path that
+meets a chamber wall is reflected by it.
 
-beta = inf: sigma is deterministic there, and the Ito step would spread
-each path like sqrt(h), since it cancels the orbit noise's radial part in
-the mean only.  So the step is Stratonovich Heun for the orbit noise plus
-the radial correction it produces, an explicit Euler term
-h diag(S^2 grad S / 2) with grad S the entropy gradient.  The corrector
-needs the predicted point's frame and sigma* only to first order, so they
-come from a first-order Takagi perturbation of diag(mu) rather than a
-second factorization (_predict).  With the predictor's move written in the
-frame, E = sqrt(h) S X S (complex symmetric):
-
-  mu*_k = mu_k + Re E_kk
-  u     = diag(e^{i theta}) + K,   theta_k = Im E_kk / (2 mu_k),
-          K_kl = Re E_kl / (mu_l - mu_k) + i Im E_kl / (mu_l + mu_k)  (k != l)
-
-u lies on the identity's sign sheet by construction.  A row whose largest
-off-diagonal |K_kl| reaches _FIRST_ORDER_MAX (a near-collision, where first
-order breaks down) falls back to the full factorization of diag(mu) + E
-and takes its frame as u, each column's sign set so that Re u_jj >= 0.
-The corrected point in the frame is
-
-  A' = diag(mu) + (sqrt(h)/2) (S X S + (u S*) X (u S*)^T) + h diag(S^2 grad S / 2),
-
-with S* = diag((1 + cosh sigma*)^-1/2), symmetrized.
+beta = inf: the orbits O_lambda move by minus half their mean curvature, so
+sigma is deterministic, d sigma = (1/2) grad S dt.  There X_kk = i xi_U is
+purely imaginary, so S X S is tangent to the U(n)-orbit of diag(mu) and
+cannot move sigma; the singular values of the Ito step would spread each
+path like sqrt(h), since it cancels the orbit noise's radial part in the
+mean only.  So sigma takes the mean-curvature step
+sigma' = sigma + (h/2) grad S from the entropy gradient, with the
+operations in ParticleKernel._step's order: the matrix ensemble's sigma is
+the particle scheme's to the bit.  The kernel builds no A' there; it still
+draws n^2 + n normals per step and does not read them, so the gaussian
+layout and the noise streams are the same at every beta.  The single-state
+step builds A' as above, with drift coefficient 1/2, for its frame only.
 
 The singular values of A' (linalg._singular_values) are the closed form of
 A' itself at n = 2, which keeps mu_1's relative accuracy at the chamber
 wall, and above it the square roots of LAPACK's eigvalsh of A'^H A', with no
 eigenvectors.  Stacked products go through linalg._matmul: a batched matmul
 above n = 3, and at n <= 3 an elementwise sum over the inner index, which
-skips numpy's per-matrix BLAS call.  At finite beta the only one is A'^H A'
-at n >= 3; the Heun step adds the corrector's (u S*) X (u S*)^T.  A step
-is rejected when its moved point leaves the disk (some singular value
-reaching one) or the ordered chamber (sigma gap at or below the floor); the
-Heun step also rejects a predicted point that leaves the disk.
+skips numpy's per-matrix BLAS call.  A finite-beta step takes one, A'^H A'
+at n >= 3, and a beta = inf step none.  A step is rejected when its moved
+point leaves the disk (some singular value reaching one) or the ordered
+chamber (sigma gap at or below the floor); at beta = inf both tests read
+sigma'.
 
 Layout: the state and every array of a step are path-last, sigma as
 (n, paths) and matrices as (n, n, paths), and the draws are read transposed,
@@ -98,10 +87,6 @@ from .linalg import (
     unitary_algebra_basis,
     unitary_exp,
 )
-
-# Largest off-diagonal predictor rotation |K_kl| taken from first order; rows
-# at or past it are factorized exactly (see _predict).
-_FIRST_ORDER_MAX = 0.25
 
 
 @dataclass
@@ -155,98 +140,57 @@ def _noise_matrix(xi: np.ndarray, n: int, beta: float) -> np.ndarray:
     return vals.take(_noise_index(n), 0)
 
 
+# No step calls it; it goes when bench/child.py stops wrapping it by name.
 def _congruence(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _matmul(_matmul(q, g), q.swapaxes(0, 1))
 
 
-def _chart(mu: np.ndarray):
-    """Whether each path's singular values (n, paths) stay clear of the disk
-    edge, and sigma = 2 artanh(mu)."""
-    return mu[-1] < 1.0 - _DOMAIN_EDGE, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
-
-
-def _predict(sig: np.ndarray, e: np.ndarray):
-    """In-frame rotation u, disk-edge flag and sigma of the path-last stack
-    of moved points diag(mu) + e, mu = tanh(sig/2) and e complex symmetric,
-    from the first-order Takagi perturbation in the module docstring.  Paths
-    whose off-diagonal rotation reaches _FIRST_ORDER_MAX factorize the moved
-    point exactly instead and take its frame, each column's sign set so that
-    Re u_jj >= 0; every u is on the identity's sign sheet."""
+def _moved_point(sig: np.ndarray, h, xi: np.ndarray, beta: float) -> np.ndarray:
+    """The moved point A' in the base frame, exactly symmetric, from
+    path-last sigma (n, paths): the Ito-Euler step at every beta."""
     n = sig.shape[0]
-    diag = np.arange(n)
-    off = ~np.eye(n, dtype=bool)[..., None]
-    mu = np.tanh(0.5 * sig)
-    ed = e.diagonal(axis1=0, axis2=1).T
-    lo = mu - mu[:, None]  # mu_l - mu_k at [k, l]
-    hi = mu + mu[:, None]
-    # |K_kl| < _FIRST_ORDER_MAX, multiplied out so that equal mu fail it
-    # instead of dividing by zero
-    small = (e.real * hi) ** 2 + (e.imag * lo) ** 2 < (_FIRST_ORDER_MAX * lo * hi) ** 2
-    first = np.all(small | ~off, axis=(0, 1))
-    u = np.empty_like(e)
-    np.divide(e.real, np.where(small & off, lo, 1.0), out=u.real)
-    np.divide(e.imag, hi, out=u.imag)
-    u[diag, diag] = np.exp(0.5j * ed.imag / mu)
-    dom_ok, sig_star = _chart(mu + ed.real)
-    far = np.flatnonzero(~first)
-    if far.size:
-        moved = e.take(far, -1)
-        moved[diag, diag] += mu[:, far]
-        v, mu_far = _takagi_batch(moved)  # column signs not fixed
-        dom_ok[far], sig_star[:, far] = _chart(mu_far)
-        u[..., far] = v * np.where(v.diagonal(axis1=0, axis2=1).T.real < 0, -1.0, 1.0)
-    return u, dom_ok, sig_star
-
-
-def _step(sig: np.ndarray, h, xi: np.ndarray, beta: float, floor: float):
-    """The moved point A' in the base frame (exactly symmetric), sigma' from
-    its singular values and each path's status, from path-last sigma
-    (n, paths): the Ito-Euler step at finite beta, Heun at beta = inf."""
-    n = sig.shape[0]
-    x = _noise_matrix(xi, n, beta)
     s2 = 1.0 / (1.0 + np.cosh(sig))
     s = np.sqrt(s2)
     mu = np.tanh(0.5 * sig)
+    # sqrt(h) S X S in X's memory, the products s_k s_l formed first so
+    # that a is symmetric to the bit, then diag(mu) and the drift
+    # h (1/2 - 1/beta) diag(mu S^2)
+    a = _noise_matrix(xi, n, beta)
+    a *= np.sqrt(h) * (s[:, None] * s)
+    a[np.arange(n), np.arange(n)] += mu + (h * (0.5 - 1.0 / beta)) * mu * s2
+    return a
+
+
+def _step(sig: np.ndarray, h, xi: np.ndarray, beta: float, floor: float, a=None):
+    """sigma' and each path's status from path-last sigma (n, paths): at
+    finite beta from the singular values of the moved point a (built here
+    unless given), at beta = inf from the mean-curvature step, which reads
+    neither a nor the draws."""
     if np.isinf(beta):
-        a, dom_ok = _heun(sig, h, x, s, s2, mu)
+        # S X S cannot move sigma (module docstring): sig_new =
+        # sig + (1/2) grad S * h, in ParticleKernel._step's order
+        sig_new = _gradient_raw(sig.T).T
+        sig_new *= 0.5
+        sig_new *= h
+        sig_new += sig
+        top = np.tanh(0.5 * sig_new[-1])
     else:
-        # sqrt(h) S X S in X's memory, the products s_k s_l formed first so
-        # that a is symmetric to the bit, then diag(mu) and the drift
-        # h (1/2 - 1/beta) diag(mu S^2)
-        a = x
-        a *= np.sqrt(h) * (s[:, None] * s)
-        a[np.arange(n), np.arange(n)] += mu + (h * (0.5 - 1.0 / beta)) * mu * s2
-        dom_ok = True
-    dom_new, sig_new = _chart(_singular_values(a))
+        mu_new = _singular_values(_moved_point(sig, h, xi, beta) if a is None else a)
+        top = mu_new[-1]
+        sig_new = 2.0 * np.arctanh(np.clip(mu_new, 0.0, 1.0 - 1e-13))
     status = np.full(sig.shape[1], ens.OK, dtype=np.int64)
     status[~in_chamber(sig_new.T, floor)] = ens.REJECT_CHAMBER
-    status[~(dom_ok & dom_new)] = ens.REJECT_DOMAIN
-    return a, sig_new, status
-
-
-def _heun(sig, h, x, s, s2, mu):
-    """The beta = inf step's moved point A' (symmetrized) and the
-    predictor's disk-edge flag (module docstring)."""
-    sq = np.sqrt(h)
-    n = sig.shape[0]
-    # the predictor's move in the frame, Q^H dR conj(Q) = sqrt(h) S X S
-    e = sq * (s[:, None] * x * s)
-    u, dom_ok, sig_star = _predict(sig, e)
-    u /= np.sqrt(1.0 + np.cosh(sig_star))  # u S*, in u's memory order
-    # the moved point in the frame, diag(mu) plus Heun's increment and
-    # the drift h diag(S^2 grad S / 2)
-    a = 0.5 * (e + sq * _congruence(u, x))
-    diag = np.arange(n)
-    a[diag, diag] += mu + (0.5 * h) * s2 * _gradient_raw(sig.T).T
-    return 0.5 * (a + a.swapaxes(0, 1)), dom_ok
+    status[~(top < 1.0 - _DOMAIN_EDGE)] = ens.REJECT_DOMAIN
+    return sig_new, status
 
 
 class MatrixKernel(ens._Kernel):
     """Batched disk-coordinate stepping of sigma on the ensemble's kernel
     protocol.  The frame Q of R = Q diag(tanh(sigma/2)) Q^T reaches no
-    sigma, so it is not held.  Above _ELEMENTWISE_MAX_N a step's time is in
-    LAPACK eigvalsh and BLAS matmul, which release the interpreter lock; up
-    to it, in short path-last numpy calls that hold it."""
+    sigma, so it is not held.  Above _ELEMENTWISE_MAX_N a finite-beta step's
+    time is in LAPACK eigvalsh and BLAS matmul, which release the
+    interpreter lock; up to it, in short path-last numpy calls that hold it.
+    At beta = inf the step is the particle scheme's mean-curvature step."""
 
     def __init__(self, sigma0, beta: float, gap_floor: float):
         super().__init__(sigma0, beta, gap_floor)
@@ -256,25 +200,26 @@ class MatrixKernel(ens._Kernel):
         self.releases_gil = n > _ELEMENTWISE_MAX_N
 
     def _step(self, sig, h, xi):
-        return _step(sig, h, xi, self.beta, self.floor)[1:]
+        return _step(sig, h, xi, self.beta, self.floor)
 
 
 def step_matrix_flow(
     state: MatrixFlowState, beta: float, h: float, gaussians, gap_floor: float = 1e-6
 ) -> MatrixFlowState:
-    """One step for a single state: Ito-Euler at finite beta, Heun at
-    beta = inf (module docstring).
+    """One step for a single state (module docstring).
 
     sigma' and the status come from the ensemble kernel's step; the frame
-    then moves by the Takagi frame V of the moved point, Q' = Q V.
+    then moves by the Takagi frame V of the moved point, Q' = Q V, at every
+    beta, so R moves on its orbit at beta = inf too.
     gaussians must hold n^2 + n draws in the documented layout (ValueError
-    otherwise).  Raises ChamberExit when the re-factorized sigma violates
-    ordering or the gap floor, DomainExit when a singular value reaches the
-    disk boundary.
+    otherwise).  Raises ChamberExit when sigma' violates ordering or the gap
+    floor, DomainExit when tanh(sigma'_n / 2) reaches the disk boundary.
     """
     n = state.sigma_cache.size
     xi = ens.check_gaussians(gaussians, n * n + n)
-    a, sig_new, status = _step(state.sigma_cache[:, None], h, xi[None], beta, gap_floor)
+    sig, xi = state.sigma_cache[:, None], xi[None]
+    a = _moved_point(sig, h, xi, beta)
+    sig_new, status = _step(sig, h, xi, beta, gap_floor, a)
     ens.raise_rejection(int(status[0]))
     v = _takagi_batch(a[..., 0])[0]
     return init_matrix_state(sig_new[:, 0], state.q_cache @ v, state.t + h)

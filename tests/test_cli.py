@@ -377,6 +377,18 @@ def test_compare_accepts_infinite_beta_on_both_sides():
         _check_comparable(ca, config_from_dict(dict(base, scheme="particle", beta=2.0)))
 
 
+def test_compare_passes_at_infinite_beta(tmp_path, capsys):
+    # at beta = inf sigma is deterministic and both schemes take the same
+    # mean-curvature step, so their samples agree and KS reads D = 0
+    base = {"n": 2, "beta": "inf", "sigma0": [1.0, 2.0], "t_final": 0.1, "dt": 1e-3, "n_paths": 64}
+    ca = _write(tmp_path, "a.json", dict(base, scheme="matrix", seed=1))
+    cb = _write(tmp_path, "b.json", dict(base, scheme="particle", seed=2))
+    rc = main(["compare", "--config-a", ca, "--config-b", cb, "--out", str(tmp_path / "cmp")])
+    assert rc == 0, capsys.readouterr().out
+    rep = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+    assert rep["tests"] and all(test["statistic"] == 0.0 for test in rep["tests"])
+
+
 def test_check_identities_function():
     rep = check_identities(1, seed=7)
     names = {c["name"] for c in rep["checks"]}

@@ -5,10 +5,10 @@ The reference functions below are the earlier formulations, kept verbatim:
 the per-sigma noise assembly G, the congruence Q G Q^T and the drift lift
 Q diag(d) Q^T, each a three-operand einsum.  _ref_takagi_batch is an
 independent oracle that factorizes one matrix at a time through LAPACK's
-SVD.  The first-order predictor is written out per row and per entry in
-_ref_predict, and _ref_attempt, the beta = inf Heun step, and
-_ref_ito_attempt, the finite-beta Ito-Euler step, move the disk point R
-itself; the kernel holds sigma alone, so the frame is taken from
+SVD.  _ref_ito_attempt, the Ito-Euler step, moves the disk point R itself,
+and _ref_mean_curvature_attempt, the beta = inf step, moves sigma by
+geometry.normal_drift and R on its orbit by the frame of the same Ito-Euler
+step; the kernel holds sigma alone, so the frame is taken from
 single-state steps.  The references hold one path per leading index; the
 step holds the paths last, so its inputs and outputs pass through _pl and
 _pf.
@@ -16,19 +16,12 @@ _pf.
 import numpy as np
 import pytest
 
-from siegelbm import ChamberExit, DomainExit, init_matrix_state, step_matrix_flow
+from siegelbm import ChamberExit, DomainExit, init_matrix_state, normal_drift, step_matrix_flow
 from siegelbm import ensemble as ens
 from siegelbm.entropy import _gradient_raw
 from siegelbm.geometry import in_chamber
 from siegelbm.linalg import _canonical_column_signs, _takagi_batch
-from siegelbm.matrix_flow import (
-    _FIRST_ORDER_MAX,
-    MatrixKernel,
-    _congruence,
-    _noise_index,
-    _noise_matrix,
-    _predict,
-)
+from siegelbm.matrix_flow import MatrixKernel, _congruence, _noise_index, _noise_matrix
 from siegelbm.ensemble import _noise_coef
 
 _NS = range(1, 9)
@@ -98,59 +91,6 @@ def _ref_refactor(m):
     return qq, mu[:, -1] < 1.0 - 1e-12, 2.0 * np.arctanh(np.clip(mu, 0.0, 1.0 - 1e-13))
 
 
-def _ref_predict(r, q, sig, dr):
-    """The first-order Takagi predictor, one row and one entry at a time:
-    mu* = mu + Re E_kk, Q* = Q (diag(e^{i theta}) + K) with E = Q^H dR conj(Q);
-    rows with an off-diagonal |K_kl| at or past the threshold are factorized
-    exactly and sign-aligned to Q."""
-    c, n = sig.shape
-    q_star = np.empty_like(q)
-    sig_star = np.empty_like(sig)
-    dom_ok = np.empty(c, dtype=bool)
-    for p in range(c):
-        mu = np.tanh(sig[p] / 2.0)
-        e = np.einsum("ak,ab,bl->kl", q[p].conj(), dr[p], q[p].conj())
-        u = np.zeros((n, n), dtype=complex)
-        exact = False
-        for k in range(n):
-            u[k, k] = np.exp(1j * e[k, k].imag / (2.0 * mu[k]))
-            for l in range(n):
-                if l != k:
-                    u[k, l] = e[k, l].real / (mu[l] - mu[k]) + 1j * e[k, l].imag / (mu[l] + mu[k])
-                    exact |= abs(u[k, l]) >= _FIRST_ORDER_MAX
-        if exact:
-            qq, ok, ss = _ref_refactor((r[p] + dr[p])[None])
-            dots = np.einsum("aj,aj->j", q[p].conj(), qq[0])
-            q_star[p] = qq[0] * np.where(dots.real < 0, -1.0, 1.0)
-            dom_ok[p], sig_star[p] = ok[0], ss[0]
-        else:
-            mu_star = mu + e.diagonal().real
-            q_star[p] = q[p] @ u
-            dom_ok[p] = mu_star[-1] < 1.0 - 1e-12
-            sig_star[p] = 2.0 * np.arctanh(np.clip(mu_star, 0.0, 1.0 - 1e-13))
-    return q_star, dom_ok, sig_star
-
-
-def _ref_attempt(kernel, state, idx, h, xi):
-    """MatrixKernel.attempt at beta = inf as it was built from the reference
-    forms."""
-    r, q, sig = state["r"][idx], state["q"][idx], state["sigma"][idx]
-    sq = np.sqrt(h)
-
-    incr_pred = _ref_congruence(q, _ref_noise_matrix(sig, xi, kernel.beta))
-    q_star, dom_ok, sig_star = _ref_predict(r, q, sig, sq * incr_pred)
-    g_star = _ref_noise_matrix(sig_star, xi, kernel.beta)
-    incr = 0.5 * sq * (incr_pred + _ref_congruence(q_star, g_star))
-    drift = 0.5 * _gradient_raw(sig) / (1.0 + np.cosh(sig))
-    r_new = r + incr + h * _ref_lift(q, drift)
-    r_new = 0.5 * (r_new + np.swapaxes(r_new, -1, -2))
-    q_new, dom_new, sig_new = _ref_refactor(r_new)
-    status = np.full(len(idx), ens.OK, dtype=np.int64)
-    status[~in_chamber(sig_new, kernel.floor)] = ens.REJECT_CHAMBER
-    status[~(dom_ok & dom_new)] = ens.REJECT_DOMAIN
-    return status, r_new, q_new, sig_new
-
-
 def _ref_ito_attempt(kernel, state, idx, h, xi):
     """MatrixKernel.attempt at finite beta, frame-free and one path at a
     time: R' = R + sqrt(h) Q G Q^T + h (1/4 - 1/(2 beta)) (R - R conj(R) R),
@@ -164,6 +104,20 @@ def _ref_ito_attempt(kernel, state, idx, h, xi):
     status = np.full(len(idx), ens.OK, dtype=np.int64)
     status[~in_chamber(sig_new, kernel.floor)] = ens.REJECT_CHAMBER
     status[~dom_new] = ens.REJECT_DOMAIN
+    return status, r_new, q_new, sig_new
+
+
+def _ref_mean_curvature_attempt(kernel, state, idx, h, xi):
+    """MatrixKernel.attempt at beta = inf: sigma' = sigma + h normal_drift,
+    the geometry module's route to (1/2) grad S, and R' = Q' diag(tanh(sigma'/2))
+    Q'^T with Q' the frame of the frame-free Ito-Euler step, whose drift
+    coefficient 1/4 - 1/(2 beta) is 1/4."""
+    q_new = _ref_ito_attempt(kernel, state, idx, h, xi)[2]
+    sig_new = np.array([sig + h * normal_drift(sig) for sig in state["sigma"][idx]])
+    r_new = np.einsum("pab,pb,pcb->pac", q_new, np.tanh(0.5 * sig_new), q_new)
+    status = np.full(len(idx), ens.OK, dtype=np.int64)
+    status[~in_chamber(sig_new, kernel.floor)] = ens.REJECT_CHAMBER
+    status[~(np.tanh(0.5 * sig_new[:, -1]) < 1.0 - 1e-12)] = ens.REJECT_DOMAIN
     return status, r_new, q_new, sig_new
 
 
@@ -286,8 +240,8 @@ def _check_against_reference(n, beta, ref_attempt, seed):
 
 @pytest.mark.parametrize("n", _NS)
 def test_kernel_step_matches_three_operand_formulation(n):
-    # beta = inf, where the kernel still takes the Heun step
-    _check_against_reference(n, np.inf, _ref_attempt, 640 + n)
+    # beta = inf: sigma takes the mean-curvature step, R the Ito-Euler frame
+    _check_against_reference(n, np.inf, _ref_mean_curvature_attempt, 640 + n)
 
 
 @pytest.mark.parametrize("n", _NS)
@@ -296,54 +250,3 @@ def test_kernel_step_matches_frame_free_ito_step(n, beta):
     # finite beta: the in-frame step against R' built from R itself, whose
     # drift is the polynomial R - R conj(R) R rather than diag(mu S^2)
     _check_against_reference(n, beta, _ref_ito_attempt, 740 + n)
-
-
-@pytest.mark.parametrize("n", [2, 3, 8])
-def test_raw_predictor_frame_aligns_like_canonical_frame(n):
-    # the predictor's fallback sets each column's sign so that Re u_jj >= 0,
-    # which overrides whatever signs the factorization gave, so it skips the
-    # canonical column-sign pass
-    rng = np.random.default_rng(650 + n)
-    sig = _sigma(rng, _C, n)
-    sig[3, 1] = sig[3, 0] + 1e-7  # a clustered row, which falls back
-    mu = np.tanh(0.5 * sig)
-    e = 1e-3 * (rng.standard_normal((_C, n, n)) + 1j * rng.standard_normal((_C, n, n)))
-    e = e + np.swapaxes(e, -1, -2)
-    assert abs(e[3, 0, 1].real) >= _FIRST_ORDER_MAX * (mu[3, 1] - mu[3, 0])
-    moved = e[3:4].copy()
-    moved[:, np.arange(n), np.arange(n)] += mu[3:4]
-    raw = _pf(_takagi_batch(_pl(moved))[0])
-    canonical = _canonical_column_signs(raw)
-
-    def aligned(v):
-        return v * np.where(v.diagonal(axis1=-2, axis2=-1).real < 0, -1.0, 1.0)[..., None, :]
-
-    np.testing.assert_array_equal(aligned(raw), aligned(canonical))
-    u = _pf(_predict(_pl(sig), _pl(e))[0])[3:4]
-    _close(u, aligned(canonical))
-    # the fallback frame lies on the identity's sign sheet
-    assert np.all(u.diagonal(axis1=-2, axis2=-1).real >= 0)
-
-
-@pytest.mark.parametrize("n", [2, 3, 8])
-def test_kernel_step_matches_reference_at_a_near_collision(n):
-    # the top two sigma start 1e-3 apart, so the beta = inf predictor falls
-    # back to the exact factorization on nearly every path: of diag(mu) + E
-    # in the step, of the moved disk point R + dR in the reference
-    rng = np.random.default_rng(645 + n)
-    sigma0 = np.linspace(0.5, 0.5 * n, n)
-    sigma0[-1] = sigma0[-2] + 1e-3
-    kernel = MatrixKernel(sigma0, np.inf, 1e-6)
-    state = kernel.init(_C)
-    idx = np.arange(_C)
-    xi = rng.standard_normal((_C, n * n + n))
-    singles = [init_matrix_state(sigma0)] * _C
-    status, r_ref, q_ref, sig_ref = _ref_attempt(kernel, _reference_state(singles), idx, 1e-3, xi)
-    np.testing.assert_array_equal(kernel.attempt(state, idx, 1e-3, xi, np.ones(_C)), status)
-    ok = status == ens.OK
-    assert np.count_nonzero(ok) > _C // 2
-    np.testing.assert_allclose(_pf(state)[ok], sig_ref[ok], rtol=1e-12, atol=0)
-    after = _reference_state(_single_steps(singles, xi, np.inf))
-    np.testing.assert_array_equal(after["sigma"], _pf(state))
-    _close(after["r"][ok], r_ref[ok])
-    _close(_canonical_column_signs(after["q"][ok]), q_ref[ok])
