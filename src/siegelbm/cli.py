@@ -34,15 +34,16 @@ __version__ = "0.1.0"
 
 _HIST_BINS = 32
 _THREADS_HELP = (
-    "worker threads for the matrix scheme's chunks of 512 paths at n >= 4 (default 1);"
-    " particle-type schemes and the matrix scheme at n <= 3 always run inline"
+    "worker threads for the matrix scheme's chunks of 512 paths at n >= 4 and finite beta"
+    " (default 1); particle-type schemes and the other matrix runs always run inline"
 )
 
 
 def _load_json(path) -> dict:
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid("config: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):

@@ -88,8 +88,9 @@ def check_gaussians(gaussians, dim: int) -> np.ndarray:
 
 def step_once(kernel, state, h: float, xi) -> None:
     """Attempt one step of size h for the single path held in state, in
-    place, and raise the error its rejection names; a frozen path stays."""
-    xi = check_gaussians(xi, kernel.noise_dim)
+    place, and raise the error its rejection names; a frozen path stays.
+    A kernel that draws nothing still takes one draw per coordinate, unread."""
+    xi = check_gaussians(xi, kernel.noise_dim or kernel.obs_dim)[: kernel.noise_dim]
     raise_rejection(int(kernel.attempt(state, np.array([0]), h, xi[None, :], np.ones(1))[0]))
 
 
@@ -126,8 +127,8 @@ class _Kernel:
     operation of a step is one contiguous loop over paths, and is observed
     transposed, one row per path.  A subclass proposes a move in
     _step(x, h, xi), with x the gathered paths' state, h their step sizes
-    and xi their draws, and returns (proposal, status) without writing x;
-    attempt() stores the proposals whose status is OK."""
+    and xi their noise_dim draws, and returns (proposal, status) without
+    writing x; attempt() stores the proposals whose status is OK."""
 
     releases_gil = False  # small numpy calls per step: the interpreter lock bounds it
 
@@ -135,7 +136,8 @@ class _Kernel:
         self.sigma0 = np.asarray(sigma0, dtype=float)
         self.noise_coef = _noise_coef(beta)
         self.floor = gap_floor
-        self.noise_dim = self.obs_dim = self.sigma0.size
+        self.obs_dim = self.sigma0.size
+        self.noise_dim = self.obs_dim if self.noise_coef else 0
 
     def init(self, c: int) -> np.ndarray:
         return np.tile(self.sigma0[:, None], (1, c))
@@ -148,6 +150,10 @@ class _Kernel:
         prop, status = self._step(gather(state, idx), h * frac, xi)
         store(state, idx, prop, status == OK)
         return status
+
+    def _noise(self, h, xi):
+        """sqrt(2/beta) sqrt(h) xi in the state's layout; 0.0 at beta = inf."""
+        return self.noise_coef * np.sqrt(h) * xi.T if self.noise_coef else 0.0
 
     def _chamber_ok(self, prop: np.ndarray, positive: bool = True) -> np.ndarray:
         return in_chamber(prop.T, self.floor, positive)
@@ -397,7 +403,8 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     power of two below one inside a refinement).  A path that refines falls
     behind the others by its extra attempts; it samples, refills its noise
     and retires when it reaches those step counts itself.  Every path sees
-    the same arithmetic and draws, in the same order, as if it ran alone.
+    the same arithmetic and draws, in the same order, as if it ran alone;
+    a kernel with noise_dim = 0 (beta = inf) builds no primary noise stream.
 
     A kernel that declares `releases_gil` takes chunks of _CHUNK paths,
     run on `threads` workers when threads > 1 and inline otherwise.  A
@@ -487,11 +494,10 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             end = s == steps
             alive[paths[end]] = False
             start = (s % block == 0) & ~end
-            if start.any():
-                if gens:
-                    for i, si in zip(paths[start], s[start]):
-                        r = i * block
-                        gens[i].standard_normal(out=noise[r : r + min(block, steps - si)])
+            if gens and start.any():
+                for i, si in zip(paths[start], s[start]):
+                    r = i * block
+                    gens[i].standard_normal(out=noise[r : r + min(block, steps - si)])
             return end.any()
 
         arrive(np.arange(c))

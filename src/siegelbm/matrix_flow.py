@@ -34,13 +34,11 @@ sigma is deterministic, d sigma = (1/2) grad S dt.  There X_kk = i xi_U is
 purely imaginary, so S X S is tangent to the U(n)-orbit of diag(mu) and
 cannot move sigma; the singular values of the Ito step would spread each
 path like sqrt(h), since it cancels the orbit noise's radial part in the
-mean only.  So sigma takes the mean-curvature step
-sigma' = sigma + (h/2) grad S from the entropy gradient, with the
-operations in ParticleKernel._step's order: the matrix ensemble's sigma is
-the particle scheme's to the bit.  The kernel builds no A' there; it still
-draws n^2 + n normals per step and does not read them, so the gaussian
-layout and the noise streams are the same at every beta.  The single-state
-step builds A' as above, with drift coefficient 1/2, for its frame only.
+mean only.  So sigma takes the mean-curvature step sigma' = sigma +
+h particle_flow._half_gradient(sigma), in ParticleKernel._step's order: the
+matrix ensemble's sigma is the particle scheme's to the bit.  The kernel
+draws nothing and builds no A'; the single-state step takes its n^2 + n
+draws and builds A', with drift coefficient 1/2, for its frame only.
 
 The singular values of A' (linalg._singular_values) are the closed form of
 A' itself at n = 2, which keeps mu_1's relative accuracy at the chamber
@@ -75,6 +73,7 @@ import numpy as np
 
 from . import ensemble as ens
 from .config import SimConfig
+# no step here calls _gradient_raw; it stays while bench/child.py wraps it
 from .entropy import _gradient_raw, entropy_gradient
 from .errors import OutOfChamber
 from .geometry import _DOMAIN_EDGE, SpectralCoord, _disk_sigma, in_chamber
@@ -87,6 +86,7 @@ from .linalg import (
     unitary_algebra_basis,
     unitary_exp,
 )
+from .particle_flow import _half_gradient
 
 
 @dataclass
@@ -169,8 +169,7 @@ def _step(sig: np.ndarray, h, xi: np.ndarray, beta: float, floor: float, a=None)
     if np.isinf(beta):
         # S X S cannot move sigma (module docstring): sig_new =
         # sig + (1/2) grad S * h, in ParticleKernel._step's order
-        sig_new = _gradient_raw(sig.T).T
-        sig_new *= 0.5
+        sig_new = _half_gradient(sig)
         sig_new *= h
         sig_new += sig
         top = np.tanh(0.5 * sig_new[-1])
@@ -189,15 +188,15 @@ class MatrixKernel(ens._Kernel):
     protocol.  The frame Q of R = Q diag(tanh(sigma/2)) Q^T reaches no
     sigma, so it is not held.  Above _ELEMENTWISE_MAX_N a finite-beta step's
     time is in LAPACK eigvalsh and BLAS matmul, which release the
-    interpreter lock; up to it, in short path-last numpy calls that hold it.
-    At beta = inf the step is the particle scheme's mean-curvature step."""
+    interpreter lock; up to it, and at beta = inf (the particle scheme's
+    mean-curvature step), in short path-last numpy calls that hold it."""
 
     def __init__(self, sigma0, beta: float, gap_floor: float):
         super().__init__(sigma0, beta, gap_floor)
         n = self.obs_dim
         self.beta = beta
-        self.noise_dim = n * n + n
-        self.releases_gil = n > _ELEMENTWISE_MAX_N
+        self.noise_dim = n * n + n if self.noise_coef else 0
+        self.releases_gil = bool(self.noise_coef) and n > _ELEMENTWISE_MAX_N
 
     def _step(self, sig, h, xi):
         return _step(sig, h, xi, self.beta, self.floor)

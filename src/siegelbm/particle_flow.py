@@ -47,10 +47,9 @@ class ParticleKernel(ens._Kernel):
 
     def _step(self, sig, h, xi):
         # prop = sig + eta * ((1/2) grad S * h + (coef * sqrt(h)) * xi), in place
-        prop = _gradient_raw(sig.T).T
-        prop *= 0.5
+        prop = _half_gradient(sig)
         prop *= h
-        prop += self.noise_coef * np.sqrt(h) * xi.T
+        prop += self._noise(h, xi)
         if self.cutoff is None:
             prop += sig
             return prop, self._accept(self._chamber_ok(prop))
@@ -61,11 +60,7 @@ class ParticleKernel(ens._Kernel):
 
 
 class MeanCurvatureKernel(ens._Kernel):
-    """Classical RK4 on sigma' = (1/2) grad S; no noise."""
-
-    def __init__(self, sigma0, beta: float, gap_floor: float):
-        super().__init__(sigma0, beta, gap_floor)
-        self.noise_dim = 0
+    """Classical RK4 on sigma' = (1/2) grad S, built at beta = inf: no draws."""
 
     def _step(self, sig, h, xi):
         prop = _rk4_step(sig, h)
@@ -76,7 +71,7 @@ class DysonKernel(ens._Kernel):
     """Euler-Maruyama for the flat squared-radial analogue on the real line."""
 
     def _step(self, lam, h, xi):
-        prop = lam + _dyson_raw(lam.T).T * h + self.noise_coef * np.sqrt(h) * xi.T
+        prop = lam + _dyson_raw(lam.T).T * h + self._noise(h, xi)
         return prop, self._accept(self._chamber_ok(prop, positive=False))
 
 
@@ -113,7 +108,7 @@ class SphereRadiusKernel(ens._Kernel):
         self.n = n
 
     def _step(self, r, h, xi):
-        prop = r + (self.n - 1) / (2.0 * r) * h + self.noise_coef * np.sqrt(h) * xi.T
+        prop = r + (self.n - 1) / (2.0 * r) * h + self._noise(h, xi)
         return prop, self._accept(self._chamber_ok(prop), reject=ens.REJECT_ORIGIN)
 
 
@@ -122,12 +117,17 @@ def _norm(z: np.ndarray) -> np.ndarray:
     return np.sqrt(_sum_lead(z * z))
 
 
+def _half_gradient(sig: np.ndarray) -> np.ndarray:
+    """(1/2) grad S, the drift of both Euler steps and RK4, for sig (n, c)."""
+    return 0.5 * _gradient_raw(sig.T).T
+
+
 def _rk4_step(sig: np.ndarray, h: float) -> np.ndarray:
     """One RK4 step of sigma' = (1/2) grad S for the columns of sig (n, c)."""
-    k1 = 0.5 * _gradient_raw(sig.T).T
-    k2 = 0.5 * _gradient_raw((sig + 0.5 * h * k1).T).T
-    k3 = 0.5 * _gradient_raw((sig + 0.5 * h * k2).T).T
-    k4 = 0.5 * _gradient_raw((sig + h * k3).T).T
+    k1 = _half_gradient(sig)
+    k2 = _half_gradient(sig + 0.5 * h * k1)
+    k3 = _half_gradient(sig + 0.5 * h * k2)
+    k4 = _half_gradient(sig + h * k3)
     return sig + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -169,7 +169,7 @@ def step_particles(sigma, beta: float, h: float, gaussians, cutoff=None, gap_flo
 
 _KERNELS = {
     "particle": lambda c: ParticleKernel(c.sigma0, c.beta, c.gap_floor, c.cutoff),
-    "mean-curvature": lambda c: MeanCurvatureKernel(c.sigma0, c.beta, c.gap_floor),
+    "mean-curvature": lambda c: MeanCurvatureKernel(c.sigma0, np.inf, c.gap_floor),
     "dyson": lambda c: DysonKernel(c.sigma0, c.beta, c.gap_floor),
     "sphere-point": lambda c: SpherePointKernel(c.sigma0, c.beta, c.gap_floor, c.n),
     "sphere-radius": lambda c: SphereRadiusKernel(c.sigma0, c.beta, c.gap_floor, c.n),

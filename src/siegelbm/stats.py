@@ -11,6 +11,7 @@ family holds level alpha.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -89,10 +90,10 @@ def exact_sum_cosh_mean(sigma0, beta: float, t: float) -> float:
 
 
 def _mean_se(values: np.ndarray):
+    """Means and standard errors over the paths, values' first axis."""
     m = values.shape[0]
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    return mean, se
+    se = np.std(values, axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(values.shape[1:])
+    return np.mean(values, axis=0), se
 
 
 def moment_report(ensemble: PathEnsemble) -> dict:
@@ -115,14 +116,9 @@ def moment_report(ensemble: PathEnsemble) -> dict:
             sig = ensemble.samples[alive, j, :]
             sum_cosh = np.sum(np.cosh(sig), axis=-1)
             sum_sq = np.sum(sig * sig, axis=-1)
-            row["sum_cosh_mean"], row["sum_cosh_se"] = _mean_se(sum_cosh)
-            row["sum_sq_mean"], row["sum_sq_se"] = _mean_se(sum_sq)
-            row["coord_mean"] = [float(v) for v in np.mean(sig, axis=0)]
-            if n_live > 1:
-                ses = np.std(sig, axis=0, ddof=1) / np.sqrt(n_live)
-            else:
-                ses = np.zeros(sig.shape[1])
-            row["coord_se"] = [float(v) for v in ses]
+            row["sum_cosh_mean"], row["sum_cosh_se"] = map(float, _mean_se(sum_cosh))
+            row["sum_sq_mean"], row["sum_sq_se"] = map(float, _mean_se(sum_sq))
+            row["coord_mean"], row["coord_se"] = (a.tolist() for a in _mean_se(sig))
             row["min_sigma1"] = float(np.min(sig[:, 0]))
             row["min_gap"] = (
                 float(np.min(np.diff(sig, axis=-1))) if sig.shape[1] > 1 else None
@@ -144,11 +140,8 @@ def moment_report(ensemble: PathEnsemble) -> dict:
 
 
 def _stop_counts(ensemble: PathEnsemble) -> dict:
-    counts: dict = {}
-    for reason, stop in zip(ensemble.stop_reason, ensemble.stopped_at):
-        if np.isfinite(stop):
-            counts[reason] = counts.get(reason, 0) + 1
-    return counts
+    stops = zip(ensemble.stop_reason, ensemble.stopped_at)
+    return dict(Counter(reason for reason, stop in stops if np.isfinite(stop)))
 
 
 def time_index(times, t: float | None = None) -> int:

@@ -211,6 +211,21 @@ def test_simulate_rejects_malformed_json(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    # a UTF-16 byte-order mark used to escape as a raw UnicodeDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    if command == "simulate":
+        argv = ["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]
+    else:
+        argv = _small_compare_pair(tmp_path)
+        argv[argv.index("--config-b") + 1] = str(bad)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "config error: config: not UTF-8 text\n"
+    assert not list(tmp_path.rglob("trajectories.jsonl"))
+
+
 def test_simulate_missing_file_is_io_error(tmp_path, capsys):
     rc = main(
         ["simulate", "--config", str(tmp_path / "absent.json"),

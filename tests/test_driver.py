@@ -147,7 +147,8 @@ def test_chunking_does_not_change_paths(monkeypatch, scheme, n, sigma0, beta):
     monkeypatch.setattr(matrix_flow, "_takagi_batch", lambda a: factorized.append(a) or takagi(a))
     reference = _simulate(cfg, threads=4)
     assert not factorized  # no kernel step factorizes, at any beta
-    # the particle-type runs are inline, the matrix runs are on the pool;
+    # the particle-type runs are inline, the finite-beta matrix runs are on
+    # the pool;
     # 40 paths in chunks of 13 leave one path alone in the last chunk
     monkeypatch.setattr(ensemble, "_CHUNK", 13)
     monkeypatch.setattr(ensemble, "_INLINE_CHUNK", 13)
@@ -209,6 +210,55 @@ def test_small_matrix_chunks_stay_off_the_pool(monkeypatch, n):
     ens = ensemble.run_ensemble(cfg, kernel, threads=2)
     assert calls == [ensemble._INLINE_CHUNK, 88]
     assert not np.isnan(ens.samples[:, -1]).any()
+
+
+# at beta = inf the matrix step is the particle scheme's mean-curvature
+# step, short numpy calls that hold the interpreter lock, so at n = 8 too it
+# runs inline in chunks of _INLINE_CHUNK paths at any thread count
+def test_infinite_beta_matrix_chunks_stay_off_the_pool(monkeypatch):
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", _no_pool)
+    sigma0 = tuple(0.4 * np.arange(1, 8)) + (2.8 + 1e-3,)
+    cfg = SimConfig(scheme="matrix", n=8, beta=np.inf, sigma0=sigma0, t_final=0.002,
+                    dt=1e-3, n_paths=ensemble._INLINE_CHUNK + 88, seed=4)
+    calls = []
+    kernel = _CountInit(MatrixKernel(sigma0, np.inf, 1e-6), calls)
+    assert not kernel.releases_gil
+    assert MatrixKernel(sigma0, 2.0, 1e-6).releases_gil
+    ens = ensemble.run_ensemble(cfg, kernel, threads=2)
+    assert calls == [ensemble._INLINE_CHUNK, 88]
+    assert not np.isnan(ens.samples[:, -1]).any()
+
+
+# beta = inf from a start whose first step leaves the chamber: every path
+# rejects it once and refines, with zero-width draws
+_INF_REFINE = dict(n=3, beta=np.inf, sigma0=(0.01, 0.02, 0.5), t_final=0.1, dt=0.01,
+                   n_paths=50, seed=13, sample_times=(0.0, 0.05, 0.1))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_infinite_beta_runs_build_no_primary_stream(monkeypatch, scheme):
+    # only the sphere point draws at beta = inf (its tangential noise)
+    made = []
+    make = ensemble.path_generator
+    monkeypatch.setattr(ensemble, "path_generator",
+                        lambda *a, retry=False: made.append(retry) or make(*a, retry=retry))
+    kwargs = dict(_INF_REFINE, scheme=scheme)
+    if scheme.startswith("sphere"):
+        kwargs["sigma0"] = (0.05,)
+    ens = _simulate(SimConfig(**kwargs))
+    assert made.count(False) == (ens.n_paths if scheme == "sphere-point" else 0)
+    if scheme in ("matrix", "particle"):
+        assert np.all(ens.rejections == 1) and made.count(True) == ens.n_paths
+
+
+def test_refining_infinite_beta_matrix_run_is_the_particle_run():
+    cfg = SimConfig(scheme="particle", **_INF_REFINE)
+    particle = _simulate(cfg)
+    assert np.all(particle.rejections == 1) and np.all(np.isnan(particle.stopped_at))
+    assert ensembles_equal(particle, reference_run_ensemble(cfg, _kernel(cfg)))
+    matrix = _simulate(replace(cfg, scheme="matrix"), threads=2)
+    matrix.meta["scheme"] = "particle"
+    assert ensembles_equal(matrix, particle)
 
 
 # One small case per stop reason, seed 11, beta 2, dt 1e-3 unless stated.

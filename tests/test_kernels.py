@@ -17,6 +17,7 @@ from siegelbm import (
     step_sphere_point,
 )
 from siegelbm import cutoff_eta, ensemble
+from siegelbm.config import SCHEMES
 from siegelbm.ensemble import ensembles_equal, path_generator, run_ensemble
 from siegelbm.entropy import _dyson_raw, _entropy_raw, _gradient_raw
 from siegelbm import matrix_flow
@@ -86,6 +87,13 @@ _WRONG_SIZED = {
                  [np.zeros(1), np.zeros((1, 2))]),
     "matrix": (lambda g: step_matrix_flow(init_matrix_state((1.0, 2.0)), 2.0, 1e-3, g),
                [np.zeros(5), np.zeros(2), np.zeros((1, 6))]),
+    # at beta = inf the kernels draw nothing, but the single-state steps keep
+    # their contracts: n draws for the particle step, n^2 + n for the matrix
+    # step, which moves its frame with them
+    "particle-inf": (lambda g: step_particles(np.array([1.0, 2.0]), np.inf, 1e-3, g),
+                     [np.zeros(0), np.zeros(1), np.zeros(3), np.zeros((1, 2))]),
+    "matrix-inf": (lambda g: step_matrix_flow(init_matrix_state((1.0, 2.0)), np.inf, 1e-3, g),
+                   [np.zeros(0), np.zeros(2), np.zeros(5), np.zeros((1, 6))]),
 }
 
 
@@ -95,6 +103,38 @@ def test_single_state_steps_refuse_wrong_sized_gaussians(case):
     for g in bad:
         with pytest.raises(ValueError, match="gaussians"):
             step(g)
+
+
+# the noise is gone at beta = inf, so no kernel draws there but the sphere
+# point's, whose tangential noise runs at unit rate at every beta; the
+# mean-curvature kernel ignores beta and never draws
+@pytest.mark.parametrize("beta", [2.0, np.inf])
+def test_only_the_sphere_point_kernel_draws_at_infinite_beta(beta):
+    draws = {}
+    for scheme in SCHEMES:
+        sigma0 = (0.05,) if scheme.startswith("sphere") else (0.5, 1.0, 1.5)
+        cfg = SimConfig(scheme=scheme, n=3, beta=beta, sigma0=sigma0, t_final=1e-3, dt=1e-3,
+                        n_paths=1, seed=0)
+        kernel = MatrixKernel(sigma0, beta, 1e-6) if scheme == "matrix" else _KERNELS[scheme](cfg)
+        draws[scheme] = kernel.noise_dim
+    if np.isinf(beta):
+        assert draws == {scheme: 3 if scheme == "sphere-point" else 0 for scheme in SCHEMES}
+    else:
+        assert draws == {"matrix": 12, "particle": 3, "mean-curvature": 0, "dyson": 3,
+                         "sphere-point": 3, "sphere-radius": 1}
+
+
+def test_single_state_steps_do_not_read_their_draws_at_infinite_beta():
+    # sigma moves by the mean-curvature step whatever the draws; the matrix
+    # step's frame still moves with them
+    sigma, h = np.array([0.5, 1.0, 1.5]), 1e-2
+    g1, g2 = np.random.default_rng(31).standard_normal((2, 12))
+    moved = step_particles(sigma, np.inf, h, g1[:3])
+    assert _same_bits(step_particles(sigma, np.inf, h, g2[:3]), moved)
+    a = step_matrix_flow(init_matrix_state(sigma), np.inf, h, g1)
+    b = step_matrix_flow(init_matrix_state(sigma), np.inf, h, g2)
+    assert _same_bits(a.sigma_cache, moved) and _same_bits(b.sigma_cache, moved)
+    assert not np.allclose(a.q_cache, b.q_cache)
 
 
 class _FixedStatus:

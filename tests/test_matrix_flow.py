@@ -22,7 +22,7 @@ from siegelbm import (
     step_takagi_chart,
     unitary_exp,
 )
-from siegelbm import matrix_flow
+from siegelbm import matrix_flow, particle_flow
 from siegelbm.ensemble import OK
 from siegelbm.matrix_flow import MatrixKernel, _noise_matrix
 from siegelbm.stats import exact_sum_cosh_mean
@@ -117,22 +117,24 @@ def test_ito_step_weak_consistency(beta, sig0):
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_finite_beta_step_needs_no_predictor_congruence_or_gradient(n, monkeypatch):
     # no kernel step factorizes or takes a congruence; only beta = inf, the
-    # mean-curvature step, takes the entropy gradient
+    # mean-curvature step, takes the entropy gradient, through the particle
+    # scheme's field
     def refuse(*args, **kwargs):
         raise AssertionError("called by a kernel step")
 
-    gradient, calls = matrix_flow._gradient_raw, []
+    gradient, calls = particle_flow._gradient_raw, []
     for name in ("_takagi_batch", "_congruence", "_gradient_raw"):
         monkeypatch.setattr(matrix_flow, name, refuse)
+    monkeypatch.setattr(particle_flow, "_gradient_raw", refuse)
     rng = np.random.default_rng(690 + n)
     sigma0 = np.linspace(0.5, 0.5 * n, n)
     xi = rng.standard_normal((16, n * n + n))
     for beta in (1.0, 2.0, 4.0, np.inf):
         if np.isinf(beta):
-            monkeypatch.setattr(matrix_flow, "_gradient_raw", lambda s: calls.append(s) or gradient(s))
+            monkeypatch.setattr(particle_flow, "_gradient_raw", lambda s: calls.append(s) or gradient(s))
         kernel = MatrixKernel(sigma0, beta, 1e-6)
         state = kernel.init(16)
-        status = kernel.attempt(state, np.arange(16), 1e-3, xi, np.ones(16))
+        status = kernel.attempt(state, np.arange(16), 1e-3, xi[:, : kernel.noise_dim], np.ones(16))
         assert np.all(status == OK)
         assert np.all(state != sigma0[:, None])
     assert len(calls) == 1
