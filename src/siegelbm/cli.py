@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -103,19 +104,13 @@ def _cmd_simulate(args) -> int:
 def _check_comparable(ca: SimConfig, cb: SimConfig) -> None:
     if {ca.scheme, cb.scheme} != {"matrix", "particle"}:
         raise ConfigInvalid("scheme: compare needs one matrix and one particle config")
-    pairs = [
-        ("n", ca.n, cb.n),
-        ("beta", ca.beta, cb.beta),
-        ("sigma0", tuple(ca.sigma0), tuple(cb.sigma0)),
-        ("t_final", ca.t_final, cb.t_final),
-        ("dt", ca.dt, cb.dt),
-        ("n_paths", ca.n_paths, cb.n_paths),
-        ("sample_times", ca.sample_times, cb.sample_times),
-        ("gap_floor", ca.gap_floor, cb.gap_floor),
-    ]
-    for name, va, vb in pairs:
-        if va != vb:
-            raise ConfigInvalid(f"{name}: configs must match (got {va} vs {vb})")
+    # every field but the scheme, the seed and the cutoff, in field order
+    for f in fields(SimConfig):
+        va, vb = getattr(ca, f.name), getattr(cb, f.name)
+        if f.name == "sigma0":
+            va, vb = tuple(va), tuple(vb)
+        if f.name not in ("scheme", "seed", "cutoff") and va != vb:
+            raise ConfigInvalid(f"{f.name}: configs must match (got {va} vs {vb})")
 
 
 def _cmd_compare(args) -> int:

@@ -303,9 +303,9 @@ def read_jsonl(path: str) -> PathEnsemble:
     as json.dumps writes the header's time), the batch must equal the
     records rebuilt from those texts with the stopped flags the header's
     stop times give, and every sigma list holds dim numbers or none.  The
-    numbers of a batch become floats in one numpy conversion, so each
-    reads back exactly.  A line that breaks any of this raises
-    RecordInvalid, which names the line.
+    numbers of a batch are read by one json.loads, so an entry is a JSON
+    number, Infinity or -Infinity and reads back exactly.  A line that
+    breaks any of this raises RecordInvalid, which names the line.
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -350,11 +350,9 @@ def read_jsonl(path: str) -> PathEnsemble:
                 joined = ", ".join(rows)
                 if joined.translate(_DROP_NUMBERS) != ", " * (dim * len(rows) - 1):
                     raise ValueError("a sigma entry that is not a number")
-                # np.fromstring rounds as float() and json do
-                vals = np.fromstring(joined, sep=",")
-                if vals.size != dim * len(rows):
-                    raise ValueError("a sigma entry that is not a number")
-                vals = vals.reshape(-1, dim)
+                # json takes a JSON number, Infinity or -Infinity and
+                # nothing else, each read as float() reads it
+                vals = np.array(json.loads(f"[{joined}]", parse_int=float)).reshape(-1, dim)
             return n, p[full], j[full], vals
 
         line = 2  # of the first record in the batch
@@ -404,7 +402,8 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     behind the others by its extra attempts; it samples, refills its noise
     and retires when it reaches those step counts itself.  Every path sees
     the same arithmetic and draws, in the same order, as if it ran alone;
-    a kernel with noise_dim = 0 (beta = inf) builds no primary noise stream.
+    a kernel with noise_dim = 0 (beta = inf) builds no noise stream, primary
+    or retry.
 
     A kernel that declares `releases_gil` takes chunks of _CHUNK paths,
     run on `threads` workers when threads > 1 and inline otherwise.  A
@@ -466,13 +465,15 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
                 if units == 0:
                     frac[i] = 1.0
                     return True
-                noise[r] = retry_gens[i].standard_normal(nd)
+                if nd:
+                    noise[r] = retry_gens[i].standard_normal(nd)
                 du = min(2 * du, units)
             elif st != FREEZE:
                 rejections[lo + i] += 1
-                if i not in retry_gens:
-                    retry_gens[i] = path_generator(cfg.seed, cfg.scheme, lo + i, retry=True)
-                noise[r] = (noise[r] + retry_gens[i].standard_normal(nd)) / np.sqrt(2.0)
+                if nd:
+                    if i not in retry_gens:
+                        retry_gens[i] = path_generator(cfg.seed, cfg.scheme, lo + i, retry=True)
+                    noise[r] = (noise[r] + retry_gens[i].standard_normal(nd)) / np.sqrt(2.0)
                 du //= 2
             if st == FREEZE or du == 0:
                 stopped_at[lo + i] = (int(step[i]) + (_HALVING_UNITS - units) / _HALVING_UNITS) * h

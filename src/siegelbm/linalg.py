@@ -22,13 +22,14 @@ from .errors import (
 # two or more of them gets its Takagi columns from QR (see _takagi_batch).
 _ZERO_TOL = 1e-12
 # Largest inner dimension at which a stacked product is summed elementwise
-# over k instead of one BLAS call per matrix.  For 512 complex products over
-# C-ordered path-last stacks, the matrix step's one layout, elementwise
-# against matmul: 21-28 against 264-418 ns per matrix at n = 2, 130-168
-# against 326-626 ns at n = 4 and 1,824-2,321 against 741-1,028 ns at n = 8
-# (timeit minima of five runs, one BLAS thread, 2-vCPU Xeon).  A whole n = 4
-# step on 512 paths took 2.30-2.73 ms summed elementwise against 2.40-2.51 ms
-# on matmul, no clear gain, and no benchmark workload runs n = 4.
+# over k instead of one BLAS call per matrix.  The matrix step takes its one
+# product, A'^H A', at n = 1 and n >= 3 (n = 2 is closed-form).  For 512
+# complex products over C-ordered path-last stacks, the step's one layout,
+# elementwise against matmul: 57-62 against 273-275 ns per matrix at n = 3,
+# 130-168 against 326-626 ns at n = 4 and 1,824-2,321 against 741-1,028 ns
+# at n = 8 (timeit minima of five runs, one BLAS thread, 2-vCPU Xeon).  A
+# whole n = 4 step on 512 paths took 2.30-2.73 ms summed elementwise against
+# 2.40-2.51 ms on matmul, no clear gain, and no benchmark workload runs n = 4.
 _ELEMENTWISE_MAX_N = 3
 
 
@@ -140,17 +141,15 @@ def _canonical_column_signs(q: np.ndarray) -> np.ndarray:
     Sign flips leave q @ diag(mu) @ q.T unchanged; this just makes the
     factorization output deterministic.
     """
-    idx = np.argmax(np.abs(q), axis=-2)
-    lead = np.take_along_axis(q, idx[..., None, :], axis=-2)[..., 0, :]
+    lead = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
     re, im = lead.real, lead.imag
     flip = (re < 0) | ((np.abs(re) <= 1e-12 * np.abs(lead)) & (im < 0))
-    return np.where(flip[..., None, :], -q, q)
+    return np.where(flip, -q, q)
 
 
 def _takagi_batch(a: np.ndarray):
-    """Takagi factorization of a path-last stack (n, n, ...) of complex
-    symmetric matrices (not checked): q (n, n, ...) unitary and mu (n, ...)
-    ascending, in a's memory order, column signs not fixed.
+    """Takagi factorization of one complex symmetric n x n matrix (not
+    checked): q unitary and mu ascending, column signs not fixed.
 
     LAPACK's eigh of the real symmetric embedding [[X, Y], [Y, -X]] of
     a = X + iY has eigenvalues +-mu.  An eigenvector [u; v] of +mu gives
@@ -161,26 +160,15 @@ def _takagi_batch(a: np.ndarray):
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    x = np.moveaxis(a, (0, 1), (-2, -1))
-    emb = np.empty(x.shape[:-2] + (2 * n, 2 * n))
-    emb[..., :n, :n] = x.real
-    emb[..., n:, n:] = -x.real
-    emb[..., :n, n:] = emb[..., n:, :n] = x.imag
-    w, vecs = np.linalg.eigh(emb)
-    top = np.clip(w[..., n:], 0.0, None)
-    p = vecs[..., :n, n:] + 1j * vecs[..., n:, n:]
-    zero = top <= _ZERO_TOL * (1.0 + top[..., -1:])
-    repeated = np.count_nonzero(zero, axis=-1) > 1
-    if np.any(repeated):
-        z, pr = zero[repeated][..., None, :], p[repeated]
+    w, vecs = np.linalg.eigh(np.block([[a.real, a.imag], [a.imag, -a.real]]))
+    mu = np.clip(w[n:], 0.0, None)
+    q = vecs[:n, n:] + 1j * vecs[n:, n:]
+    zero = mu <= _ZERO_TOL * (1.0 + mu[-1])
+    if np.count_nonzero(zero) > 1:
         # the other columns lead, so Q's trailing columns span their
         # complement; a zeroed column leaves Q unitary
-        basis = np.linalg.qr(np.where(z, 0.0, pr)[..., ::-1])[0][..., ::-1]
-        p[repeated] = np.where(z, basis, pr)
-    # eigh returns path-first arrays; the results go out in a's memory order
-    q, mu = np.empty_like(a), np.empty_like(a[0], dtype=float)
-    q[...] = np.moveaxis(p, (-2, -1), (0, 1))
-    mu[...] = np.moveaxis(top, -1, 0)
+        basis = np.linalg.qr(np.where(zero, 0.0, q)[:, ::-1])[0][:, ::-1]
+        q = np.where(zero, basis, q)
     return q, mu
 
 

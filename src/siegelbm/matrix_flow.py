@@ -42,11 +42,11 @@ draws and builds A', with drift coefficient 1/2, for its frame only.
 
 The singular values of A' (linalg._singular_values) are the closed form of
 A' itself at n = 2, which keeps mu_1's relative accuracy at the chamber
-wall, and above it the square roots of LAPACK's eigvalsh of A'^H A', with no
-eigenvectors.  Stacked products go through linalg._matmul: a batched matmul
-above n = 3, and at n <= 3 an elementwise sum over the inner index, which
-skips numpy's per-matrix BLAS call.  A finite-beta step takes one, A'^H A'
-at n >= 3, and a beta = inf step none.  A step is rejected when its moved
+wall, and at n = 1 and n >= 3 the square roots of LAPACK's eigvalsh of
+A'^H A', with no eigenvectors.  That product, a finite-beta step's one,
+goes through linalg._matmul: a batched matmul above n = 3, and at n <= 3 an
+elementwise sum over the inner index, which skips numpy's per-matrix BLAS
+call; a beta = inf step takes none.  A step is rejected when its moved
 point leaves the disk (some singular value reaching one) or the ordered
 chamber (sigma gap at or below the floor); at beta = inf both tests read
 sigma'.

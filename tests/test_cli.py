@@ -132,17 +132,59 @@ _CONFIG_ERRORS = [
     ({"sample_times": [0.0, 0.0504]}, "sample_times"),
     # no starting frame: the matrix ensemble holds sigma alone
     ({"scheme": "matrix", "q0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "q0"),
+    ({"sigma0": [0.8]}, "sigma0"),
+    ({"sigma0": [0.0, 1.6]}, "sigma0"),
+    ({"scheme": "sphere-radius", "sigma0": [0.5, 1.0]}, "sigma0"),
+    ({"scheme": "sphere-point", "sigma0": [-0.5]}, "sigma0"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 2**63}, "seed"),
+    ({"beta": "2"}, "beta"),
+    ({"beta": True}, "beta"),
+    # past the float range, so infinite
+    ({"t_final": 10**400}, "t_final"),
+    ({"cutoff": {"k": -1.0, "K": 1.0}}, "cutoff"),
+    ({"sample_times": "0.05"}, "sample_times"),
 ]
 # the fields that only a JSON file can hold
 _JSON_ONLY = {"bogus", "q0"}
+# JSON forms of a field that SimConfig does not take: an empty list, a
+# stride and a cutoff object
+_JSON_FORM_ERRORS = [
+    ({"sample_times": []}, "sample_times"),
+    ({"sample_times": 0}, "sample_times"),
+    ({"sample_times": -3}, "sample_times"),
+    ({"cutoff": {"k": 1.0}}, "cutoff"),
+    ({"cutoff": [1.0, 2.0]}, "cutoff"),
+]
 
 
-@pytest.mark.parametrize("patch, fieldname", _CONFIG_ERRORS)
+@pytest.mark.parametrize("patch, fieldname", _CONFIG_ERRORS + _JSON_FORM_ERRORS)
 def test_simulate_config_errors(tmp_path, capsys, patch, fieldname):
     cfg = _write(tmp_path, "cfg.json", {**_BASE, **patch})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {fieldname}:")
+
+
+def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", [_BASE])
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: config: top level must be a JSON object\n"
+    with pytest.raises(ConfigInvalid, match="^config: must be a JSON object"):
+        config_from_dict([_BASE])
+
+
+def test_cutoff_false_turns_the_default_cutoff_off():
+    # a particle config at beta < 2 takes the (50, 50) cutoff unless it
+    # says false
+    base = dict(_BASE, beta=1.0)
+    assert config_from_dict(dict(base, cutoff=None)).cutoff == (50.0, 50.0)
+    assert config_from_dict(dict(base, cutoff=False)).cutoff is None
+
+
+def test_dyson_start_may_be_negative():
+    cfg = config_from_dict(dict(_BASE, scheme="dyson", sigma0=[-0.5, 0.5]))
+    assert cfg.sigma0.tolist() == [-0.5, 0.5]
 
 
 # json reads NaN, Infinity and -Infinity as floats; each is refused by name
@@ -390,6 +432,20 @@ def test_compare_accepts_infinite_beta_on_both_sides():
     _check_comparable(ca, cb)
     with pytest.raises(ConfigInvalid, match="beta"):
         _check_comparable(ca, config_from_dict(dict(base, scheme="particle", beta=2.0)))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", 1), ("beta", 1.0), ("sigma0", [0.8, 1.7]), ("t_final", 0.1), ("dt", 0.005),
+    ("n_paths", 5), ("sample_times", [0.0, 0.02, 0.05]), ("gap_floor", 1e-5),
+])
+def test_compare_refuses_configs_that_differ(name, value):
+    # every field but the scheme, the seed and the cutoff must match
+    a = config_from_dict(dict(_BASE, scheme="matrix"))
+    b = replace(a, scheme="particle", seed=2, cutoff=(50.0, 50.0))
+    _check_comparable(a, b)
+    changed = replace(b, **{name: value}, **({"sigma0": [0.8]} if name == "n" else {}))
+    with pytest.raises(ConfigInvalid, match=f"^{name}: configs must match \\(got "):
+        _check_comparable(a, changed)
 
 
 def test_compare_passes_at_infinite_beta(tmp_path, capsys):

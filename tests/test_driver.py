@@ -237,7 +237,9 @@ _INF_REFINE = dict(n=3, beta=np.inf, sigma0=(0.01, 0.02, 0.5), t_final=0.1, dt=0
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_infinite_beta_runs_build_no_primary_stream(monkeypatch, scheme):
-    # only the sphere point draws at beta = inf (its tangential noise)
+    # only the sphere point draws at beta = inf (its tangential noise); a
+    # kernel that draws nothing builds no retry stream either, though every
+    # matrix and particle path rejects
     made = []
     make = ensemble.path_generator
     monkeypatch.setattr(ensemble, "path_generator",
@@ -246,9 +248,11 @@ def test_infinite_beta_runs_build_no_primary_stream(monkeypatch, scheme):
     if scheme.startswith("sphere"):
         kwargs["sigma0"] = (0.05,)
     ens = _simulate(SimConfig(**kwargs))
-    assert made.count(False) == (ens.n_paths if scheme == "sphere-point" else 0)
+    draws = scheme == "sphere-point"
+    assert made.count(False) == (ens.n_paths if draws else 0)
+    assert made.count(True) == (np.count_nonzero(ens.rejections) if draws else 0)
     if scheme in ("matrix", "particle"):
-        assert np.all(ens.rejections == 1) and made.count(True) == ens.n_paths
+        assert np.all(ens.rejections == 1)
 
 
 def test_refining_infinite_beta_matrix_run_is_the_particle_run():

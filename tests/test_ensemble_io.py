@@ -168,6 +168,11 @@ def test_reader_batches_join_up(tmp_path, monkeypatch):
     assert ensembles_equal(read_jsonl(tmp_path / "t.jsonl"), ens)
 
 
+def _first_entry(text):
+    """An edit that puts text in place of a record's first sigma entry."""
+    return lambda line: re.sub(r'"sigma": \[[^,\]]+', f'"sigma": [{text}', line)
+
+
 # edits that take a record line off the writer's layout
 _EDITS = {
     "no-open-bracket": lambda line: line.replace('"sigma": [', '"sigma": '),
@@ -177,8 +182,16 @@ _EDITS = {
     "unknown-path": lambda line: re.sub(r'"path": \d+', '"path": 99999', line),
     "t-off-header": lambda line: re.sub(r'"t": ([^,]+)', r'"t": \g<1>1', line),
     "flipped-flag": lambda line: line.replace("false", "TRUE").replace("true", "false").replace("TRUE", "true"),
-    "nan-entry": lambda line: re.sub(r'"sigma": \[[^,\]]+', '"sigma": [NaN', line),
-    "cut-number": lambda line: re.sub(r'"sigma": \[[^,\]]+', '"sigma": [1e+', line),
+    "nan-entry": _first_entry("NaN"),
+    "cut-number": _first_entry("1e+"),
+    # numbers that float() reads and JSON does not
+    "inf-entry": _first_entry("Inf"),
+    "minus-inf-entry": _first_entry("-Inf"),
+    "infinity-entry": _first_entry("infinity"),
+    "plus-entry": _first_entry("+1.0"),
+    "leading-zero-entry": _first_entry("01"),
+    "bare-fraction-entry": _first_entry(".5"),
+    "bare-point-entry": _first_entry("5."),
     "short-sigma": lambda line: re.sub(r'"sigma": \[[^,\]]+, ', '"sigma": [', line),
     "blank": lambda line: "",
     "trailing-space": lambda line: line + " ",

@@ -20,10 +20,10 @@ from siegelbm.linalg import _matmul, _singular_values, _takagi_batch
 
 
 def _path_first(a):
-    """_takagi_batch on the path-last view of a stack (paths, n, n), its q
-    and mu returned path-first."""
-    q, mu = _takagi_batch(a.transpose(1, 2, 0))
-    return q.transpose(2, 0, 1), mu.T
+    """_takagi_batch on each matrix of a stack (paths, n, n), its q and mu
+    stacked path-first."""
+    q, mu = zip(*map(_takagi_batch, a))
+    return np.array(q), np.array(mu)
 
 
 def _takagi_residual(a, tf):
@@ -108,6 +108,14 @@ def test_takagi_near_degenerate_cluster():
     tf = takagi_decompose(a)
     assert _takagi_residual(a, tf) < 1e-10
     np.testing.assert_allclose(tf.mu, mu, atol=1e-9)
+    # at n = 3, the gap of 1e-7 and an exact repeat through _takagi_batch
+    u = np.linalg.qr(rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))[0]
+    for v, sv in zip(u, ([0.2, 0.5, 0.5 + 1e-7], [0.3, 0.3, 0.9])):
+        m = (v * sv) @ v.T
+        q, got = _takagi_batch(m)
+        np.testing.assert_allclose(got, sv, atol=1e-9)
+        np.testing.assert_allclose(got, takagi_decompose(m).mu, atol=1e-10)
+        assert np.linalg.norm((q * got) @ q.T - m) < 1e-10 * max(1.0, np.linalg.norm(m))
 
 
 def test_takagi_rejects_nonsymmetric():
@@ -132,32 +140,6 @@ def test_takagi_deterministic_output():
     t2 = takagi_decompose(a.copy())
     np.testing.assert_array_equal(t1.q, t2.q)
     np.testing.assert_array_equal(t1.mu, t2.mu)
-
-
-def test_takagi_batch_matches_single():
-    rng = np.random.default_rng(303)
-    g = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
-    a = g + np.swapaxes(g, -1, -2)
-    # two clustered rows among generic ones: a gap of 1e-7 and an exact repeat
-    u = np.linalg.qr(rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))[0]
-    a[2] = (u[0] * [0.2, 0.5, 0.5 + 1e-7]) @ u[0].T
-    a[5] = (u[1] * [0.3, 0.3, 0.9]) @ u[1].T
-    q, mu = _path_first(a)
-    np.testing.assert_allclose(mu[2], [0.2, 0.5, 0.5 + 1e-7], atol=1e-9)
-    np.testing.assert_allclose(mu[5], [0.3, 0.3, 0.9], atol=1e-9)
-    for i in range(8):
-        tf = takagi_decompose(a[i])
-        np.testing.assert_allclose(mu[i], tf.mu, atol=1e-10)
-        recon = (q[i] * mu[i]) @ q[i].T
-        assert np.linalg.norm(recon - a[i]) < 1e-10 * max(1.0, np.linalg.norm(a[i]))
-    # a C-ordered path-last stack, and two stack axes: the same bits
-    al = np.ascontiguousarray(a.transpose(1, 2, 0))
-    q1, mu1 = _takagi_batch(al)
-    np.testing.assert_array_equal(q1.transpose(2, 0, 1), q)
-    np.testing.assert_array_equal(mu1.T, mu)
-    q2, mu2 = _takagi_batch(al.reshape(3, 3, 2, 4))
-    np.testing.assert_array_equal(q2.reshape(q1.shape), q1)
-    np.testing.assert_array_equal(mu2.reshape(mu1.shape), mu1)
 
 
 def _check_takagi2(a, q, mu):
@@ -259,7 +241,8 @@ def test_singular_values_at_n2_are_the_closed_form_bits():
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_singular_values_match_takagi_batch(n):
     # sqrt(eigvalsh(a^H a)) against the full factorization's mu, which stays
-    # exact in a cluster; both path-last memory orders
+    # exact in a cluster; both path-last memory orders, which
+    # _singular_values keeps
     rng = np.random.default_rng(940 + n)
     c = 32
     q = np.linalg.qr(rng.standard_normal((c, n, n)) + 1j * rng.standard_normal((c, n, n)))[0]
@@ -267,10 +250,10 @@ def test_singular_values_match_takagi_batch(n):
     if n > 1:
         mu[3, 1] = mu[3, 0] + 1e-9  # a clustered row
     a = ((q * mu[:, None, :]) @ np.swapaxes(q, -1, -2)).transpose(1, 2, 0)
+    expected = _path_first(a.transpose(2, 0, 1))[1].T
     for stack in (a, np.ascontiguousarray(a)):
-        expected = _takagi_batch(stack)[1]
         got = _singular_values(stack)
-        assert got.strides == expected.strides == np.empty_like(stack[0], dtype=float).strides
+        assert got.strides == np.empty_like(stack[0], dtype=float).strides
         assert np.all(np.abs(got - expected) <= 1e-12 * expected[-1])
 
 
