@@ -36,20 +36,18 @@ __version__ = "0.1.0"
 _HIST_BINS = 32
 _THREADS_HELP = (
     "worker threads for the matrix scheme's chunks of 512 paths at n >= 4 and finite beta"
-    " (default 1); particle-type schemes and the other matrix runs always run inline"
+    " (default 1; at most one per chunk, sharing one noise budget and taking turns on"
+    " LAPACK eigvalsh); particle-type schemes and the other matrix runs always run inline"
 )
 
 
-def _load_json(path) -> dict:
+def _load_json(path):
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigInvalid("config: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("config: top level must be a JSON object")
-    return raw
 
 
 def _run_scheme(cfg: SimConfig, threads: int) -> PathEnsemble:
@@ -108,7 +106,7 @@ def _check_comparable(ca: SimConfig, cb: SimConfig) -> None:
     for f in fields(SimConfig):
         va, vb = getattr(ca, f.name), getattr(cb, f.name)
         if f.name == "sigma0":
-            va, vb = tuple(va), tuple(vb)
+            va, vb = tuple(va.tolist()), tuple(vb.tolist())
         if f.name not in ("scheme", "seed", "cutoff") and va != vb:
             raise ConfigInvalid(f"{f.name}: configs must match (got {va} vs {vb})")
 

@@ -28,7 +28,7 @@ from .geometry import in_chamber
 
 _CHUNK = 512  # paths per chunk for a kernel that releases the interpreter lock
 _INLINE_CHUNK = 1024  # paths per chunk for a kernel that holds it
-_NOISE_BYTES = 1 << 22  # bound on one chunk's primary noise buffer
+_NOISE_BYTES = 1 << 22  # bound on the primary noise buffers of all chunks in flight
 _HALVING_UNITS = 1024  # step-halving floor is h / 2**10
 _WRITE_BLOCK = 64  # paths formatted per block in write_jsonl
 _READ_BYTES = 1 << 18  # size hint for one batch of lines in read_jsonl
@@ -406,10 +406,12 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     or retry.
 
     A kernel that declares `releases_gil` takes chunks of _CHUNK paths,
-    run on `threads` workers when threads > 1 and inline otherwise.  A
-    kernel whose step holds the interpreter lock gains nothing from
-    threads: its chunks always run inline and hold _INLINE_CHUNK paths, so
-    each numpy call of a step covers more paths.
+    run on min(threads, chunks) workers when that is above one and inline
+    otherwise.  A kernel whose step holds the interpreter lock gains
+    nothing from threads: its chunks always run inline and hold
+    _INLINE_CHUNK paths, so each numpy call of a step covers more paths.
+    The primary noise buffers of the chunks in flight share _NOISE_BYTES,
+    so a pooled run holds no more noise than an inline one.
     """
     check_threads(threads)
     n_paths = cfg.n_paths
@@ -422,14 +424,19 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     reasons: list = [None] * n_paths
     rejections = np.zeros(n_paths, dtype=np.int64)
 
+    size = _CHUNK if kernel.releases_gil else _INLINE_CHUNK
+    chunks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    workers = min(threads, len(chunks)) if kernel.releases_gil else 1
+
     def do_chunk(lo: int, hi: int):
         c = hi - lo
         state = kernel.init(c)
         nd = kernel.noise_dim
         # path i's primary draws for steps [s0, s0 + block) sit in rows
         # i * block + (s mod block) of one reused buffer, refilled from
-        # its persistent stream when it reaches step s0
-        block = max(1, min(steps, _NOISE_BYTES // (8 * c * max(nd, 1))))
+        # its persistent stream when it reaches step s0; the workers'
+        # buffers share _NOISE_BYTES
+        block = max(1, min(steps, _NOISE_BYTES // workers // (8 * c * max(nd, 1))))
         noise = np.empty((c * block, nd))
         gens = [path_generator(cfg.seed, cfg.scheme, p) for p in range(lo, hi)] if nd else None
         # step counts at which a path samples, refills or retires
@@ -528,11 +535,8 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             if left:
                 act = np.flatnonzero(alive)
 
-    pooled = threads > 1 and kernel.releases_gil
-    size = _CHUNK if kernel.releases_gil else _INLINE_CHUNK
-    chunks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    if pooled and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda c: do_chunk(*c), chunks))
     else:
         for lo, hi in chunks:

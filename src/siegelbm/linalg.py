@@ -6,6 +6,7 @@ row-major nested lists of (re, im) pairs; see matrix_to_json / matrix_from_json.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,13 @@ _ZERO_TOL = 1e-12
 # whole n = 4 step on 512 paths took 2.30-2.73 ms summed elementwise against
 # 2.40-2.51 ms on matmul, no clear gain, and no benchmark workload runs n = 4.
 _ELEMENTWISE_MAX_N = 3
+# Stacked eigvalsh calls of pool workers take turns: two workers' calls do
+# not overlap.  On 512-matrix 8x8 path-last stacks two threads ran at
+# 0.83-0.99 times the speed of one thread running both shares, for 2.0-2.3
+# times its CPU (medians of four sets of 15 interleaved rounds; one BLAS
+# thread, 2-vCPU Xeon, numpy 2.4.6 with OpenBLAS 0.3.31).  While one worker
+# is in LAPACK, the other's noise, moved point and product run beside it.
+_EIGVALSH_LOCK = threading.Lock()
 
 
 def _norm(m) -> float:
@@ -128,7 +136,8 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     if a.shape[0] == 2:
         return _singular_values2(a)
     h = _matmul(a.conj().swapaxes(0, 1), a)
-    w = np.linalg.eigvalsh(np.moveaxis(h, (0, 1), (-2, -1)))
+    with _EIGVALSH_LOCK:
+        w = np.linalg.eigvalsh(np.moveaxis(h, (0, 1), (-2, -1)))
     mu = np.empty_like(a[0], dtype=float)
     mu[...] = np.sqrt(np.clip(np.moveaxis(w, -1, 0), 0.0, None))
     return mu

@@ -2,6 +2,9 @@
 reach the thread pool, chunk independence, and the worker-count check;
 the sample grid it records and the stop reasons it names; and its batched
 refinements against the sequential driver it replaced."""
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +123,68 @@ def test_matrix_chunks_reach_the_pool(monkeypatch):
                     dt=1e-3, n_paths=ensemble._CHUNK + 1, seed=4)
     with pytest.raises(_PoolUsed):
         simulate_matrix_paths(cfg, threads=2)
+
+
+# n = 8 at finite beta: the kernel releases the interpreter lock, so with
+# threads > 1 its _CHUNK-path chunks run on the pool
+def _pooled_matrix_config(steps, chunks=2):
+    return SimConfig(scheme="matrix", n=8, beta=2.0, sigma0=tuple(0.5 * np.arange(1, 9)),
+                     t_final=steps * 1e-3, dt=1e-3, n_paths=(chunks - 1) * ensemble._CHUNK + 88,
+                     seed=13)
+
+
+def test_pooled_eigvalsh_calls_take_turns(monkeypatch):
+    # three workers on three chunks, more workers than a two-core machine
+    # has cores, with a short switch interval
+    cfg = _pooled_matrix_config(4, chunks=3)
+    reference = simulate_matrix_paths(cfg, threads=1)
+    eigvalsh = np.linalg.eigvalsh
+    inside, most, callers = [0], [0], set()
+    guard = threading.Lock()
+
+    def counted(h):
+        with guard:
+            inside[0] += 1
+            most[0] = max(most[0], inside[0])
+            callers.add(threading.get_ident())
+        try:
+            time.sleep(1e-3)  # room for another worker to come in
+            return eigvalsh(h)
+        finally:
+            with guard:
+                inside[0] -= 1
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = simulate_matrix_paths(cfg, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ensembles_equal(pooled, reference)
+    assert len(callers) > 1
+    assert most[0] == 1
+
+
+# the primary noise buffers of the chunks in flight share _NOISE_BYTES: an
+# inline run's one buffer may take it all, each of two pooled chunks half
+def test_noise_budget_bounds_the_chunks_in_flight(monkeypatch):
+    # 15 steps of one 512-path chunk's draws fill more than half the budget
+    cfg = _pooled_matrix_config(15)
+    make = ensemble.path_generator
+
+    def run(threads):
+        outs = []
+        monkeypatch.setattr(
+            ensemble, "path_generator", lambda *a, **k: _RecordingGenerator(make(*a, **k), outs)
+        )
+        return _simulate(cfg, threads), max(out.base.nbytes for out in outs)
+
+    inline, inline_bytes = run(1)
+    pooled, pooled_bytes = run(2)
+    assert ensemble._NOISE_BYTES // 2 < inline_bytes <= ensemble._NOISE_BYTES
+    assert pooled_bytes <= ensemble._NOISE_BYTES // 2
+    assert ensembles_equal(pooled, inline)
 
 
 # matrix n=8 is where the step's contractions run as BLAS matmuls; at 8
