@@ -28,10 +28,13 @@ from .geometry import in_chamber
 
 _CHUNK = 512  # paths per chunk for a kernel that releases the interpreter lock
 _INLINE_CHUNK = 1024  # paths per chunk for a kernel that holds it
-_NOISE_BYTES = 1 << 22  # bound on the primary noise buffers of all chunks in flight
+# bound on the primary noise buffers of all chunks in flight; a chunk
+# spreads its steps evenly over the fewest refills its share allows, so
+# its last block is not left nearly empty (15 steps as 8 + 7, not 14 + 1)
+_NOISE_BYTES = 1 << 22
 _HALVING_UNITS = 1024  # step-halving floor is h / 2**10
-_WRITE_BLOCK = 64  # paths formatted per block in write_jsonl
-_READ_BYTES = 1 << 18  # size hint for one batch of lines in read_jsonl
+_WRITE_VALUES = 4096  # sigma values formatted per block in write_jsonl, at least one path's
+_READ_BYTES = 1 << 16  # size hint for one batch of lines in read_jsonl
 # float.__repr__ writes the infinities as inf, json.dumps as Infinity
 _JSON_INF = {"inf": "Infinity", "-inf": "-Infinity"}
 _STOPPED = ('], "stopped": false}\n', '], "stopped": true}\n')
@@ -45,6 +48,13 @@ _WORDS = str.maketrans(
 )
 # what is left of a sigma list's text once its numbers go: the separators
 _DROP_NUMBERS = str.maketrans("", "", "0123456789.eE+-Infinity")
+# the lists of write_jsonl's header after meta: the types of their entries
+_HEADER_LISTS = {
+    "times": ((float,), "floats"),
+    "stopped_at": ((float, type(None)), "floats or nulls"),
+    "stop_reason": ((str, type(None)), "strings or nulls"),
+    "rejections": ((int,), "integers"),
+}
 
 SCHEME_IDS = {
     "matrix": 1,
@@ -250,6 +260,27 @@ def _records(paths, heads, rows, stopped) -> str:
     return "".join(chain.from_iterable(zip(repeat('{"path": '), paths, heads, rows, ends)))
 
 
+def _read_header(line: str) -> dict:
+    """The header object of trajectories.jsonl; ValueError saying how it
+    is off write_jsonl's form, a JSONDecodeError for a line that is not
+    JSON."""
+    head = json.loads(line)
+    if not isinstance(head, dict) or head.keys() != {"meta", *_HEADER_LISTS}:
+        raise ValueError(f"not an object with the keys meta, {', '.join(_HEADER_LISTS)}")
+    meta = head["meta"]
+    if not (isinstance(meta, dict) and _is_integer(meta.get("dim")) and meta["dim"] >= 1):
+        raise ValueError("meta.dim is not a positive integer")
+    for key, (types, what) in _HEADER_LISTS.items():
+        entries = head[key]
+        if not isinstance(entries, list) or any(
+            isinstance(x, bool) or not isinstance(x, types) for x in entries
+        ):
+            raise ValueError(f"{key} is not a list of {what}")
+    if not len(head["stopped_at"]) == len(head["stop_reason"]) == len(head["rejections"]):
+        raise ValueError("stopped_at, stop_reason and rejections differ in length")
+    return head
+
+
 def write_jsonl(ens: PathEnsemble, path: str):
     """One header line with metadata, then one record per path per sample
     time in path-major order, each on its own line in the fixed layout
@@ -261,9 +292,11 @@ def write_jsonl(ens: PathEnsemble, path: str):
     json.dumps writes it (its repr, and Infinity or -Infinity), so byte
     content is a pure function of the ensemble.
 
-    Records are formatted and written in blocks of paths, so memory is
-    bounded by one block: one float repr per value, the rows joined from
-    them, and pieces made once per file for the rest of each record.
+    Records are formatted and written in blocks of whole paths holding at
+    most _WRITE_VALUES sigma values, or one path where a path holds more,
+    so memory beyond the ensemble is bounded by one block: one float repr
+    per value, the rows joined from them, the block's text, and pieces made
+    once per file for the rest of each record.
     """
     header = {
         "meta": _meta_to_json(ens.meta),
@@ -273,30 +306,31 @@ def write_jsonl(ens: PathEnsemble, path: str):
         "rejections": [int(r) for r in ens.rejections],
     }
     n_times, dim = ens.samples.shape[1:]
+    per_block = max(1, _WRITE_VALUES // max(1, n_times * dim))
     heads = [f', "t": {json.dumps(float(t))}, "sigma": [' for t in ens.times]
-    # comparisons with a NaN stop time are False: a path that never stopped
-    stopped = ens.times[None, :] >= ens.stopped_at[:, None]
-    empty = np.isnan(ens.samples).any(axis=2)
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for lo in range(0, ens.n_paths, _WRITE_BLOCK):
-            hi = min(lo + _WRITE_BLOCK, ens.n_paths)
+        for lo in range(0, ens.n_paths, per_block):
+            hi = min(lo + per_block, ens.n_paths)
             block = ens.samples[lo:hi]
             vals = list(map(float.__repr__, block.ravel().tolist()))
             if np.isinf(block).any():
                 vals = [_JSON_INF.get(v, v) for v in vals]
             rows = vals if dim == 1 else list(map(", ".join, zip(*[iter(vals)] * dim)))
             # rows holding a NaN are formatted too, then emptied
-            for i in np.flatnonzero(empty[lo:hi]).tolist():
+            for i in np.flatnonzero(np.isnan(block).any(axis=2)).tolist():
                 rows[i] = ""
             paths = chain.from_iterable(repeat(str(p), n_times) for p in range(lo, hi))
-            fh.write(_records(paths, heads * (hi - lo), rows, stopped[lo:hi].ravel().tolist()))
+            # comparisons with a NaN stop time are False: a path that never stopped
+            stopped = ens.times >= ens.stopped_at[lo:hi, None]
+            fh.write(_records(paths, heads * (hi - lo), rows, stopped.ravel().tolist()))
 
 
 def read_jsonl(path: str) -> PathEnsemble:
-    """Inverse of write_jsonl.  The header is read with json; the records
-    are read in batches of whole lines, so memory does not grow with the
-    file, and each batch must be in write_jsonl's layout.
+    """Inverse of write_jsonl.  The header is read with json and must be
+    in write_jsonl's form; the records are read in batches of whole lines
+    near _READ_BYTES long, so memory beyond the returned ensemble does not
+    grow with the file, and each batch must be in write_jsonl's layout.
 
     One pass over a batch pulls out the path, t and sigma text of every
     record.  The path and t texts map to their indices by exact match (t
@@ -308,7 +342,10 @@ def read_jsonl(path: str) -> PathEnsemble:
     breaks any of this raises RecordInvalid, which names the line.
     """
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = _read_header(fh.readline())
+        except ValueError as exc:
+            raise RecordInvalid(f"{path}, line 1: not a header in write_jsonl's form: {exc}") from None
         meta = _meta_from_json(header["meta"])
         times = np.asarray(header["times"], dtype=float)
         stopped_at = np.asarray(
@@ -435,8 +472,10 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         # path i's primary draws for steps [s0, s0 + block) sit in rows
         # i * block + (s mod block) of one reused buffer, refilled from
         # its persistent stream when it reaches step s0; the workers'
-        # buffers share _NOISE_BYTES
-        block = max(1, min(steps, _NOISE_BYTES // workers // (8 * c * max(nd, 1))))
+        # buffers share _NOISE_BYTES, and the steps spread evenly over
+        # the fewest refills that share allows
+        most = max(1, _NOISE_BYTES // workers // (8 * c * max(nd, 1)))
+        block = -(-steps // -(-steps // most))
         noise = np.empty((c * block, nd))
         gens = [path_generator(cfg.seed, cfg.scheme, p) for p in range(lo, hi)] if nd else None
         # step counts at which a path samples, refills or retires

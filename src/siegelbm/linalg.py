@@ -19,9 +19,12 @@ from .errors import (
     ShapeMismatch,
 )
 
-# Singular values at or below _ZERO_TOL (1 + mu_n) count as zero: a run of
-# two or more of them gets its Takagi columns from QR (see _takagi_batch).
+# Singular values at or below _ZERO_TOL (1 + mu_n) count as zero, and those
+# at or below _CLUSTER_TOL (1 + mu_n) as small: two or more small ones get
+# their Takagi columns orthonormalized by QR (see _takagi_batch).  Above
+# _CLUSTER_TOL, eigh's columns are orthonormal to about eps / _CLUSTER_TOL.
 _ZERO_TOL = 1e-12
+_CLUSTER_TOL = 1e-6
 # Largest inner dimension at which a stacked product is summed elementwise
 # over k instead of one BLAS call per matrix.  The matrix step takes its one
 # product, A'^H A', at n = 1 and n >= 3 (n = 2 is closed-form).  For 512
@@ -164,20 +167,25 @@ def _takagi_batch(a: np.ndarray):
     a = X + iY has eigenvalues +-mu.  An eigenvector [u; v] of +mu gives
     p = u + iv with a conj(p) = mu p, and [-v; u] (i p) belongs to -mu, so
     the columns of the top n are orthonormal at repeated mu too.  The two
-    meet only at mu = 0: two or more mu <= _ZERO_TOL (1 + mu_n) take an
-    orthonormal basis of the other columns' complement instead, by QR.
+    meet at mu = 0, and eigh mixes the columns of +-mu_k and +-mu_l by
+    about eps mu_n / (mu_k + mu_l), so two small mu lose orthonormality.
+    Two or more mu <= _CLUSTER_TOL (1 + mu_n) are orthonormalized by QR,
+    largest first after the others; a mu <= _ZERO_TOL (1 + mu_n) among them
+    takes a basis vector of the complement instead.  A column moves by
+    about eps mu_n / mu_k, which moves a = q diag(mu) q^T by eps mu_n.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     w, vecs = np.linalg.eigh(np.block([[a.real, a.imag], [a.imag, -a.real]]))
     mu = np.clip(w[n:], 0.0, None)
     q = vecs[:n, n:] + 1j * vecs[n:, n:]
-    zero = mu <= _ZERO_TOL * (1.0 + mu[-1])
-    if np.count_nonzero(zero) > 1:
+    small = mu <= _CLUSTER_TOL * (1.0 + mu[-1])
+    if np.count_nonzero(small) > 1:
         # the other columns lead, so Q's trailing columns span their
         # complement; a zeroed column leaves Q unitary
+        zero = mu <= _ZERO_TOL * (1.0 + mu[-1])
         basis = np.linalg.qr(np.where(zero, 0.0, q)[:, ::-1])[0][:, ::-1]
-        q = np.where(zero, basis, q)
+        q = np.where(small, basis, q)
     return q, mu
 
 

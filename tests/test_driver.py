@@ -5,6 +5,7 @@ refinements against the sequential driver it replaced."""
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -167,23 +168,32 @@ def test_pooled_eigvalsh_calls_take_turns(monkeypatch):
 
 
 # the primary noise buffers of the chunks in flight share _NOISE_BYTES: an
-# inline run's one buffer may take it all, each of two pooled chunks half
+# inline run's one buffer may take it all, each of two pooled chunks half,
+# and each chunk spreads its steps evenly over the fewest refills its share
+# allows
 def test_noise_budget_bounds_the_chunks_in_flight(monkeypatch):
-    # 15 steps of one 512-path chunk's draws fill more than half the budget
+    # 15 steps of a 512-path chunk's 72 draws a step: the whole budget
+    # holds 14 steps and half of it 7, so that chunk refills twice inline,
+    # in blocks of 8 and 7 steps, and three times pooled, in blocks of 5
     cfg = _pooled_matrix_config(15)
     make = ensemble.path_generator
+    step_bytes = 8 * ensemble._CHUNK * 72
 
     def run(threads):
         outs = []
         monkeypatch.setattr(
             ensemble, "path_generator", lambda *a, **k: _RecordingGenerator(make(*a, **k), outs)
         )
-        return _simulate(cfg, threads), max(out.base.nbytes for out in outs)
+        ens = _simulate(cfg, threads)
+        largest = max(out.base.nbytes for out in outs)
+        return ens, largest, Counter(out.shape[0] for out in outs if out.base.nbytes == largest)
 
-    inline, inline_bytes = run(1)
-    pooled, pooled_bytes = run(2)
-    assert ensemble._NOISE_BYTES // 2 < inline_bytes <= ensemble._NOISE_BYTES
-    assert pooled_bytes <= ensemble._NOISE_BYTES // 2
+    inline, inline_bytes, inline_blocks = run(1)
+    pooled, pooled_bytes, pooled_blocks = run(2)
+    assert inline_bytes == 8 * step_bytes <= ensemble._NOISE_BYTES
+    assert inline_blocks == {8: ensemble._CHUNK, 7: ensemble._CHUNK}
+    assert pooled_bytes == 5 * step_bytes <= ensemble._NOISE_BYTES // 2
+    assert pooled_blocks == {5: 3 * ensemble._CHUNK}
     assert ensembles_equal(pooled, inline)
 
 
@@ -505,7 +515,8 @@ def reference_run_ensemble(cfg, kernel):
         c = hi - lo
         state = kernel.init(c)
         nd = kernel.noise_dim
-        block = max(1, min(steps, ensemble._NOISE_BYTES // (8 * c * max(nd, 1))))
+        most = max(1, ensemble._NOISE_BYTES // (8 * c * max(nd, 1)))
+        block = -(-steps // -(-steps // most))  # as few refills, of even length
         noise = np.empty((c, block, nd))
         gens = [ensemble.path_generator(cfg.seed, cfg.scheme, p) for p in range(lo, hi)]
         alive = np.ones(c, dtype=bool)

@@ -1,14 +1,16 @@
 """Byte-level checks of trajectories.jsonl: the block writer against a
-per-record reference writer, the block reader against both, and the
-reader's refusal of lines off the writer's layout."""
+per-record reference writer, the block reader against both, the reader's
+refusal of lines off the writer's layout, and the memory both take beyond
+the ensemble."""
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from siegelbm import PathEnsemble, ensembles_equal, read_jsonl, write_jsonl
-from siegelbm.ensemble import _WRITE_BLOCK, _meta_to_json
+from siegelbm.ensemble import _WRITE_VALUES, _meta_to_json
 from siegelbm.errors import RecordInvalid
 
 
@@ -34,6 +36,8 @@ def reference_write_jsonl(ens: PathEnsemble, path: str):
 
 
 _TIMES = np.arange(6) * 0.1
+# paths in one write_jsonl block of a dim-2 ensemble sampled at _TIMES
+_BLOCK = _WRITE_VALUES // (_TIMES.size * 2)
 
 
 def _ensemble(n_paths, dim=2, beta=2.0, seed=0, times=_TIMES):
@@ -114,8 +118,8 @@ CASES = {
     "special-values": _special_values,
     "partial-nan-row": _partial_nan_row,
     "one-path": lambda: _mixed_block(1),
-    "block-minus-one": lambda: _mixed_block(_WRITE_BLOCK - 1),
-    "block-plus-one": lambda: _mixed_block(_WRITE_BLOCK + 1),
+    "block-minus-one": lambda: _mixed_block(_BLOCK - 1),
+    "block-plus-one": lambda: _mixed_block(_BLOCK + 1),
     # json.dumps writes Infinity where float.__repr__ writes inf
     "infinities": lambda: _entries(np.inf, -np.inf, 1.0),
     "infinity-dim-1": lambda: _entries(-np.inf),
@@ -130,6 +134,17 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_block_writer_matches_reference_bytes(tmp_path, case):
     ens = CASES[case]()
+    write_jsonl(ens, tmp_path / "new.jsonl")
+    reference_write_jsonl(ens, tmp_path / "ref.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("values", [1, 11, 12, 13, 25])
+def test_write_blocks_hold_at_least_one_path(tmp_path, monkeypatch, values):
+    # a dim-2 path at _TIMES holds 12 values: a cap below that still
+    # formats one path per block, and caps around it split the paths anew
+    monkeypatch.setattr("siegelbm.ensemble._WRITE_VALUES", values)
+    ens = _mixed_block(7)
     write_jsonl(ens, tmp_path / "new.jsonl")
     reference_write_jsonl(ens, tmp_path / "ref.jsonl")
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
@@ -152,7 +167,7 @@ def test_stop_rule_in_records(tmp_path):
 
 
 def test_reader_accepts_missing_final_newline(tmp_path):
-    ens = _mixed_block(_WRITE_BLOCK + 1)
+    ens = _mixed_block(_BLOCK + 1)
     write_jsonl(ens, tmp_path / "t.jsonl")
     text = (tmp_path / "t.jsonl").read_text()
     assert text.endswith("}\n")
@@ -163,7 +178,7 @@ def test_reader_accepts_missing_final_newline(tmp_path):
 def test_reader_batches_join_up(tmp_path, monkeypatch):
     # a batch hint smaller than one record makes every line its own batch
     monkeypatch.setattr("siegelbm.ensemble._READ_BYTES", 16)
-    ens = _mixed_block(_WRITE_BLOCK + 1)
+    ens = _mixed_block(_BLOCK + 1)
     write_jsonl(ens, tmp_path / "t.jsonl")
     assert ensembles_equal(read_jsonl(tmp_path / "t.jsonl"), ens)
 
@@ -231,7 +246,7 @@ def test_reader_names_a_line_off_the_layout(tmp_path, case, edit):
 def test_reader_names_the_line_across_batches(tmp_path, monkeypatch, edit):
     # a batch hint smaller than one record makes every line its own batch
     monkeypatch.setattr("siegelbm.ensemble._READ_BYTES", 16)
-    write_jsonl(_mixed_block(_WRITE_BLOCK + 1), tmp_path / "t.jsonl")
+    write_jsonl(_mixed_block(_BLOCK + 1), tmp_path / "t.jsonl")
     line = _edit_one_record(tmp_path / "t.jsonl", edit)
     with pytest.raises(RecordInvalid, match=f"line {line}: "):
         read_jsonl(tmp_path / "t.jsonl")
@@ -247,3 +262,68 @@ def test_reader_refuses_an_entry_moved_between_records(tmp_path):
     (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
     with pytest.raises(RecordInvalid, match="line 3: "):
         read_jsonl(tmp_path / "t.jsonl")
+
+
+def _header_line(**changes):
+    """An edit of the header that sets the given keys."""
+    return lambda head: json.dumps({**head, **changes})
+
+
+# header lines off write_jsonl's form, each of a one-path ensemble
+_HEADERS = {
+    "not-json": lambda head: "header",
+    "list": lambda head: json.dumps(list(head.values())),
+    "no-dim": lambda head: json.dumps({**head, "meta": {k: v for k, v in head["meta"].items() if k != "dim"}}),
+    "dim-zero": lambda head: json.dumps({**head, "meta": {**head["meta"], "dim": 0}}),
+    "dim-true": lambda head: json.dumps({**head, "meta": {**head["meta"], "dim": True}}),
+    "meta-list": _header_line(meta=[2]),
+    "no-times": lambda head: json.dumps({k: v for k, v in head.items() if k != "times"}),
+    "extra-key": _header_line(paths=1),
+    "numeric-times": _header_line(times=0.5),
+    "integer-time": lambda head: json.dumps({**head, "times": [0, *head["times"][1:]]}),
+    "string-stop": _header_line(stopped_at=["0.1"]),
+    "number-reason": _header_line(stop_reason=[1]),
+    "float-rejections": _header_line(rejections=[1.0]),
+    # one path's records under a header that lists two paths' stops
+    "two-stops": _header_line(stopped_at=[None, None]),
+    "two-reasons": _header_line(stop_reason=[None, None]),
+    "no-rejections": _header_line(rejections=[]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_HEADERS))
+def test_reader_refuses_a_header_off_the_form(tmp_path, edit):
+    write_jsonl(_ensemble(1), tmp_path / "t.jsonl")
+    head, records = (tmp_path / "t.jsonl").read_text().split("\n", 1)
+    (tmp_path / "t.jsonl").write_text(_HEADERS[edit](json.loads(head)) + "\n" + records)
+    with pytest.raises(RecordInvalid, match="line 1: not a header in write_jsonl's form: "):
+        read_jsonl(tmp_path / "t.jsonl")
+
+
+def test_reader_refuses_an_empty_file(tmp_path):
+    (tmp_path / "t.jsonl").write_text("")
+    with pytest.raises(RecordInvalid, match="line 1: not a header in write_jsonl's form: "):
+        read_jsonl(tmp_path / "t.jsonl")
+
+
+def _traced_peak(run):
+    """run's result and the most memory it held at once, as traced from
+    its start."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_and_read_memory_stays_near_the_samples(tmp_path):
+    # 200 paths at 2,001 sample times and dim 3: a 9.6 MB sample array,
+    # whose records would take 85.8 MB to format in blocks of 64 paths
+    ens = _ensemble(200, dim=3, times=np.arange(2001) * 1e-3)
+    for p in range(0, 200, 7):
+        _stop(ens, p, 0.5 + 1e-3 * p)
+    _, write_peak = _traced_peak(lambda: write_jsonl(ens, tmp_path / "t.jsonl"))
+    back, read_peak = _traced_peak(lambda: read_jsonl(tmp_path / "t.jsonl"))
+    assert ensembles_equal(back, ens)
+    assert write_peak < 4e6
+    assert read_peak - ens.samples.nbytes < 2e6

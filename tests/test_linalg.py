@@ -118,6 +118,34 @@ def test_takagi_near_degenerate_cluster():
         assert np.linalg.norm((q * got) @ q.T - m) < 1e-10 * max(1.0, np.linalg.norm(m))
 
 
+@pytest.mark.parametrize("low", [1e-8, 1e-9, 1e-10, 1e-11])
+def test_takagi_cluster_of_small_singular_values(low):
+    # eigh of the embedding mixes the columns of +-low and +-2 low by about
+    # eps / low: q came out up to 7.3e-8 from unitary at 1e-9 and 5.2e-7 at
+    # 1e-10, and most of these draws raised "q is not unitary"
+    rng = np.random.default_rng(960)
+    mu = np.array([low, 2 * low, 0.5, 0.9])
+    for _ in range(50):
+        q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        a = (q * mu) @ q.T
+        tf = takagi_decompose(a)
+        assert np.linalg.norm(tf.q.conj().T @ tf.q - np.eye(4)) <= 1e-14
+        assert _takagi_residual(a, tf) <= 1e-14
+        np.testing.assert_allclose(tf.mu, mu, rtol=1e-14, atol=1e-15)
+
+
+def test_takagi_keeps_eighs_columns_outside_a_cluster():
+    # one small singular value, and two just above the cluster bound: the
+    # columns are eigh's, bit for bit
+    rng = np.random.default_rng(961)
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    for mu in ([1e-10, 0.3, 0.5, 0.9], [2e-6, 3e-6, 0.5, 0.9]):
+        a = (q * mu) @ q.T
+        w, vecs = np.linalg.eigh(np.block([[a.real, a.imag], [a.imag, -a.real]]))
+        got, _ = _takagi_batch(a)
+        assert np.array_equal(got, vecs[:4, 4:] + 1j * vecs[4:, 4:])
+
+
 def test_takagi_rejects_nonsymmetric():
     with pytest.raises(NotSymmetric):
         takagi_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
