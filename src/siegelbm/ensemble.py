@@ -15,7 +15,6 @@ as drawing it at once), so noise memory does not grow with the step count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, repeat
@@ -28,9 +27,12 @@ from .geometry import in_chamber
 
 _CHUNK = 512  # paths per chunk for a kernel that releases the interpreter lock
 _INLINE_CHUNK = 1024  # paths per chunk for a kernel that holds it
-# bound on the primary noise buffers of all chunks in flight; a chunk
-# spreads its steps evenly over the fewest refills its share allows, so
-# its last block is not left nearly empty (15 steps as 8 + 7, not 14 + 1)
+# a refill draws at most _REFILL_DRAWS normals per path (at least one
+# step's), and the primary noise buffers of all chunks in flight hold at
+# most _NOISE_BYTES; a chunk spreads its steps evenly over the fewest
+# refills both allow, so its last block is not left nearly empty (15 steps
+# as 8 + 7, not 14 + 1)
+_REFILL_DRAWS = 256
 _NOISE_BYTES = 1 << 22
 _HALVING_UNITS = 1024  # step-halving floor is h / 2**10
 _WRITE_VALUES = 4096  # sigma values formatted per block in write_jsonl, at least one path's
@@ -38,14 +40,8 @@ _READ_BYTES = 1 << 16  # size hint for one batch of lines in read_jsonl
 # float.__repr__ writes the infinities as inf, json.dumps as Infinity
 _JSON_INF = {"inf": "Infinity", "-inf": "-Infinity"}
 _STOPPED = ('], "stopped": false}\n', '], "stopped": true}\n')
-# read_jsonl splits a batch at both brackets of every sigma list.  Between
-# two lists, commas and newlines become spaces and every other ASCII
-# character but those of a number goes, which leaves three words per
-# record: the path, the t and the "ee" of "stopped" and its flag.
+# read_jsonl splits a batch at both brackets of every sigma list
 _BRACKETS = str.maketrans("[]", "\x1e\x1e")
-_WORDS = str.maketrans(
-    {c: " " if c in ",\n" else None for c in map(chr, range(128)) if c not in "0123456789.eE+-"}
-)
 # what is left of a sigma list's text once its numbers go: the separators
 _DROP_NUMBERS = str.maketrans("", "", "0123456789.eE+-Infinity")
 # the lists of write_jsonl's header after meta: the types of their entries
@@ -332,14 +328,17 @@ def read_jsonl(path: str) -> PathEnsemble:
     near _READ_BYTES long, so memory beyond the returned ensemble does not
     grow with the file, and each batch must be in write_jsonl's layout.
 
-    One pass over a batch pulls out the path, t and sigma text of every
-    record.  The path and t texts map to their indices by exact match (t
-    as json.dumps writes the header's time), the batch must equal the
-    records rebuilt from those texts with the stopped flags the header's
-    stop times give, and every sigma list holds dim numbers or none.  The
-    numbers of a batch are read by one json.loads, so an entry is a JSON
-    number, Infinity or -Infinity and reads back exactly.  A line that
-    breaks any of this raises RecordInvalid, which names the line.
+    Records are read by position: record k (line k + 2) is path
+    k // n_times at time k % n_times, so every record must be there, in
+    write_jsonl's order.  One pass over a batch pulls out the sigma text of
+    every record, the batch must equal the records rebuilt from those
+    texts at their positions (t as json.dumps writes the header's time,
+    with the stopped flag the header's stop times give), and every sigma
+    list holds dim numbers or none.  The numbers of a batch are read by
+    one json.loads, so an entry is a JSON number, Infinity or -Infinity
+    and reads back exactly.  A line that breaks any of this, and a file
+    that ends before its last record, raises RecordInvalid, which names
+    the line.
     """
     with open(path) as fh:
         try:
@@ -356,25 +355,21 @@ def read_jsonl(path: str) -> PathEnsemble:
         n_paths = len(reasons)
         dim = int(meta["dim"])
         samples = np.full((n_paths, times.size, dim), np.nan)
-        t_text = [json.dumps(float(t)) for t in times]
-        t_index = {t: j for j, t in enumerate(t_text)}
-        p_index = {str(p): p for p in range(n_paths)}
-        heads = [f', "t": {t}, "sigma": [' for t in t_text]
+        total = samples.shape[0] * samples.shape[1]
+        rows_of = samples.reshape(total, dim)  # a view: record k's row is rows_of[k]
+        heads = [f', "t": {json.dumps(float(t))}, "sigma": [' for t in times]
 
-        def parse(text: str):
-            # (records, paths, time indices, rows) of the nonempty sigma
-            # lists in text; KeyError or ValueError off the layout
+        def parse(text: str, first: int):
+            # (records, nonempty sigma lists, their rows) of text, which
+            # holds records first, first + 1, ...; ValueError off the layout
             parts = text.translate(_BRACKETS).split("\x1e")
             n = len(parts) // 2
+            if n == 0 or first + n > total:
+                raise ValueError("no record at this position")
+            p, j = np.divmod(np.arange(first, first + n), times.size)
             sigma = parts[1::2]
-            # between two sigma lists only the path, t and "ee" words remain
-            words = "".join(parts[::2]).translate(_WORDS).split()
-            if len(words) != 3 * n:
-                raise ValueError("not three words per record")
-            p = np.fromiter(map(p_index.__getitem__, words[::3]), np.int64, n)
-            j = np.fromiter(map(t_index.__getitem__, words[1::3]), np.int64, n)
             flags = (times[j] >= stopped_at[p]).tolist()
-            rebuilt = _records(words[::3], map(heads.__getitem__, j.tolist()), sigma, flags)
+            rebuilt = _records(map(str, p.tolist()), map(heads.__getitem__, j.tolist()), sigma, flags)
             # the last line of a file may lack its newline
             if rebuilt != text and rebuilt[:-1] != text:
                 raise ValueError("not in the layout")
@@ -390,26 +385,31 @@ def read_jsonl(path: str) -> PathEnsemble:
                 # json takes a JSON number, Infinity or -Infinity and
                 # nothing else, each read as float() reads it
                 vals = np.array(json.loads(f"[{joined}]", parse_int=float)).reshape(-1, dim)
-            return n, p[full], j[full], vals
+            return n, full, vals
 
         line = 2  # of the first record in the batch
         while text := fh.read(_READ_BYTES):
             text += fh.readline()
             try:
-                n, p, j, vals = parse(text)
-            except (KeyError, ValueError):
+                n, full, vals = parse(text, line - 2)
+            except ValueError:
                 # every check holds line by line, so some line fails alone
                 lines = text.split("\n")
                 for k, bad in enumerate(lines[:-1] if text.endswith("\n") else lines):
                     try:
-                        parse(bad + "\n")
-                    except (KeyError, ValueError):
+                        parse(bad + "\n", line - 2 + k)
+                    except ValueError:
                         break
                 raise RecordInvalid(
                     f"{path}, line {line + k}: not a record in write_jsonl's layout: {bad[:200]!r}"
                 ) from None
-            samples[p, j] = vals
+            rows_of[line - 2 : line - 2 + n][full] = vals
             line += n
+        if line - 2 < total:
+            raise RecordInvalid(
+                f"{path}, line {line}: missing: the file ends after {line - 2} of the "
+                f"{total} records of {n_paths} paths at {times.size} times"
+            )
     return PathEnsemble(
         meta=meta,
         times=times,
@@ -447,8 +447,9 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     otherwise.  A kernel whose step holds the interpreter lock gains
     nothing from threads: its chunks always run inline and hold
     _INLINE_CHUNK paths, so each numpy call of a step covers more paths.
-    The primary noise buffers of the chunks in flight share _NOISE_BYTES,
-    so a pooled run holds no more noise than an inline one.
+    A refill draws at most _REFILL_DRAWS normals per path, and the primary
+    noise buffers of the chunks in flight share _NOISE_BYTES, so a pooled
+    run holds no more noise than an inline one.
     """
     check_threads(threads)
     n_paths = cfg.n_paths
@@ -470,14 +471,19 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         state = kernel.init(c)
         nd = kernel.noise_dim
         # path i's primary draws for steps [s0, s0 + block) sit in rows
-        # i * block + (s mod block) of one reused buffer, refilled from
-        # its persistent stream when it reaches step s0; the workers'
-        # buffers share _NOISE_BYTES, and the steps spread evenly over
-        # the fewest refills that share allows
-        most = max(1, _NOISE_BYTES // workers // (8 * c * max(nd, 1)))
+        # i * block + (s mod block) of one reused buffer, its slab, refilled
+        # from its persistent stream when it reaches step s0; a refill
+        # draws at most _REFILL_DRAWS normals a path, the workers' buffers
+        # share _NOISE_BYTES, and the steps spread evenly over the fewest
+        # refills both allow
+        width = max(nd, 1)
+        most = max(1, min(_REFILL_DRAWS // width, _NOISE_BYTES // workers // (8 * c * width)))
         block = -(-steps // -(-steps // most))
         noise = np.empty((c * block, nd))
-        gens = [path_generator(cfg.seed, cfg.scheme, p) for p in range(lo, hi)] if nd else None
+        fills = slabs = None
+        if nd:
+            fills = [path_generator(cfg.seed, cfg.scheme, p).standard_normal for p in range(lo, hi)]
+            slabs = [noise[r : r + block] for r in range(0, c * block, block)]
         # step counts at which a path samples, refills or retires
         event = np.zeros(steps + 1, dtype=bool)
         event[sample_idx] = True
@@ -541,10 +547,10 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             end = s == steps
             alive[paths[end]] = False
             start = (s % block == 0) & ~end
-            if gens and start.any():
-                for i, si in zip(paths[start], s[start]):
-                    r = i * block
-                    gens[i].standard_normal(out=noise[r : r + min(block, steps - si)])
+            if fills and start.any():
+                for i, si in zip(paths[start].tolist(), s[start].tolist()):
+                    slab = slabs[i]
+                    fills[i](out=slab if si + block <= steps else slab[: steps - si])
             return end.any()
 
         arrive(np.arange(c))
@@ -575,6 +581,10 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
                 act = np.flatnonzero(alive)
 
     if workers > 1:
+        # imported here, so a run that starts no pool imports neither it
+        # nor the logging it brings
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda c: do_chunk(*c), chunks))
     else:

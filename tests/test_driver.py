@@ -2,11 +2,15 @@
 reach the thread pool, chunk independence, and the worker-count check;
 the sample grid it records and the stop reasons it names; and its batched
 refinements against the sequential driver it replaced."""
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +74,7 @@ def test_streamed_noise_blocks_match_default(monkeypatch, case, block):
     c = cfg.n_paths
     budget = block * 8 * c * max(nd, 1)
     monkeypatch.setattr(ensemble, "_NOISE_BYTES", budget)
+    monkeypatch.setattr(ensemble, "_REFILL_DRAWS", block * max(nd, 1))
     outs = []
     make = ensemble.path_generator
     monkeypatch.setattr(
@@ -110,7 +115,7 @@ def _no_pool(*args, **kwargs):
 
 
 def test_particle_chunks_stay_off_the_pool(monkeypatch):
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _no_pool)
     cfg = SimConfig(scheme="particle", n=2, beta=2.0, sigma0=(1.0, 2.0), t_final=0.01,
                     dt=1e-3, n_paths=ensemble._INLINE_CHUNK + 88, seed=4)
     ens = simulate_particle_paths(cfg, threads=4)
@@ -119,11 +124,45 @@ def test_particle_chunks_stay_off_the_pool(monkeypatch):
 
 
 def test_matrix_chunks_reach_the_pool(monkeypatch):
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _no_pool)
     cfg = SimConfig(scheme="matrix", n=4, beta=2.0, sigma0=(0.5, 1.0, 1.5, 2.0), t_final=0.01,
                     dt=1e-3, n_paths=ensemble._CHUNK + 1, seed=4)
     with pytest.raises(_PoolUsed):
         simulate_matrix_paths(cfg, threads=2)
+
+
+_POOL_IMPORT = """
+import json, sys
+from siegelbm import SimConfig, ensembles_equal, simulate_matrix_paths, simulate_particle_paths
+from siegelbm.ensemble import _CHUNK, _INLINE_CHUNK
+
+def pool_imported():
+    return "concurrent.futures" in sys.modules
+
+particle = SimConfig(scheme="particle", n=3, beta=2.0, sigma0=(0.5, 1.0, 1.5), t_final=0.003,
+                     dt=1e-3, n_paths=_INLINE_CHUNK + 1, seed=4)
+simulate_particle_paths(particle, threads=4)
+seen = [pool_imported()]
+matrix = SimConfig(scheme="matrix", n=4, beta=2.0, sigma0=(0.5, 1.0, 1.5, 2.0), t_final=0.003,
+                   dt=1e-3, n_paths=_CHUNK + 1, seed=4)
+inline = simulate_matrix_paths(matrix, threads=1)
+seen.append(pool_imported())
+pooled = simulate_matrix_paths(matrix, threads=2)
+print(json.dumps(seen + [pool_imported(), ensembles_equal(pooled, inline)]))
+"""
+
+
+# the thread pool is imported by the run that starts one: a fresh
+# interpreter running particle chunks at threads=4, and matrix chunks at
+# threads=1, has not imported it; a pooled n = 4 matrix run has, and
+# equals the inline run bit for bit
+def test_only_a_pooled_run_imports_the_thread_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _POOL_IMPORT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False, True, True]
 
 
 # n = 8 at finite beta: the kernel releases the interpreter lock, so with
@@ -167,17 +206,18 @@ def test_pooled_eigvalsh_calls_take_turns(monkeypatch):
     assert most[0] == 1
 
 
-# the primary noise buffers of the chunks in flight share _NOISE_BYTES: an
-# inline run's one buffer may take it all, each of two pooled chunks half,
-# and each chunk spreads its steps evenly over the fewest refills its share
-# allows
-def test_noise_budget_bounds_the_chunks_in_flight(monkeypatch):
-    # 15 steps of a 512-path chunk's 72 draws a step: the whole budget
-    # holds 14 steps and half of it 7, so that chunk refills twice inline,
-    # in blocks of 8 and 7 steps, and three times pooled, in blocks of 5
+# a refill draws at most _REFILL_DRAWS normals a path, and the primary
+# noise buffers of the chunks in flight share _NOISE_BYTES: an inline run's
+# one buffer may take it all, each of two pooled chunks half, and each chunk
+# spreads its steps evenly over the fewest refills both allow
+def _noise_blocks(monkeypatch, inline_steps, inline_blocks, pooled_steps, pooled_blocks):
+    """Check a 15-step n = 8 run's blocks, inline and on two workers.
+
+    The block maps give each block length's refills per path: every path
+    of the 512-path chunk takes each of its blocks."""
     cfg = _pooled_matrix_config(15)
     make = ensemble.path_generator
-    step_bytes = 8 * ensemble._CHUNK * 72
+    step_bytes = 8 * ensemble._CHUNK * 72  # 72 draws a step
 
     def run(threads):
         outs = []
@@ -188,13 +228,26 @@ def test_noise_budget_bounds_the_chunks_in_flight(monkeypatch):
         largest = max(out.base.nbytes for out in outs)
         return ens, largest, Counter(out.shape[0] for out in outs if out.base.nbytes == largest)
 
-    inline, inline_bytes, inline_blocks = run(1)
-    pooled, pooled_bytes, pooled_blocks = run(2)
-    assert inline_bytes == 8 * step_bytes <= ensemble._NOISE_BYTES
-    assert inline_blocks == {8: ensemble._CHUNK, 7: ensemble._CHUNK}
-    assert pooled_bytes == 5 * step_bytes <= ensemble._NOISE_BYTES // 2
-    assert pooled_blocks == {5: 3 * ensemble._CHUNK}
+    inline, inline_bytes, inline_counts = run(1)
+    pooled, pooled_bytes, pooled_counts = run(2)
+    assert inline_bytes == inline_steps * step_bytes <= ensemble._NOISE_BYTES
+    assert inline_counts == {k: v * ensemble._CHUNK for k, v in inline_blocks.items()}
+    assert pooled_bytes == pooled_steps * step_bytes <= ensemble._NOISE_BYTES // 2
+    assert pooled_counts == {k: v * ensemble._CHUNK for k, v in pooled_blocks.items()}
     assert ensembles_equal(pooled, inline)
+
+
+def test_noise_budget_bounds_the_chunks_in_flight(monkeypatch):
+    # 256 draws are 3 steps of 72: five blocks of 3, inline and pooled
+    _noise_blocks(monkeypatch, 3, {3: 5}, 3, {3: 5})
+
+
+def test_noise_budget_alone_balances_the_blocks(monkeypatch):
+    # with no draw cap the whole budget holds 14 steps and half of it 7, so
+    # the chunk refills twice inline, in blocks of 8 and 7 steps, and three
+    # times pooled, in blocks of 5
+    monkeypatch.setattr(ensemble, "_REFILL_DRAWS", 15 * 72)
+    _noise_blocks(monkeypatch, 8, {8: 1, 7: 1}, 5, {5: 3})
 
 
 # matrix n=8 is where the step's contractions run as BLAS matmuls; at 8
@@ -275,7 +328,7 @@ def test_inline_matrix_run_keeps_pool_chunks():
 # _INLINE_CHUNK paths at any thread count
 @pytest.mark.parametrize("n", [2, 3])
 def test_small_matrix_chunks_stay_off_the_pool(monkeypatch, n):
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _no_pool)
     sigma0 = tuple(0.5 * np.arange(1, n + 1))
     cfg = SimConfig(scheme="matrix", n=n, beta=2.0, sigma0=sigma0, t_final=0.002,
                     dt=1e-3, n_paths=ensemble._INLINE_CHUNK + 88, seed=4)
@@ -291,7 +344,7 @@ def test_small_matrix_chunks_stay_off_the_pool(monkeypatch, n):
 # step, short numpy calls that hold the interpreter lock, so at n = 8 too it
 # runs inline in chunks of _INLINE_CHUNK paths at any thread count
 def test_infinite_beta_matrix_chunks_stay_off_the_pool(monkeypatch):
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _no_pool)
     sigma0 = tuple(0.4 * np.arange(1, 8)) + (2.8 + 1e-3,)
     cfg = SimConfig(scheme="matrix", n=8, beta=np.inf, sigma0=sigma0, t_final=0.002,
                     dt=1e-3, n_paths=ensemble._INLINE_CHUNK + 88, seed=4)
@@ -515,7 +568,8 @@ def reference_run_ensemble(cfg, kernel):
         c = hi - lo
         state = kernel.init(c)
         nd = kernel.noise_dim
-        most = max(1, ensemble._NOISE_BYTES // (8 * c * max(nd, 1)))
+        width = max(nd, 1)
+        most = max(1, min(ensemble._REFILL_DRAWS // width, ensemble._NOISE_BYTES // (8 * c * width)))
         block = -(-steps // -(-steps // most))  # as few refills, of even length
         noise = np.empty((c, block, nd))
         gens = [ensemble.path_generator(cfg.seed, cfg.scheme, p) for p in range(lo, hi)]

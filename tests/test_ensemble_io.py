@@ -264,6 +264,38 @@ def test_reader_refuses_an_entry_moved_between_records(tmp_path):
         read_jsonl(tmp_path / "t.jsonl")
 
 
+def _records_of(path, edit):
+    """Rewrite path's record lines by edit, which takes and returns their list."""
+    head, *records = path.read_text().splitlines(keepends=True)
+    path.write_text(head + "".join(edit(records)))
+
+
+def _swap(records, a, b):
+    records[a], records[b] = records[b], records[a]
+    return records
+
+
+# a 4-path, 6-time file whose records are missing, out of order or
+# repeated: every record is in the layout, only its place is wrong
+_MISPLACED = {
+    # the file ends 3 records early, at line 23 of 25
+    "cut": (lambda records: records[:-3], "line 23: missing: "),
+    # path 1's records at t = 0.2 and t = 0.4 trade lines 10 and 12
+    "swapped": (lambda records: _swap(records, 8, 10), "line 10: "),
+    # the last record is written a second time, as line 26
+    "repeated": (lambda records: records + records[-1:], "line 26: "),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_MISPLACED))
+def test_reader_refuses_records_out_of_place(tmp_path, form):
+    write_jsonl(_ensemble(4), tmp_path / "t.jsonl")
+    edit, message = _MISPLACED[form]
+    _records_of(tmp_path / "t.jsonl", edit)
+    with pytest.raises(RecordInvalid, match=message):
+        read_jsonl(tmp_path / "t.jsonl")
+
+
 def _header_line(**changes):
     """An edit of the header that sets the given keys."""
     return lambda head: json.dumps({**head, **changes})
