@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 _HIST_BINS = 32
 _THREADS_HELP = (
     "worker threads for the matrix scheme's chunks of 512 paths at n >= 4 and finite beta"
-    " (default 1; at most one per chunk, sharing one noise budget and taking turns on"
-    " LAPACK eigvalsh); particle-type schemes and the other matrix runs always run inline"
+    " (default 1; at most one per chunk, taking turns on LAPACK eigvalsh);"
+    " particle-type schemes and the other matrix runs always run inline"
 )
 
 

@@ -28,17 +28,15 @@ from .geometry import in_chamber
 _CHUNK = 512  # paths per chunk for a kernel that releases the interpreter lock
 _INLINE_CHUNK = 1024  # paths per chunk for a kernel that holds it
 # a refill draws at most _REFILL_DRAWS normals per path (at least one
-# step's), and the primary noise buffers of all chunks in flight hold at
-# most _NOISE_BYTES; a chunk spreads its steps evenly over the fewest
-# refills both allow, so its last block is not left nearly empty (15 steps
-# as 8 + 7, not 14 + 1)
+# step's); a chunk spreads its steps evenly over the fewest refills that
+# allows, so its last block is not left nearly empty (15 steps as 8 + 7,
+# not 14 + 1)
 _REFILL_DRAWS = 256
-_NOISE_BYTES = 1 << 22
 _HALVING_UNITS = 1024  # step-halving floor is h / 2**10
-_WRITE_VALUES = 4096  # sigma values formatted per block in write_jsonl, at least one path's
+# sigma values or header list entries per write_jsonl block, at least one
+# record's; and the most sample times whose record heads are made per file
+_WRITE_VALUES = 4096
 _READ_BYTES = 1 << 16  # size hint for one batch of lines in read_jsonl
-# float.__repr__ writes the infinities as inf, json.dumps as Infinity
-_JSON_INF = {"inf": "Infinity", "-inf": "-Infinity"}
 _STOPPED = ('], "stopped": false}\n', '], "stopped": true}\n')
 # read_jsonl splits a batch at both brackets of every sigma list
 _BRACKETS = str.maketrans("[]", "\x1e\x1e")
@@ -240,20 +238,27 @@ def _meta_to_json(meta: dict) -> dict:
     return out
 
 
-def _meta_from_json(obj: dict) -> dict:
-    out = dict(obj)
-    if out.get("beta") == "inf":
-        out["beta"] = float("inf")
-    return out
+def _json_texts(values: list) -> list:
+    """The text json.dumps writes for each number of values."""
+    return json.dumps(values)[1:-1].split(", ")
 
 
-def _records(paths, heads, rows, stopped) -> str:
-    """Record lines of trajectories.jsonl, one per item of each argument:
-    the path number's text, its head ', "t": <t>, "sigma": [', the sigma
-    row's text and the stopped flag.  write_jsonl writes these lines and
-    read_jsonl checks every batch it reads against them."""
-    ends = map(_STOPPED.__getitem__, stopped)
-    return "".join(chain.from_iterable(zip(repeat('{"path": '), paths, heads, rows, ends)))
+def _heads(times: np.ndarray) -> list:
+    """The head ', "t": <t>, "sigma": [' of a record at each of times."""
+    return [f', "t": {t}, "sigma": [' for t in _json_texts(times.tolist())]
+
+
+def _records(first: int, rows, times, stopped_at, heads) -> str:
+    """Records first, first + 1, ... of trajectories.jsonl, one line per
+    sigma row text in rows: record k is path k // n_times at time
+    k % n_times, stopped once t >= stopped_at.  heads holds _heads(times),
+    or None to make each record's head on its own.  write_jsonl writes
+    these lines and read_jsonl checks every batch it reads against them."""
+    p, j = np.divmod(np.arange(first, first + len(rows)), times.size)
+    hd = _heads(times[j]) if heads is None else map(heads.__getitem__, j.tolist())
+    # comparisons with a NaN stop time are False: a path that never stopped
+    ends = map(_STOPPED.__getitem__, (times[j] >= stopped_at[p]).tolist())
+    return "".join(chain.from_iterable(zip(repeat('{"path": '), map(str, p.tolist()), hd, rows, ends)))
 
 
 def _read_header(line: str) -> dict:
@@ -288,38 +293,37 @@ def write_jsonl(ens: PathEnsemble, path: str):
     json.dumps writes it (its repr, and Infinity or -Infinity), so byte
     content is a pure function of the ensemble.
 
-    Records are formatted and written in blocks of whole paths holding at
-    most _WRITE_VALUES sigma values, or one path where a path holds more,
-    so memory beyond the ensemble is bounded by one block: one float repr
-    per value, the rows joined from them, the block's text, and pieces made
-    once per file for the rest of each record.
+    The header's lists are written in blocks of at most _WRITE_VALUES
+    entries, and the records in blocks of at most _WRITE_VALUES sigma
+    values, at least one record, so memory beyond the ensemble is bounded
+    by one block: the text of its values, the rows joined from them and
+    the block's text, and the head of each time where there are at most
+    _WRITE_VALUES times.
     """
-    header = {
-        "meta": _meta_to_json(ens.meta),
-        "times": [float(t) for t in ens.times],
-        "stopped_at": [None if np.isnan(t) else float(t) for t in ens.stopped_at],
-        "stop_reason": list(ens.stop_reason),
-        "rejections": [int(r) for r in ens.rejections],
-    }
     n_times, dim = ens.samples.shape[1:]
-    per_block = max(1, _WRITE_VALUES // max(1, n_times * dim))
-    heads = [f', "t": {json.dumps(float(t))}, "sigma": [' for t in ens.times]
+    rows_of = ens.samples.reshape(ens.n_paths * n_times, dim)  # record k's row is rows_of[k]
+    per_block = max(1, _WRITE_VALUES // max(1, dim))
+    heads = _heads(ens.times) if n_times <= _WRITE_VALUES else None
     with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for lo in range(0, ens.n_paths, per_block):
-            hi = min(lo + per_block, ens.n_paths)
-            block = ens.samples[lo:hi]
-            vals = list(map(float.__repr__, block.ravel().tolist()))
-            if np.isinf(block).any():
-                vals = [_JSON_INF.get(v, v) for v in vals]
+        fh.write('{"meta": ' + json.dumps(_meta_to_json(ens.meta)))
+        for key in _HEADER_LISTS:
+            entries = getattr(ens, key)
+            fh.write(f', "{key}": [')
+            for lo in range(0, len(entries), _WRITE_VALUES):
+                block = np.asarray(entries[lo : lo + _WRITE_VALUES]).tolist()
+                if key == "stopped_at":
+                    block = [None if t != t else t for t in block]  # NaN: never stopped
+                fh.write((", " if lo else "") + json.dumps(block)[1:-1])
+            fh.write("]")
+        fh.write("}\n")
+        for lo in range(0, len(rows_of), per_block):
+            block = rows_of[lo : lo + per_block]
+            vals = _json_texts(block.ravel().tolist())
             rows = vals if dim == 1 else list(map(", ".join, zip(*[iter(vals)] * dim)))
             # rows holding a NaN are formatted too, then emptied
-            for i in np.flatnonzero(np.isnan(block).any(axis=2)).tolist():
+            for i in np.flatnonzero(np.isnan(block).any(axis=1)).tolist():
                 rows[i] = ""
-            paths = chain.from_iterable(repeat(str(p), n_times) for p in range(lo, hi))
-            # comparisons with a NaN stop time are False: a path that never stopped
-            stopped = ens.times >= ens.stopped_at[lo:hi, None]
-            fh.write(_records(paths, heads * (hi - lo), rows, stopped.ravel().tolist()))
+            fh.write(_records(lo, rows, ens.times, ens.stopped_at, heads))
 
 
 def read_jsonl(path: str) -> PathEnsemble:
@@ -345,11 +349,11 @@ def read_jsonl(path: str) -> PathEnsemble:
             header = _read_header(fh.readline())
         except ValueError as exc:
             raise RecordInvalid(f"{path}, line 1: not a header in write_jsonl's form: {exc}") from None
-        meta = _meta_from_json(header["meta"])
+        meta = header["meta"]
+        if meta.get("beta") == "inf":
+            meta["beta"] = float("inf")
         times = np.asarray(header["times"], dtype=float)
-        stopped_at = np.asarray(
-            [np.nan if t is None else t for t in header["stopped_at"]], dtype=float
-        )
+        stopped_at = np.array([np.nan if t is None else t for t in header["stopped_at"]])
         reasons = list(header["stop_reason"])
         rejections = np.asarray(header["rejections"], dtype=np.int64)
         n_paths = len(reasons)
@@ -357,7 +361,7 @@ def read_jsonl(path: str) -> PathEnsemble:
         samples = np.full((n_paths, times.size, dim), np.nan)
         total = samples.shape[0] * samples.shape[1]
         rows_of = samples.reshape(total, dim)  # a view: record k's row is rows_of[k]
-        heads = [f', "t": {json.dumps(float(t))}, "sigma": [' for t in times]
+        heads = _heads(times) if times.size <= _WRITE_VALUES else None
 
         def parse(text: str, first: int):
             # (records, nonempty sigma lists, their rows) of text, which
@@ -366,10 +370,8 @@ def read_jsonl(path: str) -> PathEnsemble:
             n = len(parts) // 2
             if n == 0 or first + n > total:
                 raise ValueError("no record at this position")
-            p, j = np.divmod(np.arange(first, first + n), times.size)
             sigma = parts[1::2]
-            flags = (times[j] >= stopped_at[p]).tolist()
-            rebuilt = _records(map(str, p.tolist()), map(heads.__getitem__, j.tolist()), sigma, flags)
+            rebuilt = _records(first, sigma, times, stopped_at, heads)
             # the last line of a file may lack its newline
             if rebuilt != text and rebuilt[:-1] != text:
                 raise ValueError("not in the layout")
@@ -447,9 +449,8 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
     otherwise.  A kernel whose step holds the interpreter lock gains
     nothing from threads: its chunks always run inline and hold
     _INLINE_CHUNK paths, so each numpy call of a step covers more paths.
-    A refill draws at most _REFILL_DRAWS normals per path, and the primary
-    noise buffers of the chunks in flight share _NOISE_BYTES, so a pooled
-    run holds no more noise than an inline one.
+    A refill draws at most _REFILL_DRAWS normals per path, at least one
+    step's, whatever the worker count.
     """
     check_threads(threads)
     n_paths = cfg.n_paths
@@ -464,7 +465,6 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
 
     size = _CHUNK if kernel.releases_gil else _INLINE_CHUNK
     chunks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    workers = min(threads, len(chunks)) if kernel.releases_gil else 1
 
     def do_chunk(lo: int, hi: int):
         c = hi - lo
@@ -473,11 +473,9 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
         # path i's primary draws for steps [s0, s0 + block) sit in rows
         # i * block + (s mod block) of one reused buffer, its slab, refilled
         # from its persistent stream when it reaches step s0; a refill
-        # draws at most _REFILL_DRAWS normals a path, the workers' buffers
-        # share _NOISE_BYTES, and the steps spread evenly over the fewest
-        # refills both allow
-        width = max(nd, 1)
-        most = max(1, min(_REFILL_DRAWS // width, _NOISE_BYTES // workers // (8 * c * width)))
+        # draws at most _REFILL_DRAWS normals a path, and the steps spread
+        # evenly over the fewest refills that allows
+        most = max(1, _REFILL_DRAWS // max(nd, 1))
         block = -(-steps // -(-steps // most))
         noise = np.empty((c * block, nd))
         fills = slabs = None
@@ -580,6 +578,7 @@ def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:
             if left:
                 act = np.flatnonzero(alive)
 
+    workers = min(threads, len(chunks)) if kernel.releases_gil else 1
     if workers > 1:
         # imported here, so a run that starts no pool imports neither it
         # nor the logging it brings

@@ -165,14 +165,15 @@ def sigma_to_lambda(sigma: np.ndarray) -> np.ndarray:
 
 
 def spectral_coordinates(z: SiegelPoint) -> SpectralCoord:
-    """Radial coordinates of a half-space point.
+    """Radial coordinates of a half-space point, given as a SiegelPoint or
+    a raw array read as one, or of a DiskPoint.
 
     Computed from the Hermitian spectrum of R conj(R) in the disk model
     (numerically preferable to the general cross-ratio route).  Raises
     DegenerateSpectrum when lambda_1 or a lambda gap falls below 1e-10,
     OutOfChamber when some lambda reaches one.
     """
-    r = cayley_to_disk(z).r if isinstance(z, SiegelPoint) else disk_point(z).r
+    r = z.r if isinstance(z, DiskPoint) else cayley_to_disk(SiegelPoint(z=getattr(z, "z", z))).r
     return SpectralCoord(sigma=_disk_sigma(r))
 
 

@@ -104,10 +104,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
-
-
 def _singular_values2(a: np.ndarray) -> np.ndarray:
     """Closed-form ascending singular values (2, ...) of a path-last stack
     (2, 2, ...) of complex symmetric a = [[p, b], [b, s]]:
@@ -119,7 +115,7 @@ def _singular_values2(a: np.ndarray) -> np.ndarray:
     d = (|p|^2 - |s|^2)/2, so mu_1's relative error stays near
     eps mu_2 / mu_1, not the eps (mu_2 / mu_1)^2 of the spectrum of a^H a."""
     p, b, s = a[0, 0], a[0, 1], a[1, 1]
-    pp, bb, ss = _abs2(p), _abs2(b), _abs2(s)
+    pp, bb, ss = (z.real * z.real + z.imag * z.imag for z in (p, b, s))
     w = p.conj() * b + b.conj() * s
     wabs, d = np.abs(w), 0.5 * (pp - ss)
     mu = np.zeros_like(a.real[0])

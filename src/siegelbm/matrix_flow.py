@@ -35,7 +35,7 @@ purely imaginary, so S X S is tangent to the U(n)-orbit of diag(mu) and
 cannot move sigma; the singular values of the Ito step would spread each
 path like sqrt(h), since it cancels the orbit noise's radial part in the
 mean only.  So sigma takes the mean-curvature step sigma' = sigma +
-h particle_flow._half_gradient(sigma), in ParticleKernel._step's order: the
+particle_flow._euler_increment(sigma, h), the particle scheme's own: the
 matrix ensemble's sigma is the particle scheme's to the bit.  The kernel
 draws nothing and builds no A'; the single-state step takes its n^2 + n
 draws and builds A', with drift coefficient 1/2, for its frame only.
@@ -86,7 +86,7 @@ from .linalg import (
     unitary_algebra_basis,
     unitary_exp,
 )
-from .particle_flow import _half_gradient
+from .particle_flow import _euler_increment
 
 
 @dataclass
@@ -167,10 +167,8 @@ def _step(sig: np.ndarray, h, xi: np.ndarray, beta: float, floor: float, a=None)
     unless given), at beta = inf from the mean-curvature step, which reads
     neither a nor the draws."""
     if np.isinf(beta):
-        # S X S cannot move sigma (module docstring): sig_new =
-        # sig + (1/2) grad S * h, in ParticleKernel._step's order
-        sig_new = _half_gradient(sig)
-        sig_new *= h
+        # S X S cannot move sigma (module docstring): the particle scheme's step
+        sig_new = _euler_increment(sig, h)
         sig_new += sig
         top = np.tanh(0.5 * sig_new[-1])
     else:

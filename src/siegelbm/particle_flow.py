@@ -22,6 +22,7 @@ import numpy as np
 from . import ensemble as ens
 from .entropy import _dyson_raw, _gradient_raw, _sum_lead, cutoff_eta, entropy_gradient
 from .errors import OutOfChamber
+from .geometry import in_chamber
 from .config import SimConfig
 
 
@@ -47,9 +48,7 @@ class ParticleKernel(ens._Kernel):
 
     def _step(self, sig, h, xi):
         # prop = sig + eta * ((1/2) grad S * h + (coef * sqrt(h)) * xi), in place
-        prop = _half_gradient(sig)
-        prop *= h
-        prop += self._noise(h, xi)
+        prop = _euler_increment(sig, h, self._noise(h, xi))
         if self.cutoff is None:
             prop += sig
             return prop, self._accept(self._chamber_ok(prop))
@@ -122,6 +121,15 @@ def _half_gradient(sig: np.ndarray) -> np.ndarray:
     return 0.5 * _gradient_raw(sig.T).T
 
 
+def _euler_increment(sig: np.ndarray, h, noise=0.0) -> np.ndarray:
+    """(1/2) grad S * h + noise for sig (n, c): the particle scheme's Euler
+    increment, and so to the bit the matrix scheme's at beta = inf."""
+    inc = _half_gradient(sig)
+    inc *= h
+    inc += noise
+    return inc
+
+
 def _rk4_step(sig: np.ndarray, h: float) -> np.ndarray:
     """One RK4 step of sigma' = (1/2) grad S for the columns of sig (n, c)."""
     k1 = _half_gradient(sig)
@@ -135,20 +143,21 @@ def integrate_mean_curvature(sigma0, t_final: float, h: float):
     """Deterministic radial flow by classical RK4.
 
     Returns (times, trajectory) with trajectory[j] the state at times[j];
-    times is the uniform grid 0, h, ..., t_final.
+    times is the uniform grid 0, h, ..., t_final.  Raises OutOfChamber when
+    sigma0 or a step is off the open chamber 0 < sigma_1 < ... < sigma_n.
     """
     sigma0 = np.asarray(getattr(sigma0, "sigma", sigma0), dtype=float)
     steps = int(round(t_final / h))
     if abs(steps * h - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError("t_final must be an integer multiple of h")
     traj = np.empty((steps + 1, sigma0.size))
-    traj[0] = sigma0
-    sig = sigma0[:, None].copy()
-    for j in range(steps):
-        sig = _rk4_step(sig, h)
-        if not np.all(np.isfinite(sig)):
-            raise OutOfChamber("flow left the chamber")
-        traj[j + 1] = sig[:, 0]
+    sig = sigma0[:, None]
+    for j in range(steps + 1):
+        if j:
+            sig = _rk4_step(sig, h)
+        if not in_chamber(sig[:, 0], 0.0):
+            raise OutOfChamber(f"flow off the open chamber at t = {j * h}")
+        traj[j] = sig[:, 0]
     return np.arange(steps + 1) * h, traj
 
 

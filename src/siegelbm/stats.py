@@ -126,10 +126,11 @@ def moment_report(ensemble: PathEnsemble) -> dict:
             if row["sum_cosh_mean"] > 0:
                 log_pts.append((float(t), np.log(row["sum_cosh_mean"])))
         rows.append(row)
+    stops = zip(ensemble.stop_reason, ensemble.stopped_at)
     report = {
         "n_paths": ensemble.n_paths,
         "rejections": int(np.sum(ensemble.rejections)),
-        "stop_reasons": _stop_counts(ensemble),
+        "stop_reasons": dict(Counter(reason for reason, stop in stops if np.isfinite(stop))),
         "rows": rows,
     }
     if len(log_pts) >= 2:
@@ -137,11 +138,6 @@ def moment_report(ensemble: PathEnsemble) -> dict:
         slope, intercept = np.polyfit(ts, ys, 1)
         report["growth"] = {"rate": float(slope), "intercept": float(intercept)}
     return report
-
-
-def _stop_counts(ensemble: PathEnsemble) -> dict:
-    stops = zip(ensemble.stop_reason, ensemble.stopped_at)
-    return dict(Counter(reason for reason, stop in stops if np.isfinite(stop)))
 
 
 def time_index(times, t: float | None = None) -> int:

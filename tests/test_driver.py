@@ -2,6 +2,7 @@
 reach the thread pool, chunk independence, and the worker-count check;
 the sample grid it records and the stop reasons it names; and its batched
 refinements against the sequential driver it replaced."""
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -72,8 +73,7 @@ def test_streamed_noise_blocks_match_default(monkeypatch, case, block):
     if case == "particle-walls":
         assert reference.rejections.sum() > 0
     c = cfg.n_paths
-    budget = block * 8 * c * max(nd, 1)
-    monkeypatch.setattr(ensemble, "_NOISE_BYTES", budget)
+    budget = block * 8 * c * max(nd, 1)  # bytes of block steps' draws for every path
     monkeypatch.setattr(ensemble, "_REFILL_DRAWS", block * max(nd, 1))
     outs = []
     make = ensemble.path_generator
@@ -206,14 +206,13 @@ def test_pooled_eigvalsh_calls_take_turns(monkeypatch):
     assert most[0] == 1
 
 
-# a refill draws at most _REFILL_DRAWS normals a path, and the primary
-# noise buffers of the chunks in flight share _NOISE_BYTES: an inline run's
-# one buffer may take it all, each of two pooled chunks half, and each chunk
-# spreads its steps evenly over the fewest refills both allow
-def _noise_blocks(monkeypatch, inline_steps, inline_blocks, pooled_steps, pooled_blocks):
+# a refill draws at most _REFILL_DRAWS normals a path, whatever the worker
+# count, and each chunk spreads its steps evenly over the fewest refills
+# that allows
+def _noise_blocks(monkeypatch, steps, blocks):
     """Check a 15-step n = 8 run's blocks, inline and on two workers.
 
-    The block maps give each block length's refills per path: every path
+    The block map gives each block length's refills per path: every path
     of the 512-path chunk takes each of its blocks."""
     cfg = _pooled_matrix_config(15)
     make = ensemble.path_generator
@@ -226,28 +225,46 @@ def _noise_blocks(monkeypatch, inline_steps, inline_blocks, pooled_steps, pooled
         )
         ens = _simulate(cfg, threads)
         largest = max(out.base.nbytes for out in outs)
+        assert all(out.size <= ensemble._REFILL_DRAWS for out in outs)
         return ens, largest, Counter(out.shape[0] for out in outs if out.base.nbytes == largest)
 
     inline, inline_bytes, inline_counts = run(1)
     pooled, pooled_bytes, pooled_counts = run(2)
-    assert inline_bytes == inline_steps * step_bytes <= ensemble._NOISE_BYTES
-    assert inline_counts == {k: v * ensemble._CHUNK for k, v in inline_blocks.items()}
-    assert pooled_bytes == pooled_steps * step_bytes <= ensemble._NOISE_BYTES // 2
-    assert pooled_counts == {k: v * ensemble._CHUNK for k, v in pooled_blocks.items()}
+    assert inline_bytes == pooled_bytes == steps * step_bytes
+    assert inline_counts == pooled_counts == {k: v * ensemble._CHUNK for k, v in blocks.items()}
     assert ensembles_equal(pooled, inline)
 
 
 def test_noise_budget_bounds_the_chunks_in_flight(monkeypatch):
     # 256 draws are 3 steps of 72: five blocks of 3, inline and pooled
-    _noise_blocks(monkeypatch, 3, {3: 5}, 3, {3: 5})
+    _noise_blocks(monkeypatch, 3, {3: 5})
 
 
 def test_noise_budget_alone_balances_the_blocks(monkeypatch):
-    # with no draw cap the whole budget holds 14 steps and half of it 7, so
-    # the chunk refills twice inline, in blocks of 8 and 7 steps, and three
-    # times pooled, in blocks of 5
-    monkeypatch.setattr(ensemble, "_REFILL_DRAWS", 15 * 72)
-    _noise_blocks(monkeypatch, 8, {8: 1, 7: 1}, 5, {5: 3})
+    # a cap of 14 steps' draws refills twice, in blocks of 8 and 7 steps,
+    # not 14 and 1, inline and pooled alike
+    monkeypatch.setattr(ensemble, "_REFILL_DRAWS", 14 * 72)
+    _noise_blocks(monkeypatch, 8, {8: 1, 7: 1})
+
+
+def test_many_workers_draw_as_one(monkeypatch):
+    # seven chunks of 16 paths on six workers: every refill holds at most
+    # _REFILL_DRAWS draws a path, and the run is the inline one to the bit
+    cfg = replace(_pooled_matrix_config(15), n_paths=100)
+    reference = _simulate(cfg)
+    monkeypatch.setattr(ensemble, "_CHUNK", 16)
+    outs, pools = [], []
+    make = ensemble.path_generator
+    monkeypatch.setattr(
+        ensemble, "path_generator", lambda *a, **k: _RecordingGenerator(make(*a, **k), outs)
+    )
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(
+        concurrent.futures, "ThreadPoolExecutor", lambda max_workers: pools.append(max_workers) or pool(max_workers)
+    )
+    assert ensembles_equal(_simulate(cfg, threads=6), reference)
+    assert pools == [6]
+    assert len(outs) == 100 * 5 and all(out.shape == (3, 72) for out in outs)
 
 
 # matrix n=8 is where the step's contractions run as BLAS matmuls; at 8
@@ -569,7 +586,7 @@ def reference_run_ensemble(cfg, kernel):
         state = kernel.init(c)
         nd = kernel.noise_dim
         width = max(nd, 1)
-        most = max(1, min(ensemble._REFILL_DRAWS // width, ensemble._NOISE_BYTES // (8 * c * width)))
+        most = max(1, ensemble._REFILL_DRAWS // width)
         block = -(-steps // -(-steps // most))  # as few refills, of even length
         noise = np.empty((c, block, nd))
         gens = [ensemble.path_generator(cfg.seed, cfg.scheme, p) for p in range(lo, hi)]

@@ -108,6 +108,12 @@ def _mixed_block(n_paths):
     return ens
 
 
+def _long_path():
+    ens = _ensemble(1, times=np.arange(_WRITE_VALUES + 5) * 1e-3)
+    _stop(ens, 0, 3.0)
+    return ens
+
+
 CASES = {
     "frozen-at-sample-time": _frozen_at_sample_time,
     "stopped-between-samples": _stopped_between_samples,
@@ -128,6 +134,8 @@ CASES = {
     "repr-switch-large": lambda: _entries(9999999999999998.0, 1e16),
     "repr-switch-small": lambda: _entries(1e-05, 0.0001),
     "one-sample-time": lambda: _ensemble(3, times=np.array([0.25])),
+    # one path of more values, and more times, than _WRITE_VALUES
+    "long-path": _long_path,
 }
 
 
@@ -140,9 +148,10 @@ def test_block_writer_matches_reference_bytes(tmp_path, case):
 
 
 @pytest.mark.parametrize("values", [1, 11, 12, 13, 25])
-def test_write_blocks_hold_at_least_one_path(tmp_path, monkeypatch, values):
-    # a dim-2 path at _TIMES holds 12 values: a cap below that still
-    # formats one path per block, and caps around it split the paths anew
+def test_write_blocks_hold_at_least_one_record(tmp_path, monkeypatch, values):
+    # a dim-2 record holds 2 values and a path at _TIMES 12: a cap below 2
+    # still formats one record per block, and the others split the
+    # records off path edges or on them
     monkeypatch.setattr("siegelbm.ensemble._WRITE_VALUES", values)
     ens = _mixed_block(7)
     write_jsonl(ens, tmp_path / "new.jsonl")
@@ -359,3 +368,13 @@ def test_write_and_read_memory_stays_near_the_samples(tmp_path):
     assert ensembles_equal(back, ens)
     assert write_peak < 4e6
     assert read_peak - ens.samples.nbytes < 2e6
+
+
+def test_write_memory_stays_bounded_for_one_long_path(tmp_path):
+    # one path at 200,001 sample times and dim 2: a 3.2 MB sample array,
+    # which took 110.6 MB to format as one block of the whole path
+    ens = _ensemble(1, times=np.arange(200_001) * 1e-2)
+    _stop(ens, 0, 1500.0)
+    _, write_peak = _traced_peak(lambda: write_jsonl(ens, tmp_path / "t.jsonl"))
+    assert write_peak < 2e6
+    assert ensembles_equal(read_jsonl(tmp_path / "t.jsonl"), ens)

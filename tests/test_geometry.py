@@ -216,6 +216,19 @@ def test_spectral_coordinates_unitary_invariance():
     np.testing.assert_allclose(sc.sigma, 2 * np.arctanh(mu), atol=1e-10)
 
 
+def test_spectral_coordinates_reads_a_raw_array_as_a_half_space_point():
+    # a raw array used to be read as a disk point: [0.619, 1.386] here
+    y = np.array([0.6, 0.3])
+    z = np.diag(1j * y)
+    expected = spectral_coordinates(SiegelPoint(z=z)).sigma
+    # iy maps to the disk point (y - 1) / (y + 1)
+    np.testing.assert_allclose(expected, 2 * np.arctanh((1 - y) / (1 + y)), atol=1e-12)
+    np.testing.assert_array_equal(spectral_coordinates(z).sigma, expected)
+    np.testing.assert_array_equal(spectral_coordinates(cayley_to_disk(SiegelPoint(z=z))).sigma, expected)
+    with pytest.raises(OutOfChamber):
+        spectral_coordinates(-z)  # a raw array is checked as a half-space point
+
+
 def test_spectral_coordinates_degenerate():
     with pytest.raises(DegenerateSpectrum):
         spectral_coordinates(SiegelPoint(z=1j * np.eye(2) * 2))

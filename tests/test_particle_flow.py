@@ -111,6 +111,20 @@ def test_mean_curvature_gaps_spread():
     assert np.all(gaps1 > gaps0)  # repulsive interaction widens the chamber
 
 
+def test_mean_curvature_refuses_a_step_off_the_chamber():
+    # near the wall one RK4 step of h = 0.01 overshoots sigma_2 past
+    # sigma_1: it used to return the row [0.201, 0.0665, 0.604] at t = 0.01
+    with pytest.raises(OutOfChamber, match="at t = 0.01"):
+        integrate_mean_curvature(np.array([0.01, 0.02, 0.5]), 0.02, 0.01)
+
+
+@pytest.mark.parametrize("sigma0", [(2.0, 1.0), (0.0, 1.0), (1.0, 1.0), (1.0, np.inf)])
+def test_mean_curvature_refuses_a_start_off_the_chamber(sigma0):
+    # the unordered start (2, 1) used to be integrated
+    with pytest.raises(OutOfChamber, match="at t = 0.0"):
+        integrate_mean_curvature(np.array(sigma0), 0.02, 0.01)
+
+
 def test_mean_curvature_scheme_matches_integrator():
     cfg = SimConfig(scheme="mean-curvature", n=2, beta=np.inf, sigma0=(0.8, 1.6),
                     t_final=0.2, dt=1e-3, n_paths=1, seed=1, sample_times=(0.1, 0.2))
