@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -33,10 +33,9 @@ _INLINE_CHUNK = 1024  # paths per chunk for a kernel that holds it
 # not 14 + 1)
 _REFILL_DRAWS = 256
 _HALVING_UNITS = 1024  # step-halving floor is h / 2**10
-# sigma values or header list entries per write_jsonl block, at least one
-# record's; and the most sample times whose record heads are made per file
-_WRITE_VALUES = 4096
+_WRITE_VALUES = 4096  # sigma values or header list entries per write_jsonl block, at least one record's
 _READ_BYTES = 1 << 16  # size hint for one batch of lines in read_jsonl
+_JSON_TEXTS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # where json.dumps differs from repr
 _STOPPED = ('], "stopped": false}\n', '], "stopped": true}\n')
 # read_jsonl splits a batch at both brackets of every sigma list
 _BRACKETS = str.maketrans("[]", "\x1e\x1e")
@@ -238,27 +237,28 @@ def _meta_to_json(meta: dict) -> dict:
     return out
 
 
-def _json_texts(values: list) -> list:
-    """The text json.dumps writes for each number of values."""
-    return json.dumps(values)[1:-1].split(", ")
+def _json_texts(values: np.ndarray) -> list:
+    """The text json.dumps writes for each float of values."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = _JSON_TEXTS[texts[i]]
+    return texts
 
 
-def _heads(times: np.ndarray) -> list:
-    """The head ', "t": <t>, "sigma": [' of a record at each of times."""
-    return [f', "t": {t}, "sigma": [' for t in _json_texts(times.tolist())]
-
-
-def _records(first: int, rows, times, stopped_at, heads) -> str:
+def _records(first: int, rows, times, stopped_at) -> str:
     """Records first, first + 1, ... of trajectories.jsonl, one line per
     sigma row text in rows: record k is path k // n_times at time
-    k % n_times, stopped once t >= stopped_at.  heads holds _heads(times),
-    or None to make each record's head on its own.  write_jsonl writes
-    these lines and read_jsonl checks every batch it reads against them."""
+    k % n_times, stopped once t >= stopped_at.  write_jsonl writes these
+    lines and read_jsonl checks every batch it reads against them."""
     p, j = np.divmod(np.arange(first, first + len(rows)), times.size)
-    hd = _heads(times[j]) if heads is None else map(heads.__getitem__, j.tolist())
+    # each path's start repeats once a record, and the heads of the first
+    # n_times records repeat with period n_times
+    starts = map(repeat, [f'{{"path": {q}' for q in range(p[0], p[-1] + 1)], np.bincount(p - p[0]).tolist())
+    heads = [f', "t": {t}, "sigma": [' for t in _json_texts(times[j[: times.size]])]
     # comparisons with a NaN stop time are False: a path that never stopped
     ends = map(_STOPPED.__getitem__, (times[j] >= stopped_at[p]).tolist())
-    return "".join(chain.from_iterable(zip(repeat('{"path": '), map(str, p.tolist()), hd, rows, ends)))
+    pieces = zip(chain.from_iterable(starts), cycle(heads), rows, ends)
+    return "".join(chain.from_iterable(pieces))
 
 
 def _read_header(line: str) -> dict:
@@ -296,14 +296,12 @@ def write_jsonl(ens: PathEnsemble, path: str):
     The header's lists are written in blocks of at most _WRITE_VALUES
     entries, and the records in blocks of at most _WRITE_VALUES sigma
     values, at least one record, so memory beyond the ensemble is bounded
-    by one block: the text of its values, the rows joined from them and
-    the block's text, and the head of each time where there are at most
-    _WRITE_VALUES times.
+    by one block: the text of its values, the rows joined from them, the
+    heads of the times it touches and the block's text.
     """
     n_times, dim = ens.samples.shape[1:]
     rows_of = ens.samples.reshape(ens.n_paths * n_times, dim)  # record k's row is rows_of[k]
     per_block = max(1, _WRITE_VALUES // max(1, dim))
-    heads = _heads(ens.times) if n_times <= _WRITE_VALUES else None
     with open(path, "w") as fh:
         fh.write('{"meta": ' + json.dumps(_meta_to_json(ens.meta)))
         for key in _HEADER_LISTS:
@@ -318,12 +316,12 @@ def write_jsonl(ens: PathEnsemble, path: str):
         fh.write("}\n")
         for lo in range(0, len(rows_of), per_block):
             block = rows_of[lo : lo + per_block]
-            vals = _json_texts(block.ravel().tolist())
+            vals = _json_texts(block.ravel())
             rows = vals if dim == 1 else list(map(", ".join, zip(*[iter(vals)] * dim)))
             # rows holding a NaN are formatted too, then emptied
             for i in np.flatnonzero(np.isnan(block).any(axis=1)).tolist():
                 rows[i] = ""
-            fh.write(_records(lo, rows, ens.times, ens.stopped_at, heads))
+            fh.write(_records(lo, rows, ens.times, ens.stopped_at))
 
 
 def read_jsonl(path: str) -> PathEnsemble:
@@ -361,7 +359,6 @@ def read_jsonl(path: str) -> PathEnsemble:
         samples = np.full((n_paths, times.size, dim), np.nan)
         total = samples.shape[0] * samples.shape[1]
         rows_of = samples.reshape(total, dim)  # a view: record k's row is rows_of[k]
-        heads = _heads(times) if times.size <= _WRITE_VALUES else None
 
         def parse(text: str, first: int):
             # (records, nonempty sigma lists, their rows) of text, which
@@ -371,7 +368,7 @@ def read_jsonl(path: str) -> PathEnsemble:
             if n == 0 or first + n > total:
                 raise ValueError("no record at this position")
             sigma = parts[1::2]
-            rebuilt = _records(first, sigma, times, stopped_at, heads)
+            rebuilt = _records(first, sigma, times, stopped_at)
             # the last line of a file may lack its newline
             if rebuilt != text and rebuilt[:-1] != text:
                 raise ValueError("not in the layout")

@@ -173,8 +173,9 @@ def spectral_coordinates(z: SiegelPoint) -> SpectralCoord:
     DegenerateSpectrum when lambda_1 or a lambda gap falls below 1e-10,
     OutOfChamber when some lambda reaches one.
     """
-    r = z.r if isinstance(z, DiskPoint) else cayley_to_disk(SiegelPoint(z=getattr(z, "z", z))).r
-    return SpectralCoord(sigma=_disk_sigma(r))
+    if not isinstance(z, DiskPoint):
+        z = cayley_to_disk(z if isinstance(z, SiegelPoint) else SiegelPoint(z=z))
+    return SpectralCoord(sigma=_disk_sigma(z.r))
 
 
 def _disk_sigma(r: np.ndarray) -> np.ndarray:

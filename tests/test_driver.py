@@ -236,23 +236,24 @@ def _noise_blocks(monkeypatch, steps, blocks):
 
 
 def test_noise_budget_bounds_the_chunks_in_flight(monkeypatch):
-    # 256 draws are 3 steps of 72: five blocks of 3, inline and pooled
+    # the noise budget is _REFILL_DRAWS draws a path: 256 draws are 3 steps
+    # of 72, five blocks of 3, inline and pooled
     _noise_blocks(monkeypatch, 3, {3: 5})
 
 
 def test_noise_budget_alone_balances_the_blocks(monkeypatch):
-    # a cap of 14 steps' draws refills twice, in blocks of 8 and 7 steps,
-    # not 14 and 1, inline and pooled alike
+    # a budget of 14 steps' draws a path refills twice, in blocks of 8 and
+    # 7 steps, not 14 and 1, inline and pooled alike
     monkeypatch.setattr(ensemble, "_REFILL_DRAWS", 14 * 72)
     _noise_blocks(monkeypatch, 8, {8: 1, 7: 1})
 
 
 def test_many_workers_draw_as_one(monkeypatch):
-    # seven chunks of 16 paths on six workers: every refill holds at most
-    # _REFILL_DRAWS draws a path, and the run is the inline one to the bit
-    cfg = replace(_pooled_matrix_config(15), n_paths=100)
+    # six chunks of up to 512 paths on six workers: every refill holds 3
+    # steps, the most _REFILL_DRAWS allows, as inline (a byte budget shared
+    # by the workers would allow 2), and the run is the inline one to the bit
+    cfg = _pooled_matrix_config(15, chunks=6)
     reference = _simulate(cfg)
-    monkeypatch.setattr(ensemble, "_CHUNK", 16)
     outs, pools = [], []
     make = ensemble.path_generator
     monkeypatch.setattr(
@@ -264,7 +265,7 @@ def test_many_workers_draw_as_one(monkeypatch):
     )
     assert ensembles_equal(_simulate(cfg, threads=6), reference)
     assert pools == [6]
-    assert len(outs) == 100 * 5 and all(out.shape == (3, 72) for out in outs)
+    assert len(outs) == cfg.n_paths * 5 and all(out.shape == (3, 72) for out in outs)
 
 
 # matrix n=8 is where the step's contractions run as BLAS matmuls; at 8
