@@ -51,10 +51,11 @@ def _real(v) -> float | None:
         return math.inf if v > 0 else -math.inf
 
 
-def _positive_finite(fieldname: str, v) -> float:
+def _positive_finite(fieldname: str, v, error=ConfigInvalid) -> float:
+    """v as a float; error naming fieldname unless v is a positive finite number."""
     x = _real(v)
     if x is None or not 0.0 < x < math.inf:
-        _fail(fieldname, "must be a positive finite number")
+        raise error(f"{fieldname}: must be a positive finite number")
     return x
 
 

@@ -21,7 +21,7 @@ from itertools import chain, cycle, repeat
 
 import numpy as np
 
-from .config import _is_integer
+from .config import _is_integer, _positive_finite
 from .errors import ChamberExit, ConfigInvalid, DomainExit, OriginHit, RecordInvalid
 from .geometry import in_chamber
 
@@ -41,13 +41,8 @@ _STOPPED = ('], "stopped": false}\n', '], "stopped": true}\n')
 _BRACKETS = str.maketrans("[]", "\x1e\x1e")
 # what is left of a sigma list's text once its numbers go: the separators
 _DROP_NUMBERS = str.maketrans("", "", "0123456789.eE+-Infinity")
-# the lists of write_jsonl's header after meta: the types of their entries
-_HEADER_LISTS = {
-    "times": ((float,), "floats"),
-    "stopped_at": ((float, type(None)), "floats or nulls"),
-    "stop_reason": ((str, type(None)), "strings or nulls"),
-    "rejections": ((int,), "integers"),
-}
+# the lists of write_jsonl's header, after meta
+_HEADER_LISTS = ("times", "stopped_at", "stop_reason", "rejections")
 
 SCHEME_IDS = {
     "matrix": 1,
@@ -89,10 +84,17 @@ def check_gaussians(gaussians, dim: int) -> np.ndarray:
     return xi
 
 
+def check_step(h) -> float:
+    """The step size of a single-state step as a float; ValueError naming h
+    unless it is a positive finite number, SimConfig's rule for dt."""
+    return _positive_finite("h", h, ValueError)
+
+
 def step_once(kernel, state, h: float, xi) -> None:
     """Attempt one step of size h for the single path held in state, in
     place, and raise the error its rejection names; a frozen path stays.
     A kernel that draws nothing still takes one draw per coordinate, unread."""
+    h = check_step(h)
     xi = check_gaussians(xi, kernel.noise_dim or kernel.obs_dim)[: kernel.noise_dim]
     raise_rejection(int(kernel.attempt(state, np.array([0]), h, xi[None, :], np.ones(1))[0]))
 
@@ -261,25 +263,21 @@ def _records(first: int, rows, times, stopped_at) -> str:
     return "".join(chain.from_iterable(pieces))
 
 
-def _read_header(line: str) -> dict:
-    """The header object of trajectories.jsonl; ValueError saying how it
-    is off write_jsonl's form, a JSONDecodeError for a line that is not
-    JSON."""
-    head = json.loads(line)
-    if not isinstance(head, dict) or head.keys() != {"meta", *_HEADER_LISTS}:
-        raise ValueError(f"not an object with the keys meta, {', '.join(_HEADER_LISTS)}")
-    meta = head["meta"]
-    if not (isinstance(meta, dict) and _is_integer(meta.get("dim")) and meta["dim"] >= 1):
-        raise ValueError("meta.dim is not a positive integer")
-    for key, (types, what) in _HEADER_LISTS.items():
-        entries = head[key]
-        if not isinstance(entries, list) or any(
-            isinstance(x, bool) or not isinstance(x, types) for x in entries
-        ):
-            raise ValueError(f"{key} is not a list of {what}")
-    if not len(head["stopped_at"]) == len(head["stop_reason"]) == len(head["rejections"]):
-        raise ValueError("stopped_at, stop_reason and rejections differ in length")
-    return head
+def _header(ens: PathEnsemble):
+    """The header line of trajectories.jsonl in pieces, its lists in blocks
+    of at most _WRITE_VALUES entries: write_jsonl writes them, and read_jsonl
+    accepts a header line only if it is these pieces for the values it reads."""
+    yield '{"meta": ' + json.dumps(_meta_to_json(ens.meta))
+    for key in _HEADER_LISTS:
+        entries = getattr(ens, key)
+        yield f', "{key}": ['
+        for lo in range(0, len(entries), _WRITE_VALUES):
+            block = np.asarray(entries[lo : lo + _WRITE_VALUES]).tolist()
+            if key == "stopped_at":
+                block = [None if t != t else t for t in block]  # NaN: never stopped
+            yield (", " if lo else "") + json.dumps(block)[1:-1]
+        yield "]"
+    yield "}\n"
 
 
 def write_jsonl(ens: PathEnsemble, path: str):
@@ -303,17 +301,7 @@ def write_jsonl(ens: PathEnsemble, path: str):
     rows_of = ens.samples.reshape(ens.n_paths * n_times, dim)  # record k's row is rows_of[k]
     per_block = max(1, _WRITE_VALUES // max(1, dim))
     with open(path, "w") as fh:
-        fh.write('{"meta": ' + json.dumps(_meta_to_json(ens.meta)))
-        for key in _HEADER_LISTS:
-            entries = getattr(ens, key)
-            fh.write(f', "{key}": [')
-            for lo in range(0, len(entries), _WRITE_VALUES):
-                block = np.asarray(entries[lo : lo + _WRITE_VALUES]).tolist()
-                if key == "stopped_at":
-                    block = [None if t != t else t for t in block]  # NaN: never stopped
-                fh.write((", " if lo else "") + json.dumps(block)[1:-1])
-            fh.write("]")
-        fh.write("}\n")
+        fh.writelines(_header(ens))
         for lo in range(0, len(rows_of), per_block):
             block = rows_of[lo : lo + per_block]
             vals = _json_texts(block.ravel())
@@ -325,10 +313,12 @@ def write_jsonl(ens: PathEnsemble, path: str):
 
 
 def read_jsonl(path: str) -> PathEnsemble:
-    """Inverse of write_jsonl.  The header is read with json and must be
-    in write_jsonl's form; the records are read in batches of whole lines
-    near _READ_BYTES long, so memory beyond the returned ensemble does not
-    grow with the file, and each batch must be in write_jsonl's layout.
+    """Inverse of write_jsonl.  The header line must be what write_jsonl
+    writes for the values json reads from it, taken as the types the
+    ensemble holds, with meta.dim >= 1 and one stop time, reason and count
+    per path.  The records are read in batches of whole lines near
+    _READ_BYTES long, so memory beyond the returned ensemble does not grow
+    with the file, and each batch must be in write_jsonl's layout.
 
     Records are read by position: record k (line k + 2) is path
     k // n_times at time k % n_times, so every record must be there, in
@@ -344,21 +334,35 @@ def read_jsonl(path: str) -> PathEnsemble:
     """
     with open(path) as fh:
         try:
-            header = _read_header(fh.readline())
-        except ValueError as exc:
+            text = fh.readline()
+            head = json.loads(text)
+            meta = dict(head["meta"])
+            if meta.get("beta") == "inf":
+                meta["beta"] = float("inf")
+            dim = meta["dim"] = int(meta["dim"])
+            ens = PathEnsemble(
+                meta=meta,
+                times=np.fromiter(head["times"], float),
+                samples=None,  # allocated once the header is accepted
+                stopped_at=np.fromiter(head["stopped_at"], float),  # null reads as NaN
+                stop_reason=[None if r is None else str(r) for r in head["stop_reason"]],
+                rejections=np.fromiter(head["rejections"], np.int64),
+            )
+            del head
+            if dim < 1 or not len(ens.stopped_at) == len(ens.stop_reason) == len(ens.rejections):
+                raise ValueError("meta.dim is below one, or stop times, reasons and counts differ in number")
+            # only the last piece ends a line, so text is the pieces or is off
+            pos = 0
+            for piece in _header(ens):
+                if not text.startswith(piece, pos):
+                    raise ValueError(f"it is not what write_jsonl writes for its values after column {pos}")
+                pos += len(piece)
+            del text
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             raise RecordInvalid(f"{path}, line 1: not a header in write_jsonl's form: {exc}") from None
-        meta = header["meta"]
-        if meta.get("beta") == "inf":
-            meta["beta"] = float("inf")
-        times = np.asarray(header["times"], dtype=float)
-        stopped_at = np.array([np.nan if t is None else t for t in header["stopped_at"]])
-        reasons = list(header["stop_reason"])
-        rejections = np.asarray(header["rejections"], dtype=np.int64)
-        n_paths = len(reasons)
-        dim = int(meta["dim"])
-        samples = np.full((n_paths, times.size, dim), np.nan)
-        total = samples.shape[0] * samples.shape[1]
-        rows_of = samples.reshape(total, dim)  # a view: record k's row is rows_of[k]
+        ens.samples = np.full((len(ens.stop_reason), ens.times.size, dim), np.nan)
+        total = ens.n_paths * ens.times.size
+        rows_of = ens.samples.reshape(total, dim)  # a view: record k's row is rows_of[k]
 
         def parse(text: str, first: int):
             # (records, nonempty sigma lists, their rows) of text, which
@@ -368,7 +372,7 @@ def read_jsonl(path: str) -> PathEnsemble:
             if n == 0 or first + n > total:
                 raise ValueError("no record at this position")
             sigma = parts[1::2]
-            rebuilt = _records(first, sigma, times, stopped_at)
+            rebuilt = _records(first, sigma, ens.times, ens.stopped_at)
             # the last line of a file may lack its newline
             if rebuilt != text and rebuilt[:-1] != text:
                 raise ValueError("not in the layout")
@@ -407,16 +411,9 @@ def read_jsonl(path: str) -> PathEnsemble:
         if line - 2 < total:
             raise RecordInvalid(
                 f"{path}, line {line}: missing: the file ends after {line - 2} of the "
-                f"{total} records of {n_paths} paths at {times.size} times"
+                f"{total} records of {ens.n_paths} paths at {ens.times.size} times"
             )
-    return PathEnsemble(
-        meta=meta,
-        times=times,
-        samples=samples,
-        stopped_at=stopped_at,
-        stop_reason=reasons,
-        rejections=rejections,
-    )
+    return ens
 
 
 def run_ensemble(cfg, kernel, threads: int = 1) -> PathEnsemble:

@@ -174,7 +174,7 @@ def _step(sig: np.ndarray, h, xi: np.ndarray, beta: float, floor: float, a=None)
     else:
         mu_new = _singular_values(_moved_point(sig, h, xi, beta) if a is None else a)
         top = mu_new[-1]
-        sig_new = 2.0 * np.arctanh(np.clip(mu_new, 0.0, 1.0 - 1e-13))
+        sig_new = 2.0 * np.arctanh(np.clip(mu_new, 0.0, 1.0 - _DOMAIN_EDGE))
     status = np.full(sig.shape[1], ens.OK, dtype=np.int64)
     status[~in_chamber(sig_new.T, floor)] = ens.REJECT_CHAMBER
     status[~(top < 1.0 - _DOMAIN_EDGE)] = ens.REJECT_DOMAIN
@@ -212,6 +212,7 @@ def step_matrix_flow(
     otherwise).  Raises ChamberExit when sigma' violates ordering or the gap
     floor, DomainExit when tanh(sigma'_n / 2) reaches the disk boundary.
     """
+    h = ens.check_step(h)
     n = state.sigma_cache.size
     xi = ens.check_gaussians(gaussians, n * n + n)
     sig, xi = state.sigma_cache[:, None], xi[None]
@@ -256,6 +257,7 @@ def step_takagi_chart(sigma, q, beta: float, h: float, gaussians):
     """
     sigma = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
     q = np.asarray(q, dtype=complex)
+    h = ens.check_step(h)
     n = sigma.size
     xi = ens.check_gaussians(gaussians, n * n + n)
     noise = ens._noise_coef(beta) * np.sqrt(h) * xi[n * n :]

@@ -147,6 +147,7 @@ def integrate_mean_curvature(sigma0, t_final: float, h: float):
     sigma0 or a step is off the open chamber 0 < sigma_1 < ... < sigma_n.
     """
     sigma0 = np.asarray(getattr(sigma0, "sigma", sigma0), dtype=float)
+    h = ens.check_step(h)
     steps = int(round(t_final / h))
     if abs(steps * h - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError("t_final must be an integer multiple of h")

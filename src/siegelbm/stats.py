@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ensemble import PathEnsemble
+from .entropy import _log_cosh_norm_raw
 from .errors import EmptySample, ShapeMismatch
 
 
@@ -96,14 +97,34 @@ def _mean_se(values: np.ndarray):
     return np.mean(values, axis=0), se
 
 
+def _sum_cosh_moments(sig: np.ndarray):
+    """Mean and standard error of sum cosh over the paths, sig's rows, each
+    None past the float range, and the log of the mean.  Where the direct
+    sums overflow, they are e^top times the moments of e^(N - top), with
+    N = log sum cosh (entropy._log_cosh_norm_raw) and top = max N."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean, se = _mean_se(np.sum(np.cosh(sig), axis=-1))
+        log_mean = np.log(mean)
+        if not np.isfinite(se):
+            norms = _log_cosh_norm_raw(sig)
+            top = np.max(norms)
+            mean_w, se_w = _mean_se(np.exp(norms - top))
+            if not np.isfinite(mean):
+                log_mean = top + np.log(mean_w)
+                mean = np.exp(log_mean)
+            se = np.exp(top + np.log(se_w))
+    return *(float(v) if np.isfinite(v) else None for v in (mean, se)), log_mean
+
+
 def moment_report(ensemble: PathEnsemble) -> dict:
     """Per-sample-time summary of an ensemble.
 
     Each row reports, over paths still running at that time: means and
     standard errors of sum cosh(sigma) and sum sigma^2, per-coordinate
-    means, and the worst-case chamber margins.  The top level adds a
-    least-squares growth rate of log mean(sum cosh) against time and a
-    tally of stop reasons.
+    means, and the worst-case chamber margins; a mean or standard error
+    of sum cosh past the float range is None.  The top level adds a
+    least-squares growth rate of log mean(sum cosh) against time, from
+    logs that do not overflow, and a tally of stop reasons.
     """
     times = ensemble.times
     rows = []
@@ -114,17 +135,16 @@ def moment_report(ensemble: PathEnsemble) -> dict:
         row = {"t": float(t), "n_live": n_live, "n_stopped": int(ensemble.n_paths - n_live)}
         if n_live:
             sig = ensemble.samples[alive, j, :]
-            sum_cosh = np.sum(np.cosh(sig), axis=-1)
+            row["sum_cosh_mean"], row["sum_cosh_se"], log_mean = _sum_cosh_moments(sig)
             sum_sq = np.sum(sig * sig, axis=-1)
-            row["sum_cosh_mean"], row["sum_cosh_se"] = map(float, _mean_se(sum_cosh))
             row["sum_sq_mean"], row["sum_sq_se"] = map(float, _mean_se(sum_sq))
             row["coord_mean"], row["coord_se"] = (a.tolist() for a in _mean_se(sig))
             row["min_sigma1"] = float(np.min(sig[:, 0]))
             row["min_gap"] = (
                 float(np.min(np.diff(sig, axis=-1))) if sig.shape[1] > 1 else None
             )
-            if row["sum_cosh_mean"] > 0:
-                log_pts.append((float(t), np.log(row["sum_cosh_mean"])))
+            if np.isfinite(log_mean):
+                log_pts.append((float(t), log_mean))
         rows.append(row)
     stops = zip(ensemble.stop_reason, ensemble.stopped_at)
     report = {
@@ -181,9 +201,8 @@ def compare_ensembles(
     for k in range(dim):
         res = ks_two_sample(xa[:, k], xb[:, k], alpha=level)
         tests.append({"name": f"sigma_{k + 1}", **res.to_dict()})
-    res = ks_two_sample(
-        np.sum(np.cosh(xa), axis=-1), np.sum(np.cosh(xb), axis=-1), alpha=level
-    )
+    # KS sees only the order, which log sum cosh keeps without overflow
+    res = ks_two_sample(_log_cosh_norm_raw(xa), _log_cosh_norm_raw(xb), alpha=level)
     tests.append({"name": "sum_cosh", **res.to_dict()})
     n_a, n_b = int(xa.shape[0]), int(xb.shape[0])
     stopped_a, stopped_b = a.n_paths - n_a, b.n_paths - n_b

@@ -38,6 +38,34 @@ _MEAN_CURV = {
 }
 
 
+# t = 2,000 at n = 2: sum cosh passes the float range from t = 800 on
+_LONG_HORIZON = {
+    "n": 2,
+    "beta": 2.0,
+    "sigma0": [1.0, 2.0],
+    "t_final": 2000.0,
+    "dt": 0.5,
+    "n_paths": 20,
+    "seed": 3,
+    "scheme": "particle",
+    "sample_times": 400,
+}
+
+
+def test_simulate_long_horizon_summary(tmp_path, capsys):
+    # the summary's sum cosh moments used to overflow into Infinity and
+    # NaN, with a NaN growth rate; past the float range they are null
+    cfg = _write(tmp_path, "cfg.json", _LONG_HORIZON)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "summary.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    summary = json.loads(text)
+    assert np.isfinite(summary["growth"]["rate"])
+    assert [r["sum_cosh_mean"] is None for r in summary["rows"]] == [False] * 4 + [True] * 7
+    assert "growth rate: nan" not in capsys.readouterr().out
+
+
 def test_version(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.strip() == __version__ == "0.1.0"

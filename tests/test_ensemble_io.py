@@ -114,6 +114,14 @@ def _long_path():
     return ens
 
 
+def _many_paths():
+    # more paths than _WRITE_VALUES, so the header's stop lists span blocks
+    ens = _ensemble(_WRITE_VALUES + 5, dim=1, times=np.array([0.0, 0.5]))
+    for p in range(0, ens.n_paths, 3):
+        _stop(ens, p, 0.25, ("chamber-exit", "cutoff-floor")[p % 2])
+    return ens
+
+
 CASES = {
     "frozen-at-sample-time": _frozen_at_sample_time,
     "stopped-between-samples": _stopped_between_samples,
@@ -136,6 +144,7 @@ CASES = {
     "one-sample-time": lambda: _ensemble(3, times=np.array([0.25])),
     # one path of more values, and more times, than _WRITE_VALUES
     "long-path": _long_path,
+    "many-paths": _many_paths,
 }
 
 
@@ -329,6 +338,12 @@ _HEADERS = {
     "two-stops": _header_line(stopped_at=[None, None]),
     "two-reasons": _header_line(stop_reason=[None, None]),
     "no-rejections": _header_line(rejections=[]),
+    # JSON that reads as the same header, in spellings write_jsonl never writes
+    "reordered-keys": lambda head: json.dumps(dict(reversed(head.items()))),
+    "compact": lambda head: json.dumps(head, separators=(",", ":")),
+    "spaced": lambda head: json.dumps(head, separators=(" , ", " : ")),
+    "trailing-space": lambda head: json.dumps(head) + " ",
+    "infinity-beta": lambda head: json.dumps({**head, "meta": {**head["meta"], "beta": float("inf")}}),
 }
 
 
@@ -339,6 +354,20 @@ def test_reader_refuses_a_header_off_the_form(tmp_path, edit):
     (tmp_path / "t.jsonl").write_text(_HEADERS[edit](json.loads(head)) + "\n" + records)
     with pytest.raises(RecordInvalid, match="line 1: not a header in write_jsonl's form: "):
         read_jsonl(tmp_path / "t.jsonl")
+
+
+@pytest.mark.parametrize("values", [1, 2, 5])
+def test_header_round_trips_across_its_blocks(tmp_path, monkeypatch, values):
+    # header lists of 6 times and 7 paths split into blocks of values
+    # entries, at beta = inf, with stops and reasons on either side
+    monkeypatch.setattr("siegelbm.ensemble._WRITE_VALUES", values)
+    ens = _mixed_block(7)
+    ens.meta["beta"] = float("inf")
+    ens.stop_reason[5] = "cutoff-floor"
+    write_jsonl(ens, tmp_path / "new.jsonl")
+    reference_write_jsonl(ens, tmp_path / "ref.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+    assert ensembles_equal(read_jsonl(tmp_path / "new.jsonl"), ens)
 
 
 def test_reader_refuses_an_empty_file(tmp_path):
@@ -378,3 +407,15 @@ def test_write_memory_stays_bounded_for_one_long_path(tmp_path):
     _, write_peak = _traced_peak(lambda: write_jsonl(ens, tmp_path / "t.jsonl"))
     assert write_peak < 2e6
     assert ensembles_equal(read_jsonl(tmp_path / "t.jsonl"), ens)
+
+
+def test_read_memory_for_one_long_path(tmp_path):
+    # the header of one path at 200,001 sample times is a 2.0 MB line
+    # whose times parse to 6.4 MB of Python floats; keeping the parsed
+    # header to the end of the read took 8.5 MB beyond the 3.2 MB samples
+    ens = _ensemble(1, times=np.arange(200_001) * 1e-2)
+    _stop(ens, 0, 1500.0)
+    write_jsonl(ens, tmp_path / "t.jsonl")
+    back, read_peak = _traced_peak(lambda: read_jsonl(tmp_path / "t.jsonl"))
+    assert ensembles_equal(back, ens)
+    assert read_peak - ens.samples.nbytes < 8e6

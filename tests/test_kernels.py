@@ -10,11 +10,13 @@ from siegelbm import (
     OriginHit,
     SimConfig,
     init_matrix_state,
+    integrate_mean_curvature,
     simulate_matrix_paths,
     simulate_particle_paths,
     step_matrix_flow,
     step_particles,
     step_sphere_point,
+    step_takagi_chart,
 )
 from siegelbm import cutoff_eta, ensemble
 from siegelbm.config import SCHEMES
@@ -103,6 +105,26 @@ def test_single_state_steps_refuse_wrong_sized_gaussians(case):
     for g in bad:
         with pytest.raises(ValueError, match="gaussians"):
             step(g)
+
+
+# each single-state entry point as a function of its step size h
+_STEP_SIZED = {
+    "particle": lambda h: step_particles(np.array([1.0, 2.0]), 2.0, h, np.zeros(2)),
+    "sphere-point": lambda h: step_sphere_point(np.array([0.6, 0.8]), 2.0, h, np.zeros(2)),
+    "matrix": lambda h: step_matrix_flow(init_matrix_state((1.0, 2.0)), 2.0, h, np.zeros(6)),
+    "takagi-chart": lambda h: step_takagi_chart(np.array([1.0, 2.0]), np.eye(2), 2.0, h, np.zeros(6)),
+    "mean-curvature": lambda h: integrate_mean_curvature((1.0, 2.0), 1.0, h),
+}
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(_STEP_SIZED))
+def test_single_state_steps_refuse_a_step_size_off_the_positive_reals(entry, h):
+    # SimConfig's rule for dt: a zero step returned the state unchanged, a
+    # negative one stepped backwards or took the root of a negative
+    # variance, and a NaN one returned NaN or a rejection
+    with pytest.raises(ValueError, match="h: must be a positive finite number"):
+        _STEP_SIZED[entry](h)
 
 
 # the noise is gone at beta = inf, so no kernel draws there but the sphere

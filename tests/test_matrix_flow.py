@@ -49,8 +49,9 @@ def test_init_matrix_state_refuses_a_frame_that_is_not_unitary_and_square():
 
 
 def test_step_zero_h():
+    # h = 0 itself is refused (test_kernels); a step of 1e-300 is the identity
     st = init_matrix_state(np.array([0.7, 1.9]))
-    out = step_matrix_flow(st, beta=2.0, h=0.0, gaussians=np.zeros(6))
+    out = step_matrix_flow(st, beta=2.0, h=1e-300, gaussians=np.zeros(6))
     np.testing.assert_allclose(out.r, st.r, atol=1e-14)
     np.testing.assert_allclose(out.sigma_cache, st.sigma_cache, atol=1e-12)
 

@@ -45,8 +45,9 @@ def test_dyson_drift_values():
 
 
 def test_step_particles_zero_h():
+    # h = 0 itself is refused (test_kernels); a step of 1e-300 is the identity
     sig = np.array([0.7, 1.4])
-    out = step_particles(sig, beta=2.0, h=0.0, gaussians=np.zeros(2))
+    out = step_particles(sig, beta=2.0, h=1e-300, gaussians=np.zeros(2))
     np.testing.assert_array_equal(out, sig)
 
 

@@ -1,4 +1,6 @@
 """Tests for the KS machinery and ensemble summaries."""
+import json
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,58 @@ def test_moment_report_empty_growth():
     rep = moment_report(_ensemble(samples, times=[0.0]))
     assert "growth" not in rep
     assert rep["rejections"] == 0
+
+
+def _log_sum_cosh(sig):
+    """log sum cosh over the last axis as log sum e^{+-sigma} - log 2."""
+    return np.logaddexp.reduce(np.concatenate([sig, -sig], axis=-1), axis=-1) - np.log(2.0)
+
+
+def test_moment_report_past_the_float_range():
+    # five paths of sigma = (1, c + u), |u| < 1/2: sum cosh and its moments
+    # are finite at c = 300; its squares overflow at c = 400; its sum
+    # overflows at c = 709 while its mean does not; its mean passes the
+    # float range at c = 800
+    rng = np.random.default_rng(5)
+    centres = np.array([1.0, 300.0, 400.0, 709.0, 800.0])
+    samples = np.stack([np.ones((5, 5)), centres + rng.uniform(-0.5, 0.5, (5, 5))], axis=-1)
+    rep = moment_report(_ensemble(samples, times=np.arange(5.0)))
+    rows = rep["rows"]
+    for j in (0, 1):
+        # nothing overflows: the direct formulas, bit for bit
+        sum_cosh = np.sum(np.cosh(samples[:, j]), axis=-1)
+        assert rows[j]["sum_cosh_mean"] == float(np.mean(sum_cosh))
+        assert rows[j]["sum_cosh_se"] == float(np.std(sum_cosh, ddof=1) / np.sqrt(5))
+    # scaling by a power of two is exact, so it gives the reference moments
+    for j in (2, 3):
+        scaled = np.sum(np.ldexp(np.cosh(samples[:, j]), -600), axis=-1)
+        assert rows[j]["sum_cosh_mean"] == pytest.approx(np.ldexp(np.mean(scaled), 600), rel=1e-12)
+        se = np.ldexp(np.std(scaled, ddof=1) / np.sqrt(5), 600)
+        assert rows[j]["sum_cosh_se"] == pytest.approx(se, rel=1e-12)
+    assert rows[4]["sum_cosh_mean"] is None and rows[4]["sum_cosh_se"] is None
+    # the growth fit runs on log means that do not overflow
+    log_means = [np.logaddexp.reduce(_log_sum_cosh(samples[:, j])) - np.log(5) for j in range(5)]
+    assert rep["growth"]["rate"] == pytest.approx(np.polyfit(np.arange(5.0), log_means, 1)[0], rel=1e-12)
+    json.dumps(rep, allow_nan=False)
+
+
+def test_compare_sum_cosh_past_the_float_range():
+    # sigma near 1,000, where sum cosh overflows: the KS test on it sees
+    # the order of log sum cosh
+    rng = np.random.default_rng(6)
+    xa, xb = (1000.0 + np.cumsum(np.abs(rng.standard_normal((40, 1, 2))), axis=-1) for _ in range(2))
+    test = compare_ensembles(_ensemble(xa), _ensemble(xb + 0.3))["tests"][-1]
+    ref = ks_two_sample(_log_sum_cosh(xa[:, 0]), _log_sum_cosh(xb[:, 0] + 0.3), alpha=test["alpha"])
+    assert test["name"] == "sum_cosh" and test["statistic"] == ref.statistic > 0
+
+
+def test_compare_sum_cosh_keeps_its_statistic():
+    # where sum cosh is finite, its log orders the paths as it does
+    rng = np.random.default_rng(7)
+    xa, xb = (np.cumsum(np.abs(rng.standard_normal((200, 1, 3))), axis=-1) for _ in range(2))
+    test = compare_ensembles(_ensemble(xa), _ensemble(xb))["tests"][-1]
+    ref = ks_two_sample(np.sum(np.cosh(xa[:, 0]), axis=-1), np.sum(np.cosh(xb[:, 0]), axis=-1), alpha=test["alpha"])
+    assert test["statistic"] == ref.statistic
 
 
 def test_exact_sum_cosh_mean():
